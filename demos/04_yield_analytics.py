@@ -1,9 +1,10 @@
-"""Interdoping-yield analytics: recursion, Markov matrix, Monte Carlo.
+"""Interdoping-yield analytics: closed form, Markov matrix, Monte Carlo.
 
 The stall time of the ripple walk (start at two, Poisson(lam)-1 increments,
-absorbed at zero) has a closed recursion.  An absorbing-chain transition
-matrix and raw Monte Carlo walks validate it, and the censored-mean
-schedule turns it into an expected-doping prediction.
+absorbed at zero) has the closed form P(Y=t) = (2/t) Pois(t lam; t-2) by the
+hitting-time theorem.  An absorbing-chain transition matrix and raw Monte
+Carlo walks validate it, and the censored-mean schedule turns it into an
+expected-doping prediction.
 """
 
 import math
@@ -28,16 +29,16 @@ emp = np.bincount(times, minlength=52) / len(times)
 
 print(f"stall-time distribution at intensity lam = {LAM}")
 print()
-print("  t | recursion  | matrix     | Monte Carlo | closed form")
+print("  t | closed form | matrix     | Monte Carlo | anchor")
 print("-" * 62)
 closed = {2: math.exp(-2 * LAM), 3: 2 * LAM * math.exp(-3 * LAM),
           4: 4 * LAM**2 * math.exp(-4 * LAM)}
 for t in range(2, 9):
     cf = f"{closed[t]:.6f}" if t in closed else "          "
-    print(f"{t:3d} | {pmf.probs[t]:.8f} | {by_matrix[t-1]:.8f} | {emp[t]:.8f}   | {cf}")
+    print(f"{t:3d} | {pmf.probs[t]:.8f}  | {by_matrix[t-1]:.8f} | {emp[t]:.8f}   | {cf}")
 
 print()
-print("agreement: recursion vs matrix max gap",
+print("agreement: closed form vs matrix max gap",
       f"{np.max(np.abs(by_matrix - pmf.probs[1:13])):.2e}")
 
 print()

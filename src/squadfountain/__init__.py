@@ -4,7 +4,6 @@ from .analytics import (
     DopingPrediction,
     UncoveredCount,
     UnreleasedDegrees,
-    WalkParams,
     YieldPmf,
     degree_evolution_pmf,
     expected_dopings,
@@ -12,13 +11,11 @@ from .analytics import (
     interdoping_yield_pmf,
     ripple_transition_matrix,
     simulate_walk_stopping_times,
-    trapping_prob,
     trapping_probabilities,
     uncovered_count,
     unreleased_degree_dist,
     wald_dopings,
     walk_intensity,
-    yield_pmf_delta0,
 )
 from .codec import (
     CodedSymbol,
@@ -51,7 +48,6 @@ from .degrees import (
     robust_soliton_params,
     sample_degree,
     sample_degrees,
-    truncated_poisson_pmf,
 )
 from .errors import (
     ConfigError,

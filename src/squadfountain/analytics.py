@@ -17,8 +17,8 @@ This module provides
 
 * the degree evolution of unreleased output symbols under uniform peeling,
 * the interdoping-yield distribution, computed three independent ways
-  (closed recursion, absorbing Markov-chain matrix powers, Monte Carlo
-  walks) so each route can validate the others,
+  (closed form by the hitting-time theorem, absorbing Markov-chain matrix
+  powers, Monte Carlo walks) so each route can validate the others,
 * expected-doping predictions (iterative schedule and the delta=0
   renewal shortcut), and
 * the expected number of source packets no collected symbol covers.
@@ -29,7 +29,7 @@ All functions are pure and safe for concurrent use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import poisson
@@ -45,21 +45,6 @@ def walk_intensity(k: int, delta: float, ell: float) -> float:
     if ell >= k:
         raise InvalidParameterError(f"ell={ell} must be below k={k}")
     return 1.0 + delta * k / (k - ell)
-
-
-@dataclass(frozen=True)
-class WalkParams:
-    """Parameters of the ripple walk at decode depth ell with surplus delta."""
-
-    k: int
-    delta: float
-    ell: float
-    lam: float = field(init=False)
-
-    def __post_init__(self):
-        if self.delta < 0:
-            raise InvalidParameterError("delta must be >= 0")
-        object.__setattr__(self, "lam", walk_intensity(self.k, self.delta, self.ell))
 
 
 # ---------------------------------------------------------------------------
@@ -120,15 +105,12 @@ def unreleased_degree_dist(k: int, ell: int) -> UnreleasedDegrees:
 class YieldPmf:
     """P(Y = t) for the stall time Y of the ripple walk, t = 0..t_max.
 
-    ``tail`` is the mass beyond t_max.  ``clamped_mass`` totals the negative
-    round-off clipped to zero inside the recursion; it stays far below any
-    tolerance of interest for lam <= 1.5 and t_max <= 2000.
+    ``tail`` is the mass beyond t_max.
     """
 
     lam: float
     probs: np.ndarray
     tail: float
-    clamped_mass: float = 0.0
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=float)
@@ -148,48 +130,29 @@ class YieldPmf:
 
 
 def interdoping_yield_pmf(lam: float, t_max: int) -> YieldPmf:
-    """Stall-time pmf of the ripple walk by direct recursion.
+    """Stall-time pmf of the ripple walk in closed form.
 
     The walk starts at two, increments by Poisson(lam)-1 each step, and is
-    absorbed at zero.  With eta0 = exp(-lam) and aleph_s = Poisson(s*lam),
+    absorbed at zero.  It drops by at most one per step, so the hitting-time
+    theorem (Kemperman; van der Hofstad & Keane, Amer. Math. Monthly 2008)
+    gives the law exactly:
 
-        P(Y=t+1) = eta0 * (aleph_t(t-1) - sum_{i<t} P(Y=t-i) * aleph_i(1+i)).
+        P(Y=t) = (2/t) * Poisson(t*lam) at t-2.
 
-    Differences of nearly equal terms can round slightly negative; those are
-    clamped to zero and accounted in ``clamped_mass``.
+    Each mass is independent of t_max, so a longer pmf extends a shorter one.
     """
-    if lam < 1.0:
-        raise InvalidParameterError(f"lam must be >= 1, got {lam}")
+    if not 1.0 <= lam < math.inf:
+        raise InvalidParameterError(f"lam must be finite and >= 1, got {lam}")
     if t_max < 2:
         raise InvalidParameterError(f"t_max must be >= 2, got {t_max}")
+    t = np.arange(1, t_max + 1, dtype=float)
     probs = np.zeros(t_max + 1)
-    eta0 = math.exp(-lam)
-    steps = np.arange(1, t_max, dtype=float)
-    # released[s] with 1-based step count s: aleph_s evaluated at s-1 and s+1
-    alive_mass = poisson.pmf(steps - 1.0, steps * lam)  # survive s steps, die next
-    echo_mass = poisson.pmf(steps + 1.0, steps * lam)  # earlier-death correction
-    clamped = 0.0
-    for t in range(1, t_max):
-        resid = alive_mass[t - 1]
-        if t > 1:
-            resid -= float(np.dot(probs[t - 1 : 0 : -1], echo_mass[: t - 1]))
-        value = eta0 * resid
-        if value < 0.0:
-            clamped += -value
-            value = 0.0
-        probs[t + 1] = value
+    probs[1:] = 2.0 / t * poisson.pmf(t - 2.0, t * lam)
     total = float(probs.sum())
     if total > 1.0 + _MASS_TOL:
         raise InvalidParameterError(f"yield masses sum to {total!r} > 1")
     tail = max(0.0, 1.0 - total)
-    return YieldPmf(lam=lam, probs=probs, tail=tail, clamped_mass=clamped)
-
-
-def yield_pmf_delta0(k: int) -> YieldPmf:
-    """Zero-surplus specialization: unit intensity, support capped at k."""
-    if k < 3:
-        raise InvalidParameterError(f"k must be >= 3, got {k}")
-    return interdoping_yield_pmf(1.0, k)
+    return YieldPmf(lam=lam, probs=probs, tail=tail)
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +196,6 @@ def trapping_probabilities(matrix: np.ndarray, u_max: int) -> np.ndarray:
         out[u] = cur - prev
         prev = cur
     return out
-
-
-def trapping_prob(matrix: np.ndarray, u: int) -> float:
-    """Probability that absorption happens exactly at step u."""
-    return float(trapping_probabilities(matrix, u)[-1])
 
 
 def simulate_walk_stopping_times(
@@ -341,7 +299,6 @@ def expected_dopings(k: int, delta: float) -> DopingPrediction:
     u = uncovered_count(k, delta).exact
     decoded = 0.0
     rounds: list[DopingRound] = []
-    cached: YieldPmf | None = None
     i = 0
     while decoded + u < k:
         i += 1
@@ -352,13 +309,7 @@ def expected_dopings(k: int, delta: float) -> DopingPrediction:
         if remaining < 2.0:
             ey = remaining  # horizon too short for any finite yield mass
         else:
-            if delta == 0.0:
-                if cached is None:
-                    cached = interdoping_yield_pmf(1.0, k)
-                pmf = cached
-            else:
-                pmf = interdoping_yield_pmf(lam, int(remaining))
-            ey = expected_yield(pmf, k, decoded)
+            ey = expected_yield(interdoping_yield_pmf(lam, int(remaining)), k, decoded)
         rounds.append(
             DopingRound(index=i, decoded_before=decoded, lam=lam, expected_yield=ey)
         )
@@ -377,5 +328,5 @@ def expected_dopings(k: int, delta: float) -> DopingPrediction:
 
 def wald_dopings(k: int) -> float:
     """Zero-surplus renewal shortcut: k over the censored mean yield."""
-    pmf = yield_pmf_delta0(k)
+    pmf = interdoping_yield_pmf(1.0, k)
     return k / expected_yield(pmf, k, 0.0)

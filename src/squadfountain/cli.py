@@ -28,7 +28,6 @@ from .network import (
     storage_listen,
 )
 
-_DIST_NAMES = {"is": "is", "rs": "rs"}
 _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
 _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
 _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
@@ -179,7 +178,10 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
 def _require_seed(args: argparse.Namespace) -> int:
     if args.seed is None:
         raise ConfigError("--seed is required; runs must be reproducible")
-    return int(args.seed)
+    seed = int(args.seed)
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"--seed {seed} outside 0..2**64-1")
+    return seed
 
 
 def _coerce(args: argparse.Namespace) -> None:
@@ -218,7 +220,7 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
     k_s = args.ks if args.ks is not None else round(k * (1.0 + args.delta))
     dists = [d.strip() for d in str(args.dist).split(",") if d.strip()]
     for d in dists:
-        if d not in _DIST_NAMES:
+        if d not in ("is", "rs"):
             raise ConfigError(f"unknown distribution {d!r}")
     header = ["strategy", "trial", "seed", "k", "k_s", "k_d", "p_d"]
     rows: list[dict] = []

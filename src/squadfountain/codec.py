@@ -328,24 +328,6 @@ class DecodeReport:
     defected_total: int
     recovered: dict[int, bytes]
 
-    @property
-    def doping_ratio(self) -> float:
-        return self.k_d / self.k
-
-    @property
-    def fallback_dopings(self) -> int:
-        """Dopings that found no degree-two output (degree 3+, or uncovered)."""
-        return sum(1 for lv in self.dope_levels if lv != 2)
-
-    def csv_row(self) -> dict[str, object]:
-        return {
-            "k": self.k,
-            "k_s": self.k_s,
-            "k_d": self.k_d,
-            "p_d": 100.0 * self.k_d / self.k,
-            "success": self.success,
-        }
-
 
 def decode_with_doping(
     block: SourceBlock,

@@ -131,14 +131,3 @@ def sample_degrees(
     idx = np.searchsorted(dist.cdf, u, side="right").astype(np.int64)
     return np.minimum(idx, dist.k)
 
-
-def truncated_poisson_pmf(lam: float, r: int, n_max: int) -> float:
-    """Poisson(lam) mass at r for 0 <= r <= n_max, zero outside.
-
-    Evaluated in log space so large r does not overflow the factorial.
-    """
-    if lam <= 0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
-    if r < 0 or r > n_max:
-        return 0.0
-    return math.exp(r * math.log(lam) - lam - math.lgamma(r + 1))

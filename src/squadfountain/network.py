@@ -126,9 +126,6 @@ class TransmissionSchedule:
         # every relay has received every packet after this many rounds
         self.rounds = combining_rounds(self.k)
 
-    def transmissions_per_relay(self) -> int:
-        return self.k if self.mode == "degree_one" else self.rounds
-
     def relay_transmissions(self, relay: int) -> list[Transmission]:
         k, block = self.k, self.block
         out: list[Transmission] = []

@@ -154,13 +154,13 @@ def criterion_recursion_matrix(seed: int, tol: float) -> CriterionResult:
     for lam in (1.0, 1.05, 1.2):
         matrix = analytics.ripple_transition_matrix(lam, 500)
         from_matrix = analytics.trapping_probabilities(matrix, 50)
-        from_recursion = analytics.interdoping_yield_pmf(lam, 50).probs[1:51]
-        worst = max(worst, float(np.max(np.abs(from_matrix - from_recursion))))
+        from_closed_form = analytics.interdoping_yield_pmf(lam, 50).probs[1:51]
+        worst = max(worst, float(np.max(np.abs(from_matrix - from_closed_form))))
     return CriterionResult(
         "recursion_matrix",
         worst <= 1e-8 * tol,
         {"max_abs_error": worst},
-        "matrix powers vs recursion entrywise <= 1e-8, u <= 50",
+        "matrix powers vs closed form entrywise <= 1e-8, u <= 50",
     )
 
 
@@ -177,7 +177,7 @@ def criterion_walk_mc(seed: int, tol: float) -> CriterionResult:
         "walk_mc",
         tv < 0.02 * tol,
         {"tv_distance": tv, "walks": n},
-        "TV(recursion, 1e6 walks) over t <= 50 below 0.02",
+        "TV(closed form, 1e6 walks) over t <= 50 below 0.02",
     )
 
 

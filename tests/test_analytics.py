@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import poisson
 
 from squadfountain import analytics as an
 from squadfountain.errors import InvalidParameterError
@@ -26,6 +27,27 @@ def iterate_column_degree_law(k: int, ell: int) -> np.ndarray:
             nxt[d] = mass[d] * (1 - d / m) + mass[d + 1] * (d + 1) / m
         mass = nxt
     return mass
+
+
+def recursion_yield_pmf(lam: float, t_max: int) -> np.ndarray:
+    """Independent oracle: the stall-time pmf by the first-passage recursion.
+
+    With eta0 = exp(-lam) and aleph_s = Poisson(s*lam),
+        P(Y=t+1) = eta0 * (aleph_t(t-1) - sum_{i<t} P(Y=t-i) * aleph_i(1+i)).
+    Differences of nearly equal terms can round slightly negative; those are
+    clamped to zero.
+    """
+    probs = np.zeros(t_max + 1)
+    eta0 = math.exp(-lam)
+    steps = np.arange(1, t_max, dtype=float)
+    alive_mass = poisson.pmf(steps - 1.0, steps * lam)  # survive s steps, die next
+    echo_mass = poisson.pmf(steps + 1.0, steps * lam)  # earlier-death correction
+    for t in range(1, t_max):
+        resid = alive_mass[t - 1]
+        if t > 1:
+            resid -= float(np.dot(probs[t - 1 : 0 : -1], echo_mass[: t - 1]))
+        probs[t + 1] = max(0.0, eta0 * resid)
+    return probs
 
 
 class TestDegreeEvolution:
@@ -108,19 +130,22 @@ class TestInterdopingYieldPmf:
 
     @pytest.mark.parametrize("lam", [1.0, 1.5])
     def test_clamped_mass_negligible_deep(self, lam):
+        # the closed form leaves no negative round-off to clamp, however deep
         pmf = an.interdoping_yield_pmf(lam, 2000)
-        assert pmf.clamped_mass < 1e-6
+        assert np.all(pmf.probs >= 0.0)
+        assert float(pmf.probs.sum()) <= 1.0 + 1e-9
+
+    @pytest.mark.parametrize("lam", [1.0, 1.05, 1.2, 1.5])
+    def test_matches_recursion_oracle(self, lam):
+        pmf = an.interdoping_yield_pmf(lam, 2000)
+        assert np.max(np.abs(pmf.probs - recursion_yield_pmf(lam, 2000))) <= 1e-12
 
     def test_rejects_bad_args(self):
-        with pytest.raises(InvalidParameterError):
-            an.interdoping_yield_pmf(0.9, 50)
+        for lam in (0.9, math.nan, math.inf):
+            with pytest.raises(InvalidParameterError):
+                an.interdoping_yield_pmf(lam, 50)
         with pytest.raises(InvalidParameterError):
             an.interdoping_yield_pmf(1.0, 1)
-
-    def test_delta0_specialization(self):
-        assert np.array_equal(
-            an.yield_pmf_delta0(300).probs, an.interdoping_yield_pmf(1.0, 300).probs
-        )
 
 
 class TestTransitionMatrixValidator:
@@ -132,7 +157,8 @@ class TestTransitionMatrixValidator:
 
     def test_absorption_at_two_steps(self):
         P = an.ripple_transition_matrix(1.0, 60)
-        assert an.trapping_prob(P, 2) == pytest.approx(math.exp(-2), abs=1e-12)
+        at_two = an.trapping_probabilities(P, 2)[-1]
+        assert at_two == pytest.approx(math.exp(-2), abs=1e-12)
 
     def test_absorption_monotone(self):
         P = an.ripple_transition_matrix(1.05, 80)
@@ -144,8 +170,8 @@ class TestTransitionMatrixValidator:
     def test_matches_recursion(self, lam):
         P = an.ripple_transition_matrix(lam, 200)
         by_matrix = an.trapping_probabilities(P, 50)
-        by_recursion = an.interdoping_yield_pmf(lam, 50).probs[1:51]
-        assert np.max(np.abs(by_matrix - by_recursion)) < 1e-8
+        by_closed_form = an.interdoping_yield_pmf(lam, 50).probs[1:51]
+        assert np.max(np.abs(by_matrix - by_closed_form)) < 1e-8
 
 
 class TestWalkSimulation:
@@ -160,7 +186,7 @@ class TestWalkSimulation:
 
     def test_expected_yield_against_walks(self):
         k = 1000
-        pmf = an.yield_pmf_delta0(k)
+        pmf = an.interdoping_yield_pmf(1.0, k)
         predicted = an.expected_yield(pmf, k, 0.0)
         times = an.simulate_walk_stopping_times(1.0, 100_000, k, np.random.default_rng(2))
         assert abs(predicted - times.mean()) / times.mean() < 0.02
@@ -184,7 +210,7 @@ class TestExpectedYield:
 
     def test_mean_yield_exceeds_two(self):
         for k in (100, 1000):
-            pmf = an.yield_pmf_delta0(k)
+            pmf = an.interdoping_yield_pmf(1.0, k)
             assert an.expected_yield(pmf, k, 0.0) > 2.0
 
 
@@ -232,7 +258,7 @@ class TestExpectedDopings:
 
     def test_wald_form(self):
         k = 500
-        pmf = an.yield_pmf_delta0(k)
+        pmf = an.interdoping_yield_pmf(1.0, k)
         assert an.wald_dopings(k) == pytest.approx(k / an.expected_yield(pmf, k, 0.0))
 
 
@@ -240,9 +266,8 @@ class TestWalkParams:
     def test_unit_intensity_iff_zero_surplus(self):
         assert an.walk_intensity(1000, 0.0, 500) == 1.0
         assert an.walk_intensity(1000, 0.01, 0) == pytest.approx(1.01)
-        params = an.WalkParams(k=1000, delta=0.02, ell=500)
-        assert params.lam == pytest.approx(1.04)
+        assert an.walk_intensity(1000, 0.02, 500) == pytest.approx(1.04)
 
     def test_rejects_negative_surplus(self):
         with pytest.raises(InvalidParameterError):
-            an.WalkParams(k=100, delta=-0.1, ell=0)
+            an.expected_dopings(100, -0.1)

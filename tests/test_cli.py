@@ -72,6 +72,10 @@ class TestDecodeSim:
         _, rows = data_rows(text)
         assert len(rows) == 4  # 2 trials + mean + var
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_rejected(self, seed):
+        assert main(["decode-sim", "--k", "50", "--trials", "1", "--seed", str(seed)]) == 2
+
 
 class TestAnalyze:
     def test_delta_grid_decreasing(self, tmp_path):

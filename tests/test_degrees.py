@@ -12,7 +12,6 @@ from squadfountain.degrees import (
     robust_soliton_params,
     sample_degree,
     sample_degrees,
-    truncated_poisson_pmf,
 )
 from squadfountain.errors import InvalidParameterError
 
@@ -108,25 +107,6 @@ class TestSampling:
         dist = robust_soliton(40, 0.2, 0.2)
         draws = sample_degrees(dist, np.random.default_rng(5), 10_000)
         assert draws.min() >= 1 and draws.max() <= 40
-
-
-class TestTruncatedPoisson:
-    def test_at_zero(self):
-        assert truncated_poisson_pmf(1.0, 0, 10) == pytest.approx(math.exp(-1), abs=1e-12)
-
-    def test_at_two(self):
-        assert truncated_poisson_pmf(1.0, 2, 10) == pytest.approx(math.exp(-1) / 2, abs=1e-12)
-
-    def test_truncation(self):
-        assert truncated_poisson_pmf(1.0, 11, 10) == 0.0
-        assert truncated_poisson_pmf(1.0, -1, 10) == 0.0
-
-    def test_large_r_stable(self):
-        from scipy.stats import poisson
-
-        value = truncated_poisson_pmf(1000.0, 1000, 2000)
-        assert value == pytest.approx(float(poisson.pmf(1000, 1000.0)), rel=1e-10)
-        assert 0 < value < 1
 
 
 class TestDegreeDistributionType:
