@@ -2,9 +2,12 @@
 
 Subcommands: decode-sim, analyze, disseminate, cost, validate.  Every run
 requires an explicit --seed; per-trial randomness comes from a counter-based
-Philox stream keyed seed XOR trial, so reruns are byte-identical and trials
-are independent regardless of execution order.  CSVs carry '#'-prefixed
-metadata lines embedding the full effective configuration.
+Philox stream keyed by the pair (seed, trial), so reruns are byte-identical,
+trials are independent regardless of execution order, and different seeds
+never share a trial.  CSVs carry '#'-prefixed metadata lines embedding the
+full effective configuration; those whose numbers depend on a random draw
+also carry ``stream_version``, which changes whenever the same seed would
+draw differently.
 """
 
 from __future__ import annotations
@@ -32,6 +35,12 @@ _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
 _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
 _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
 
+# 2: Philox keyed by the pair (seed, trial), and one stream per storage squad
+STREAM_VERSION = 2
+# --mc-kd trials draw from streams of their own: this bit, the grid index
+# shifted past 32 bits, and the trial
+_MC_KD_STREAMS = 1 << 63
+
 
 def _fmt(value) -> str:
     if isinstance(value, bool):
@@ -57,8 +66,11 @@ def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[di
     return text
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed ^ trial))
+def trial_rng(seed: int, stream: int) -> np.random.Generator:
+    """Philox keyed by the pair (seed, stream): distinct pairs never share a key."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed {seed} outside 0..2**64-1")
+    return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
 def parse_delta_grid(spec: str) -> list[float]:
@@ -261,7 +273,7 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
                 {
                     "strategy": dist_name,
                     "trial": trial,
-                    "seed": seed ^ trial,
+                    "seed": seed,
                     "k": k,
                     "k_s": k_s,
                     "k_d": report.k_d,
@@ -304,6 +316,7 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
         "payload_len": args.payload_len,
         "network": args.network,
         "seed": seed,
+        "stream_version": STREAM_VERSION,
     }
     if args.network:
         meta.update(
@@ -399,6 +412,7 @@ def cmd_disseminate(args: argparse.Namespace) -> int:
         "rounds": sched.rounds,
         "verified": verified,
         "seed": seed,
+        "stream_version": STREAM_VERSION,
     }
     write_csv(args.out, meta, header, rows)
     return 0
@@ -411,7 +425,7 @@ def _mc_kd_table(k: int, grid: list[float], trials: int, seed: int) -> dict[floa
         k_s = round(k * (1.0 + delta))
         total = 0
         for trial in range(trials):
-            rng = trial_rng(seed, (di << 20) ^ trial)
+            rng = trial_rng(seed, _MC_KD_STREAMS | di << 32 | trial)
             block = SourceBlock.random(k, 8, rng)
             report = decode_with_doping(block, encode_symbols(block, dist, k_s, rng), rng)
             total += report.k_d
@@ -482,6 +496,8 @@ def cmd_cost(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "seed": seed,
     }
+    if args.mc_kd:
+        meta["stream_version"] = STREAM_VERSION
     write_csv(args.out, meta, header, rows)
     return 0
 
@@ -518,6 +534,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             "criteria": ",".join(names),
             "tolerance_scale": args.tolerance_scale,
             "seed": seed,
+            "stream_version": STREAM_VERSION,
         }
         write_csv(args.out, meta, header, rows)
     return 0 if all(r.passed for r in results) else 1

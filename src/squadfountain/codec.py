@@ -119,8 +119,10 @@ class DecoderState:
 
     Outputs keep a residual neighbor set and a residual payload (original
     payload with every decoded member XORed out).  An output that releases
-    or empties is spent.  The ripple holds (source, payload) pairs without
-    duplicates; redundant releases are dropped and counted as defected.
+    or empties is spent.  The ids of outputs at residual degree two are kept
+    in a bucket, so doping need not rescan every output.  The ripple holds
+    (source, payload) pairs without duplicates; redundant releases are
+    dropped and counted as defected.
     """
 
     def __init__(self, k: int, payload_len: int, ripple_discipline: str = "fifo"):
@@ -138,6 +140,7 @@ class DecoderState:
         self._out_neighbors: list[set[int]] = []
         self._out_payload: list[int] = []
         self._adjacency: dict[int, set[int]] = {}
+        self._degree_two: set[int] = set()
         self.doped: list[int] = []
         self.dope_levels: list[int] = []
         self.history: list[StepRecord] = []
@@ -178,6 +181,8 @@ class DecoderState:
         self._out_payload.append(int.from_bytes(sym.payload, "big"))
         for src in sym.neighbors:
             self._adjacency.setdefault(src, set()).add(oid)
+        if len(sym.neighbors) == 2:
+            self._degree_two.add(oid)
 
     def _seed_ripple(self) -> None:
         releases = defected = 0
@@ -219,7 +224,10 @@ class DecoderState:
             nbrs = self._out_neighbors[oid]
             nbrs.discard(src)
             self._out_payload[oid] ^= payload
-            if len(nbrs) == 1:
+            if len(nbrs) == 2:
+                self._degree_two.add(oid)
+            elif len(nbrs) == 1:
+                self._degree_two.discard(oid)
                 (last,) = nbrs
                 nbrs.clear()
                 self._adjacency[last].discard(oid)
@@ -282,22 +290,21 @@ def dope_degree_two(
         raise InvalidParameterError("doping requires an empty ripple")
     if state.finished:
         raise InvalidParameterError("decoding already complete")
-    lowest: int | None = None
-    for nbrs in state._out_neighbors:
-        d = len(nbrs)
-        if d >= 2 and (lowest is None or d < lowest):
-            lowest = d
-            if d == 2:
-                break
-    if lowest is None:
-        candidates = sorted(state.undecoded)
-        src = candidates[int(rng.integers(len(candidates)))]
-        level = 0
-    else:
-        holders = [nbrs for nbrs in state._out_neighbors if len(nbrs) == lowest]
+    if state._degree_two:
+        lowest = 2
+        holders = [state._out_neighbors[oid] for oid in sorted(state._degree_two)]
+    else:  # rare: rescan for the lowest residual degree above two
+        live = [nbrs for nbrs in state._out_neighbors if len(nbrs) > 2]
+        lowest = min(map(len, live), default=0)
+        holders = [nbrs for nbrs in live if len(nbrs) == lowest]
+    if holders:
         pair = int(rng.integers(len(holders) * lowest))
         src = sorted(holders[pair // lowest])[pair % lowest]
         level = lowest
+    else:
+        candidates = sorted(state.undecoded)
+        src = candidates[int(rng.integers(len(candidates)))]
+        level = 0
     try:
         packet = oracle(src)
     except Exception as exc:  # noqa: BLE001 - oracle contract is opaque

@@ -10,20 +10,25 @@ slot subset, then store the XOR of the overheard transmissions in those
 slots.  A collector drains nearby squads for the upfront symbols and polls
 source relays directly whenever the decoder needs doping.
 
-Networks are built lazily: squad sizes are drawn eagerly, per-node plans
-are materialized on first touch from a counter-based per-node stream, so
-large networks cost only what a collection actually visits.
+Networks are built lazily: squad sizes are drawn eagerly, and each
+squad's node plans are made in one vectorised pass on first touch, from a
+counter-based (Philox) stream keyed by the network and the squad, so large
+networks cost only the squads a collection actually visits, and a plan does
+not depend on the order in which squads are touched.  A stored symbol's
+payload is the XOR of the source packets it covers, which equals the XOR of
+the overheard transmissions it combines.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import IO
 
 import numpy as np
 
 from .codec import CodedSymbol, DecodeReport, SourceBlock, decode_with_doping
-from .degrees import DegreeDistribution, ideal_soliton, robust_soliton, sample_degree
+from .degrees import DegreeDistribution, ideal_soliton, robust_soliton, sample_degrees
 from .errors import ExhaustedNetworkError, InvalidParameterError
 
 SQUAD_SIZE_MODELS = ("fixed", "poisson")
@@ -106,6 +111,56 @@ class StorageNode:
     index: int
     degree: int
     slots: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class SquadPlan:
+    """Every node of one squad, as rows of two CSR arrays.
+
+    Node i stores the slots ``slots[slot_ptr[i]:slot_ptr[i+1]]`` and covers
+    the sources ``neighbors[nbr_ptr[i]:nbr_ptr[i+1]]``; both rows are sorted.
+    Slots are source indices except for degree-two inputs (see StorageNode).
+    """
+
+    slot_ptr: np.ndarray
+    slots: np.ndarray
+    nbr_ptr: np.ndarray
+    neighbors: np.ndarray
+
+
+def _csr_ptr(lengths: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _distinct_rows(
+    rng: np.random.Generator, sizes: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
+
+    Rows of at most a quarter of m draw with replacement in one batch; a
+    sort finds the duplicates within each row, and only those are redrawn
+    until none remain.  Larger rows take a permutation prefix.  Each row
+    comes out sorted.
+    """
+    n = len(sizes)
+    owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    large = sizes * 4 > m
+    keys = owner[~large[owner]] * m
+    keys += rng.integers(0, m, size=len(keys))
+    while True:
+        keys.sort()
+        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not dup.size:
+            break
+        keys[dup] += rng.integers(0, m, size=dup.size) - keys[dup] % m
+    parts = [keys]
+    for i in np.flatnonzero(large):
+        parts.append(i * m + rng.permutation(m)[: sizes[i]])
+    if len(parts) > 1:
+        keys = np.sort(np.concatenate(parts))
+    return _csr_ptr(sizes), keys % m
 
 
 @dataclass(frozen=True)
@@ -229,12 +284,13 @@ class Network:
         self.squad_sizes = squad_sizes
         self._node_key = node_key
         self._dist = cfg.degree_distribution()
-        self._node_cache: dict[tuple[int, int], StorageNode] = {}
-        self._slot_count = (
-            2 * combining_rounds(cfg.k)
-            if cfg.storage_combine_input == "degree_two_inputs"
-            else cfg.k
+        self._squads: dict[int, SquadPlan] = {}
+        # degree-two inputs combine overheard transmissions; coupon nodes and
+        # degree-one inputs hold source packets
+        self._combines_slots = (
+            cfg.storage != "coupon" and cfg.storage_combine_input == "degree_two_inputs"
         )
+        self._slot_count = 2 * combining_rounds(cfg.k) if self._combines_slots else cfg.k
         self.stored: "SymbolStore | None" = None
 
     @property
@@ -248,56 +304,57 @@ class Network:
     def squad_size(self, gap: int) -> int:
         return int(self.squad_sizes[gap - 1])
 
+    def squad(self, gap: int) -> SquadPlan:
+        """The plans of every node in squad ``gap``, made on first touch."""
+        plan = self._squads.get(gap)
+        if plan is None:
+            if not 1 <= gap <= self.k:
+                raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
+            plan = self._plan_squad(gap)
+            self._squads[gap] = plan
+        return plan
+
     def node(self, gap: int, index: int) -> StorageNode:
-        key = (gap, index)
-        cached = self._node_cache.get(key)
-        if cached is not None:
-            return cached
         if not 1 <= gap <= self.k or not 0 <= index < self.squad_size(gap):
             raise InvalidParameterError(f"no node {index} in squad {gap}")
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(self._node_key, spawn_key=(gap, index)))
-        )
-        node = self._plan_node(gap, index, rng)
-        self._node_cache[key] = node
-        return node
+        plan = self.squad(gap)
+        lo, hi = plan.slot_ptr[index], plan.slot_ptr[index + 1]
+        return StorageNode(gap, index, int(hi - lo), tuple(plan.slots[lo:hi].tolist()))
 
-    def _plan_node(self, gap: int, index: int, rng: np.random.Generator) -> StorageNode:
-        cfg = self.cfg
-        if cfg.storage == "coupon":
-            src = int(rng.integers(1, self.k + 1))
-            return StorageNode(gap, index, 1, (src,))
-        d = min(sample_degree(self._dist, rng), self._slot_count)
-        if cfg.storage_combine_input == "degree_one_inputs":
-            slots = tuple(
-                sorted(int(i) + 1 for i in rng.choice(self.k, size=d, replace=False))
+    def _plan_squad(self, gap: int) -> SquadPlan:
+        rng = np.random.Generator(np.random.Philox(key=[self._node_key, gap]))
+        n = self.squad_size(gap)
+        if self.cfg.storage == "coupon":
+            return self._plan_rows(
+                gap, _csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
             )
-            return StorageNode(gap, index, d, slots)
-        # degree-two inputs: chosen slot subsets may cancel outright; replan
-        for _ in range(100):
-            slots = tuple(
-                sorted(int(i) for i in rng.choice(self._slot_count, size=d, replace=False))
-            )
-            if self._slot_symmetric_difference(gap, slots):
-                return StorageNode(gap, index, d, slots)
-        raise InvalidParameterError(
-            f"could not plan a non-degenerate slot set for node {(gap, index)}"
-        )
+        sizes = np.minimum(sample_degrees(self._dist, rng, n), self._slot_count)
+        ptr, slots = _distinct_rows(rng, sizes, self._slot_count)
+        return self._plan_rows(gap, ptr, slots if self._combines_slots else slots + 1)
 
-    def _slot_neighbors(self, gap: int, slot: int) -> tuple[int, ...]:
-        """Neighbor set of an overheard degree-two-mode slot, by construction."""
-        rounds = combining_rounds(self.k)
-        relay = gap if slot < rounds else _wrap(self.k, gap + 1)
-        r = slot % rounds + 1
-        if r == 1:
-            return (relay,)
-        return tuple(sorted({_wrap(self.k, relay - r + 1), _wrap(self.k, relay + r - 1)}))
+    def _plan_rows(self, gap: int, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
+        """Attach to each row of slots the sources it covers.
 
-    def _slot_symmetric_difference(self, gap: int, slots: tuple[int, ...]) -> frozenset[int]:
-        acc: set[int] = set()
-        for slot in slots:
-            acc ^= set(self._slot_neighbors(gap, slot))
-        return frozenset(acc)
+        A squad's overheard transmissions are linearly independent over
+        GF(2): taken from the outermost round inwards, each covers a source
+        that none of the remaining ones covers.  So no slot subset cancels,
+        and every node covers at least one source.
+        """
+        if not self._combines_slots:
+            return SquadPlan(ptr, slots, ptr, slots)
+        k, rounds = self.k, combining_rounds(self.k)
+        # slot s is round s % rounds + 1 of the left relay (s < rounds) or the right one
+        relay = np.where(slots < rounds, gap, gap % k + 1)
+        r = slots % rounds + 1
+        left = (relay - r) % k + 1
+        right = (relay + r - 2) % k + 1
+        two = right != left  # round one carries the relay's own packet alone
+        owner = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
+        keys = np.concatenate([owner, owner[two]]) * (k + 1) + np.concatenate([left, right[two]])
+        heard, times = np.unique(keys, return_counts=True)
+        odd = heard[times % 2 == 1]  # a source heard an even number of times cancels
+        nbr_ptr = _csr_ptr(np.bincount(odd // (k + 1), minlength=len(ptr) - 1))
+        return SquadPlan(ptr, slots, nbr_ptr, odd % (k + 1))
 
     def dump(self, fp: IO[str]) -> None:
         for gap in range(1, self.k + 1):
@@ -329,51 +386,54 @@ def disseminate_degree_two(net: Network) -> TransmissionSchedule:
 
 
 class SymbolStore:
-    """Lazily materialized stored symbols, one per storage node."""
+    """Stored symbols, one per storage node, materialized a squad at a time.
+
+    The network owns its store (``net.stored``) and the store refers back to
+    it weakly, so a trial's network and symbols are freed as soon as the
+    trial drops them, not at the next full garbage collection.
+    """
 
     def __init__(self, net: Network, schedule: TransmissionSchedule):
         if net.cfg.dissemination != schedule.mode:
             raise InvalidParameterError(
                 f"schedule mode {schedule.mode!r} does not match config"
             )
-        self.net = net
+        self.net = weakref.proxy(net)
         self.schedule = schedule
-        self._cache: dict[tuple[int, int], CodedSymbol] = {}
-        self._heard_cache: dict[int, list[Transmission]] = {}
+        block = net.block
+        self._packets = np.frombuffer(b"".join(block.packets), dtype=np.uint8).reshape(
+            block.k, block.payload_len
+        )
+        self._squads: dict[int, list[CodedSymbol]] = {}
 
-    def _overheard(self, gap: int) -> list[Transmission]:
-        heard = self._heard_cache.get(gap)
-        if heard is None:
-            heard = self.schedule.overheard(gap)
-            self._heard_cache[gap] = heard
-        return heard
+    def squad_symbols(self, gap: int) -> list[CodedSymbol]:
+        """Every symbol of squad ``gap``: each payload XORs the covered sources."""
+        symbols = self._squads.get(gap)
+        if symbols is None:
+            plan = self.net.squad(gap)
+            symbols = []
+            if len(plan.neighbors):
+                payloads = np.bitwise_xor.reduceat(
+                    self._packets[plan.neighbors - 1], plan.nbr_ptr[:-1], axis=0
+                )
+                nbrs, ptr = plan.neighbors.tolist(), plan.nbr_ptr.tolist()
+                symbols = [
+                    CodedSymbol(tuple(nbrs[lo:hi]), payload.tobytes())
+                    for lo, hi, payload in zip(ptr, ptr[1:], payloads)
+                ]
+            self._squads[gap] = symbols
+        return symbols
 
     def symbol(self, gap: int, index: int) -> CodedSymbol:
-        key = (gap, index)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        node = self.net.node(gap, index)
-        if self.net.cfg.storage_combine_input == "degree_two_inputs":
-            heard = self._overheard(gap)
-            nbrs: set[int] = set()
-            acc = 0
-            for slot in node.slots:
-                t = heard[slot]
-                nbrs ^= set(t.neighbors)
-                acc ^= int.from_bytes(t.payload, "big")
-            payload = acc.to_bytes(self.net.block.payload_len, "big")
-            sym = CodedSymbol(tuple(sorted(nbrs)), payload)
-        else:
-            sym = CodedSymbol(node.slots, self.net.block.xor_of(node.slots))
-        self._cache[key] = sym
-        return sym
+        if not 1 <= gap <= self.net.k or not 0 <= index < self.net.squad_size(gap):
+            raise InvalidParameterError(f"no node {index} in squad {gap}")
+        return self.squad_symbols(gap)[index]
 
     def all_symbols(self) -> dict[tuple[int, int], CodedSymbol]:
         return {
-            (gap, idx): self.symbol(gap, idx)
+            (gap, idx): sym
             for gap in range(1, self.net.k + 1)
-            for idx in range(self.net.squad_size(gap))
+            for idx, sym in enumerate(self.squad_symbols(gap))
         }
 
 
@@ -440,12 +500,9 @@ def collect(
         if size == 0:
             continue  # empty squads cost nothing and are not part of the supersquad
         drained.append(gap)
-        per_symbol = j / 2.0 + 1.0
-        for idx in range(size):
-            if len(symbols) >= k_s:
-                break
-            symbols.append(net.stored.symbol(gap, idx))
-            hops += per_symbol
+        take = min(size, k_s - len(symbols))
+        symbols.extend(net.stored.squad_symbols(gap)[:take])
+        hops += take * (j / 2.0 + 1.0)
         j += 1
     report = CollectionReport(
         k_s=k_s, s=len(drained), supersquad_hops=hops, squads_drained=tuple(drained)

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, costs
+from .cli import main as cli_main
+from .cli import trial_rng
 from .codec import (
     SourceBlock,
     decode_with_doping,
@@ -25,7 +27,6 @@ from .codec import (
     process_ripple_symbol,
 )
 from .degrees import ideal_soliton, robust_soliton
-from .errors import InvalidParameterError
 from .network import (
     NetworkConfig,
     build_network,
@@ -62,13 +63,6 @@ def _short(v) -> str:
     return str(v)
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox keyed by the pair (seed, stream): distinct pairs never share a key."""
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed {seed} outside 0..2**64-1")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
-
-
 # ---------------------------------------------------------------------------
 # Shared Monte Carlo inputs
 # ---------------------------------------------------------------------------
@@ -82,7 +76,7 @@ def network_doping_sample(seed: int, trials: int = 200) -> np.ndarray:
         cfg = NetworkConfig(k=1000, h=200, dissemination="degree_one",
                             storage="is_combining", payload_len=32)
         for trial in range(trials):
-            rng = _rng(seed, trial)
+            rng = trial_rng(seed, trial)
             net = build_network(cfg, rng)
             storage_listen(net, disseminate_degree_one(net))
             report, _ = simulate_collection_with_doping(net, 1, 1000, rng)
@@ -99,7 +93,7 @@ def codec_doping_sample(dist_name: str, seed: int, trials: int = 200) -> np.ndar
         dist = ideal_soliton(k) if dist_name == "is" else robust_soliton(k, 0.1, 0.5)
         kd = np.empty(trials, dtype=np.int64)
         for trial in range(trials):
-            rng = _rng(seed, 0x10000 ^ trial)
+            rng = trial_rng(seed, 0x10000 ^ trial)
             block = SourceBlock.random(k, 32, rng)
             report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
             kd[trial] = report.k_d
@@ -118,7 +112,7 @@ def criterion_decoder_bitexact(seed: int, tol: float) -> CriterionResult:
     start = time.perf_counter()
     exact = 0
     for trial in range(trials):
-        rng = _rng(seed, trial)
+        rng = trial_rng(seed, trial)
         block = SourceBlock.random(k, 32, rng)
         report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
         if report.success and all(
@@ -167,7 +161,8 @@ def criterion_recursion_matrix(seed: int, tol: float) -> CriterionResult:
 def criterion_walk_mc(seed: int, tol: float) -> CriterionResult:
     n = 1_000_000
     horizon = 50
-    times = analytics.simulate_walk_stopping_times(1.0, n, horizon + 1, _rng(seed, 4))
+    rng = trial_rng(seed, 4)
+    times = analytics.simulate_walk_stopping_times(1.0, n, horizon + 1, rng)
     pmf = analytics.interdoping_yield_pmf(1.0, horizon)
     emp = np.bincount(times, minlength=horizon + 2) / n
     diffs = np.abs(emp[2 : horizon + 1] - pmf.probs[2 : horizon + 1])
@@ -236,7 +231,7 @@ def criterion_degree_evolution(seed: int, tol: float) -> CriterionResult:
     dist = ideal_soliton(k)
     counts: Counter[int] = Counter()
     for trial in range(seeds):
-        rng = _rng(seed, 0x30000 ^ trial)
+        rng = trial_rng(seed, 0x30000 ^ trial)
         block = SourceBlock.random(k, 8, rng)
         state = init_decoder(k, encode_symbols(block, dist, k, rng), block.payload_len)
         while state.decoded_count < ell:
@@ -263,7 +258,7 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
     failures = []
     for k in (3, 5, 7, 9, 15):
         cfg = NetworkConfig(k=k, h=1, dissemination="degree_two_combining", payload_len=16)
-        net = build_network(cfg, _rng(seed, 0x40000 ^ k))
+        net = build_network(cfg, trial_rng(seed, 0x40000 ^ k))
         sched = disseminate_degree_two(net)
         if sched.rounds != combining_rounds(k) or not sched.verify():
             failures.append(k)
@@ -281,7 +276,7 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
 
 def criterion_coupon_coverage(seed: int, tol: float) -> CriterionResult:
     k, trials = 500, 400
-    rng = _rng(seed, 5)
+    rng = trial_rng(seed, 5)
     target = costs.coupon_requirement(k)
     batch = int(target * 6)
     covers = np.empty(trials)
@@ -308,7 +303,7 @@ def criterion_uncovered(seed: int, tol: float) -> CriterionResult:
     k, seeds = 1000, 500
     k_s = round(k * math.log(k))
     formula = k * (1.0 - 1.0 / k) ** k_s
-    rng = _rng(seed, 6)
+    rng = trial_rng(seed, 6)
     uncovered = np.empty(seeds)
     for t in range(seeds):
         draws = rng.integers(0, k, size=k_s)
@@ -377,8 +372,6 @@ def criterion_strategy_order(seed: int, tol: float) -> CriterionResult:
 def criterion_determinism(seed: int, tol: float) -> CriterionResult:
     import tempfile
     from pathlib import Path
-
-    from .cli import main as cli_main
 
     with tempfile.TemporaryDirectory() as tmp:
         outputs = []

@@ -42,6 +42,24 @@ class TestCsvFormat:
         assert t2["prob"] == f"{math.exp(-2):.9g}"
 
 
+class TestStreamVersion:
+    @pytest.mark.parametrize("argv", [
+        ["decode-sim", "--k", "40", "--trials", "2"],
+        ["decode-sim", "--network", "--k", "40", "--h", "10", "--trials", "2"],
+        ["disseminate", "--k", "7"],
+        ["validate", "--criterion", "yield_anchor"],
+        ["cost", "--k", "100", "--h", "10", "--delta-grid", "0:0.01:0.01",
+         "--mc-kd", "--trials", "2"],
+    ])
+    def test_drawn_outputs_carry_version(self, tmp_path, argv):
+        _, text = run_to_file(tmp_path, "v.csv", argv + ["--seed", "1"])
+        assert "# stream_version=2\n" in text
+
+    def test_analytic_outputs_carry_none(self, tmp_path):
+        _, text = run_to_file(tmp_path, "a.csv", ["analyze", "--k", "100", "--seed", "1"])
+        assert "stream_version" not in text
+
+
 class TestDecodeSim:
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["decode-sim", "--k", "50", "--trials", "4", "--seed", "9"]
@@ -75,6 +93,23 @@ class TestDecodeSim:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         assert main(["decode-sim", "--k", "50", "--trials", "1", "--seed", str(seed)]) == 2
+
+    @pytest.mark.parametrize("network", [[], ["--network", "--h", "15"]])
+    def test_seeds_draw_different_trials(self, tmp_path, network):
+        # trials are keyed by the pair (seed, trial): seeds 1 and 2 share none
+        kd = {}
+        for seed in (1, 2):
+            _, text = run_to_file(
+                tmp_path, f"s{seed}.csv",
+                ["decode-sim", "--k", "60", "--trials", "8", "--payload-len", "8",
+                 "--seed", str(seed), *network],
+            )
+            _, rows = data_rows(text)
+            trials = [r for r in rows if r["trial"].isdigit()]
+            assert {r["seed"] for r in trials} == {str(seed)}
+            kd[seed] = [r["k_d"] for r in trials]
+        assert kd[1] != kd[2]
+        assert sorted(kd[1]) != sorted(kd[2])  # not the same trials reordered
 
 
 class TestAnalyze:

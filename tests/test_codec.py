@@ -219,6 +219,65 @@ class TestDoping:
             dope_degree_two(state, broken, np.random.default_rng(0))
 
 
+def scan_dope_degree_two(state, oracle, rng):
+    """The doping rule as a scan over every output, before the degree-two
+    bucket: the oracle the bucket must match draw for draw."""
+    lowest = None
+    for nbrs in state._out_neighbors:
+        d = len(nbrs)
+        if d >= 2 and (lowest is None or d < lowest):
+            lowest = d
+            if d == 2:
+                break
+    if lowest is None:
+        candidates = sorted(state.undecoded)
+        src = candidates[int(rng.integers(len(candidates)))]
+        level = 0
+    else:
+        holders = [nbrs for nbrs in state._out_neighbors if len(nbrs) == lowest]
+        pair = int(rng.integers(len(holders) * lowest))
+        src = sorted(holders[pair // lowest])[pair % lowest]
+        level = lowest
+    state._absorb(src, int.from_bytes(oracle(src), "big"))
+    state.doped.append(src)
+    state.dope_levels.append(level)
+    return src
+
+
+class TestDegreeTwoBucket:
+    @pytest.mark.parametrize("discipline", ["fifo", "lifo", "random"])
+    @pytest.mark.parametrize("dist_name", ["is", "rs"])
+    def test_draws_match_scan_oracle(self, dist_name, discipline):
+        k = 150
+        dist = ideal_soliton(k) if dist_name == "is" else robust_soliton(k, 0.1, 0.5)
+        levels = Counter()
+        for seed in range(30):
+            # 20% short of k leaves sources uncovered, so polls occur too
+            k_s = k if seed % 2 else round(0.8 * k)
+            block = make_block(k, seed=seed)
+            symbols = encode_symbols(block, dist, k_s, np.random.default_rng(seed))
+            report = decode_with_doping(
+                block, symbols, np.random.default_rng(500 + seed), discipline
+            )
+            rng = np.random.default_rng(500 + seed)
+            state = init_decoder(k, symbols, block.payload_len, discipline)
+            while not state.finished:
+                if state.ripple:
+                    process_ripple_symbol(state, rng)
+                else:
+                    assert state._degree_two == {
+                        oid for oid, nbrs in enumerate(state._out_neighbors)
+                        if len(nbrs) == 2
+                    }
+                    scan_dope_degree_two(state, block.packet, rng)
+            assert report.doped_indices == tuple(state.doped)
+            assert report.dope_levels == tuple(state.dope_levels)
+            levels.update(min(level, 3) for level in state.dope_levels)
+        # every branch of the rule is drawn; these Robust Soliton trials never
+        # run out of degree-two outputs while higher-degree ones remain
+        assert set(levels) == ({0, 2, 3} if dist_name == "is" else {0, 2})
+
+
 class TestDecodeWithDoping:
     def test_no_doping_when_peeling_suffices(self):
         block = make_block(6)

@@ -1,16 +1,29 @@
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from squadfountain import network as nw
 from squadfountain.errors import ExhaustedNetworkError, InvalidParameterError
-from squadfountain.network import NetworkConfig, StorageNode
+from squadfountain.network import NetworkConfig
 
 
 def build(k=20, h=5, seed=0, **kw):
     cfg = NetworkConfig(k=k, h=h, payload_len=4, **kw)
     return nw.build_network(cfg, np.random.default_rng(seed))
+
+
+def replan_node(net, gap, index, slots):
+    """Replace one node's slots in the cached plan of its squad."""
+    plan = net.squad(gap)
+    rows = [list(plan.slots[lo:hi]) for lo, hi in zip(plan.slot_ptr, plan.slot_ptr[1:])]
+    rows[index] = list(slots)
+    ptr = np.cumsum([0] + [len(row) for row in rows])
+    net._squads[gap] = net._plan_rows(gap, ptr, np.array(sum(rows, []), dtype=np.int64))
 
 
 class TestConfig:
@@ -42,7 +55,7 @@ class TestBuild:
     def test_fixed_large_counts_without_materializing(self):
         net = build(k=1000, h=200)
         assert net.total_storage_nodes == 200_000
-        assert not net._node_cache
+        assert not net._squads
 
     def test_poisson_squad_sizes(self):
         cfg = NetworkConfig(k=1000, h=200.0, squad_size_model="poisson")
@@ -145,10 +158,19 @@ class TestStorageListen:
                 seen.add(sym.neighbors[0])
         assert len(seen) > 40  # 500 uniform draws cover most of 50 sources
 
+    def test_coupon_nodes_ignore_degree_two_inputs(self):
+        # a coupon node stores one source packet, never an overheard slot
+        net = build(k=21, h=5, storage="coupon", dissemination="degree_two_combining",
+                    storage_combine_input="degree_two_inputs")
+        store = nw.storage_listen(net, nw.disseminate_degree_two(net))
+        for sym in store.all_symbols().values():
+            assert sym.degree == 1
+            assert sym.payload == net.block.packet(sym.neighbors[0])
+
     def test_degree_one_inputs_use_planned_sources(self):
         net = build(k=12, h=2)
         store = nw.storage_listen(net, nw.disseminate_degree_one(net))
-        net._node_cache[(3, 0)] = StorageNode(gap=3, index=0, degree=3, slots=(2, 5, 9))
+        replan_node(net, 3, 0, (2, 5, 9))
         sym = store.symbol(3, 0)
         assert sym.neighbors == (2, 5, 9)
         assert sym.payload == net.block.xor_of((2, 5, 9))
@@ -161,7 +183,7 @@ class TestStorageListen:
         )
         store = nw.storage_listen(net, nw.disseminate_degree_two(net))
         heard = store.schedule.overheard(4)
-        net._node_cache[(4, 0)] = StorageNode(gap=4, index=0, degree=2, slots=(1, 2))
+        replan_node(net, 4, 0, (1, 2))
         expected = set(heard[1].neighbors) ^ set(heard[2].neighbors)
         sym = store.symbol(4, 0)
         assert set(sym.neighbors) == expected
@@ -179,7 +201,7 @@ class TestStorageListen:
         heard = store.schedule.overheard(4)
         assert heard[2].neighbors == (2, 6)
         assert heard[6].neighbors == (4, 6)
-        net._node_cache[(4, 1)] = StorageNode(gap=4, index=1, degree=2, slots=(2, 6))
+        replan_node(net, 4, 1, (2, 6))
         sym = store.symbol(4, 1)
         assert sym.neighbors == (2, 4)
         assert sym.payload == net.block.xor_of((2, 4))
@@ -197,7 +219,108 @@ class TestStorageListen:
             assert sym.payload == net.block.xor_of(sym.neighbors)
 
 
+@st.composite
+def networks(draw):
+    """Small networks over every squad model, storage mode and input kind."""
+    model = draw(st.sampled_from(nw.SQUAD_SIZE_MODELS))
+    dissemination = draw(st.sampled_from(nw.DISSEMINATION_MODES))
+    inputs = (
+        draw(st.sampled_from(nw.STORAGE_INPUTS))
+        if dissemination == "degree_two_combining"
+        else "degree_one_inputs"
+    )
+    return build(
+        k=draw(st.integers(min_value=3, max_value=24)),
+        # Poisson squads of mean 1..3 leave some squads empty
+        h=draw(st.integers(min_value=1, max_value=4))
+        if model == "fixed"
+        else draw(st.floats(min_value=1.0, max_value=3.0)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        squad_size_model=model,
+        dissemination=dissemination,
+        storage=draw(st.sampled_from(nw.STORAGE_MODES)),
+        storage_combine_input=inputs,
+    )
+
+
+def listen(net):
+    schedule = (
+        nw.disseminate_degree_one(net)
+        if net.cfg.dissemination == "degree_one"
+        else nw.disseminate_degree_two(net)
+    )
+    return nw.storage_listen(net, schedule)
+
+
+class TestSquadPlans:
+    @given(net=networks())
+    @settings(max_examples=80, deadline=None)
+    def test_stored_symbols_well_formed(self, net):
+        store = listen(net)
+        for gap in range(1, net.k + 1):
+            assert len(store.squad_symbols(gap)) == net.squad_size(gap)
+            for idx in range(net.squad_size(gap)):
+                node, sym = net.node(gap, idx), store.symbol(gap, idx)
+                assert list(sym.neighbors) == sorted(set(sym.neighbors))
+                assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= net.k
+                assert sym.payload == net.block.xor_of(sym.neighbors)
+                assert 1 <= node.degree == len(node.slots) <= net._slot_count
+                assert list(node.slots) == sorted(set(node.slots))
+
+    @given(net=networks(), order_seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_plans_independent_of_touch_order(self, net, order_seed):
+        twin = nw.Network(net.cfg, net.block, net.squad_sizes, net._node_key)
+        gaps = list(range(1, net.k + 1))
+        shuffled = list(np.random.default_rng(order_seed).permutation(gaps))
+        a, b = listen(net), listen(twin)
+        forward = {gap: a.squad_symbols(gap) for gap in gaps}
+        backward = {gap: b.squad_symbols(int(gap)) for gap in shuffled}
+        assert forward == backward
+        for gap in gaps:
+            for idx in range(net.squad_size(gap)):
+                assert net.node(gap, idx) == twin.node(gap, idx)
+
+    def test_overheard_transmissions_never_cancel(self):
+        # linearly independent over GF(2): no slot subset leaves a node empty
+        for k in range(3, 41):
+            net = build(k=k, h=1, dissemination="degree_two_combining",
+                        storage_combine_input="degree_two_inputs")
+            heard = nw.disseminate_degree_two(net).overheard(k // 2 + 1)
+            basis: dict[int, int] = {}  # leading bit -> reduced row
+            for t in heard:
+                row = sum(1 << src for src in t.neighbors)
+                while row and row.bit_length() in basis:
+                    row ^= basis[row.bit_length()]
+                if row:
+                    basis[row.bit_length()] = row
+            assert len(heard) == net._slot_count == len(basis), k
+
+    def test_empty_squad_has_no_symbols(self):
+        cfg = NetworkConfig(k=40, h=1.0, squad_size_model="poisson", payload_len=4)
+        net = nw.build_network(cfg, np.random.default_rng(3))
+        store = listen(net)
+        empty = [g for g in range(1, 41) if net.squad_size(g) == 0]
+        assert empty  # Poisson(1) leaves about 15 of 40 squads empty
+        assert all(store.squad_symbols(g) == [] for g in empty)
+        with pytest.raises(InvalidParameterError):
+            store.symbol(empty[0], 0)
+
+
 class TestCollect:
+    def test_network_freed_without_cycle_collection(self):
+        net = build(k=20, h=5)
+        nw.storage_listen(net, nw.disseminate_degree_one(net))
+        symbols, _ = nw.collect(net, 1, 10)
+        gone = weakref.ref(net)
+        gc.disable()
+        try:
+            del net
+            assert gone() is None  # no net <-> store cycle keeps it alive
+        finally:
+            gc.enable()
+        assert len(symbols) == 10
+
     def test_single_squad(self):
         net = build(k=20, h=5)
         nw.storage_listen(net, nw.disseminate_degree_one(net))
@@ -225,6 +348,13 @@ class TestCollect:
         _, rep = nw.collect(net, 17, 1000)
         assert rep.s == 5
         assert len(rep.squads_drained) == 5
+
+    def test_plans_only_the_drained_squads(self):
+        net = build(k=1000, h=200, seed=12)
+        nw.storage_listen(net, nw.disseminate_degree_one(net))
+        _, rep = nw.collect(net, 17, 1000)
+        assert rep.squads_drained == (17, 16, 18, 15, 19)
+        assert sorted(net._squads) == sorted(rep.squads_drained)
 
     def test_requires_listening_first(self):
         net = build(k=10, h=2)
