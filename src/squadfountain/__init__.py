@@ -24,7 +24,6 @@ from .codec import (
     SourceBlock,
     decode_with_doping,
     dope_degree_two,
-    encode_symbol,
     encode_symbols,
     init_decoder,
     process_ripple_symbol,
@@ -46,7 +45,6 @@ from .degrees import (
     ideal_soliton,
     robust_soliton,
     robust_soliton_params,
-    sample_degree,
     sample_degrees,
 )
 from .errors import (

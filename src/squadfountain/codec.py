@@ -1,26 +1,31 @@
 """Fountain encoding and the peeling decoder with degree-two doping.
 
-Coded symbols are XORs of source-packet subsets.  The decoder peels:
-processing a ripple symbol removes it from every adjacent output symbol,
-and any output thereby reduced to a single neighbor releases that neighbor
-into the ripple.  When the ripple empties before all sources are recovered,
-a doping step fetches one true source packet from an oracle.  It picks a
-remaining output of lowest residual degree uniformly (degree two first,
-then three, and so on) and then one of that output's neighbors uniformly,
-so each input is weighted by the number of such outputs that hold it: the
-size-biased draw the ripple-walk model assumes.  When no outputs remain
-the choice is uniform over the undecoded, i.e. uncovered, symbols.
+Coded symbols are XORs of source-packet subsets.  A batch is encoded in one
+vectorised pass into compressed sparse rows (a row-pointer array plus a
+flat index array), the form storage squads are planned in too; one builder
+checks such rows once per batch and turns them into symbols.
+
+The decoder peels: processing a ripple symbol removes it from every
+adjacent output symbol, and any output thereby reduced to a single neighbor
+releases that neighbor into the ripple.  When the ripple empties before all
+sources are recovered, a doping step fetches one true source packet from an
+oracle.  It picks a remaining output of lowest residual degree uniformly
+(degree two first, then three, and so on) and then one of that output's
+neighbors uniformly, so each input is weighted by the number of such
+outputs that hold it: the size-biased draw the ripple-walk model assumes.
+When no outputs remain the choice is uniform over the undecoded, i.e.
+uncovered, symbols.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .degrees import DegreeDistribution, sample_degree
+from .degrees import DegreeDistribution, sample_degrees
 from .errors import (
     DopingUnavailableError,
     InvalidParameterError,
@@ -33,11 +38,16 @@ RIPPLE_DISCIPLINES = ("fifo", "lifo", "random")
 
 @dataclass(frozen=True)
 class SourceBlock:
-    """k fixed-length source packets, indexed 1..k."""
+    """k fixed-length source packets, indexed 1..k.
+
+    ``matrix`` holds the same packets as a read-only k x payload_len uint8
+    array (row i - 1 is packet i), built once for vectorised XORs.
+    """
 
     k: int
     payload_len: int
     packets: tuple[bytes, ...]
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.k < 1 or len(self.packets) != self.k:
@@ -46,6 +56,9 @@ class SourceBlock:
             len(p) != self.payload_len for p in self.packets
         ):
             raise InvalidParameterError("all payloads must have length payload_len")
+        # a buffer over immutable bytes is read-only
+        matrix = np.frombuffer(b"".join(self.packets), dtype=np.uint8)
+        object.__setattr__(self, "matrix", matrix.reshape(self.k, self.payload_len))
 
     @classmethod
     def random(
@@ -84,23 +97,89 @@ class CodedSymbol:
         return len(self.neighbors)
 
 
-def encode_symbol(
-    block: SourceBlock, dist: DegreeDistribution, rng: np.random.Generator
-) -> CodedSymbol:
-    """Draw a degree, pick that many distinct sources uniformly, XOR them."""
-    if dist.k != block.k:
-        raise InvalidParameterError(
-            f"distribution support {dist.k} != block size {block.k}"
-        )
-    d = sample_degree(dist, rng)
-    neighbors = tuple(sorted(int(i) + 1 for i in rng.choice(block.k, size=d, replace=False)))
-    return CodedSymbol(neighbors=neighbors, payload=block.xor_of(neighbors))
+def _csr_ptr(lengths: np.ndarray) -> np.ndarray:
+    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=ptr[1:])
+    return ptr
+
+
+def _distinct_rows(
+    rng: np.random.Generator, sizes: np.ndarray, m: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
+
+    Rows of at most a quarter of m draw with replacement in one batch; a
+    sort finds the duplicates within each row, and only those are redrawn
+    until none remain.  Larger rows take a permutation prefix.  Each row
+    comes out sorted.
+    """
+    n = len(sizes)
+    owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    large = sizes * 4 > m
+    keys = owner[~large[owner]] * m
+    keys += rng.integers(0, m, size=len(keys))
+    while True:
+        keys.sort()
+        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not dup.size:
+            break
+        keys[dup] += rng.integers(0, m, size=dup.size) - keys[dup] % m
+    parts = [keys]
+    for i in np.flatnonzero(large):
+        parts.append(i * m + rng.permutation(m)[: sizes[i]])
+    if len(parts) > 1:
+        keys = np.sort(np.concatenate(parts))
+    return _csr_ptr(sizes), keys % m
+
+
+def symbols_from_rows(
+    block: SourceBlock, ptr: np.ndarray, neighbors: np.ndarray
+) -> list[CodedSymbol]:
+    """One coded symbol per CSR row ``neighbors[ptr[i]:ptr[i+1]]`` of sources.
+
+    The batch is checked once, as arrays: every row non-empty, strictly
+    increasing and inside 1..k.  The symbols are then built without
+    repeating that check one symbol at a time, and every payload comes from
+    one XOR reduction over the block's packet matrix.
+    """
+    if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != len(neighbors):
+        raise InvalidParameterError("row pointers must run from 0 to the neighbor count")
+    if np.any(ptr[1:] <= ptr[:-1]):
+        raise InvalidParameterError("a coded symbol needs at least one neighbor")
+    if len(neighbors) == 0:
+        return []
+    if neighbors.min() < 1 or neighbors.max() > block.k:
+        raise InvalidParameterError(f"neighbors must lie in 1..{block.k}")
+    step = np.diff(neighbors)
+    step[ptr[1:-1] - 1] = 1  # a row may start below the previous row's end
+    if np.any(step < 1):
+        raise InvalidParameterError("neighbors must be sorted and distinct")
+    payloads = np.bitwise_xor.reduceat(block.matrix[neighbors - 1], ptr[:-1], axis=0)
+    nbrs, bounds = neighbors.tolist(), ptr.tolist()
+    symbols = []
+    for lo, hi, payload in zip(bounds, bounds[1:], payloads):
+        sym = object.__new__(CodedSymbol)  # checked above, as a batch
+        sym.__dict__.update(neighbors=tuple(nbrs[lo:hi]), payload=payload.tobytes())
+        symbols.append(sym)
+    return symbols
 
 
 def encode_symbols(
     block: SourceBlock, dist: DegreeDistribution, n: int, rng: np.random.Generator
 ) -> list[CodedSymbol]:
-    return [encode_symbol(block, dist, rng) for _ in range(n)]
+    """Encode n symbols: each draws a degree, that many distinct sources, XORs them.
+
+    All n degrees are drawn first, in one call, then all neighbour rows in
+    one batched subset draw; the XORs come from one reduction.
+    """
+    if dist.k != block.k:
+        raise InvalidParameterError(
+            f"distribution support {dist.k} != block size {block.k}"
+        )
+    if n < 0:
+        raise InvalidParameterError(f"cannot encode {n} symbols")
+    ptr, rows = _distinct_rows(rng, sample_degrees(dist, rng, n), block.k)
+    return symbols_from_rows(block, ptr, rows + 1)
 
 
 @dataclass(frozen=True)

@@ -116,18 +116,12 @@ def robust_soliton(k: int, c: float = 0.1, delta_rs: float = 0.5) -> DegreeDistr
     return DegreeDistribution.from_weights(weights)
 
 
-def sample_degree(dist: DegreeDistribution, rng: np.random.Generator) -> int:
-    """Inverse-transform draw of a single degree in 1..k."""
-    u = rng.random()
-    # min() guards a draw landing above a cdf top that rounded below 1
-    return min(int(np.searchsorted(dist.cdf, u, side="right")), dist.k)
-
-
 def sample_degrees(
     dist: DegreeDistribution, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    """Vectorized inverse-transform draws; same stream semantics as sample_degree."""
+    """Inverse-transform draws of ``size`` degrees in 1..k, one uniform each."""
     u = rng.random(size)
+    # minimum() guards a draw landing above a cdf top that rounded below 1
     idx = np.searchsorted(dist.cdf, u, side="right").astype(np.int64)
     return np.minimum(idx, dist.k)
 

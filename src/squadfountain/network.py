@@ -27,7 +27,15 @@ from typing import IO
 
 import numpy as np
 
-from .codec import CodedSymbol, DecodeReport, SourceBlock, decode_with_doping
+from .codec import (
+    CodedSymbol,
+    DecodeReport,
+    SourceBlock,
+    _csr_ptr,
+    _distinct_rows,
+    decode_with_doping,
+    symbols_from_rows,
+)
 from .degrees import DegreeDistribution, ideal_soliton, robust_soliton, sample_degrees
 from .errors import ExhaustedNetworkError, InvalidParameterError
 
@@ -126,41 +134,6 @@ class SquadPlan:
     slots: np.ndarray
     nbr_ptr: np.ndarray
     neighbors: np.ndarray
-
-
-def _csr_ptr(lengths: np.ndarray) -> np.ndarray:
-    ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=ptr[1:])
-    return ptr
-
-
-def _distinct_rows(
-    rng: np.random.Generator, sizes: np.ndarray, m: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
-
-    Rows of at most a quarter of m draw with replacement in one batch; a
-    sort finds the duplicates within each row, and only those are redrawn
-    until none remain.  Larger rows take a permutation prefix.  Each row
-    comes out sorted.
-    """
-    n = len(sizes)
-    owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
-    large = sizes * 4 > m
-    keys = owner[~large[owner]] * m
-    keys += rng.integers(0, m, size=len(keys))
-    while True:
-        keys.sort()
-        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-        if not dup.size:
-            break
-        keys[dup] += rng.integers(0, m, size=dup.size) - keys[dup] % m
-    parts = [keys]
-    for i in np.flatnonzero(large):
-        parts.append(i * m + rng.permutation(m)[: sizes[i]])
-    if len(parts) > 1:
-        keys = np.sort(np.concatenate(parts))
-    return _csr_ptr(sizes), keys % m
 
 
 @dataclass(frozen=True)
@@ -400,10 +373,6 @@ class SymbolStore:
             )
         self.net = weakref.proxy(net)
         self.schedule = schedule
-        block = net.block
-        self._packets = np.frombuffer(b"".join(block.packets), dtype=np.uint8).reshape(
-            block.k, block.payload_len
-        )
         self._squads: dict[int, list[CodedSymbol]] = {}
 
     def squad_symbols(self, gap: int) -> list[CodedSymbol]:
@@ -411,16 +380,7 @@ class SymbolStore:
         symbols = self._squads.get(gap)
         if symbols is None:
             plan = self.net.squad(gap)
-            symbols = []
-            if len(plan.neighbors):
-                payloads = np.bitwise_xor.reduceat(
-                    self._packets[plan.neighbors - 1], plan.nbr_ptr[:-1], axis=0
-                )
-                nbrs, ptr = plan.neighbors.tolist(), plan.nbr_ptr.tolist()
-                symbols = [
-                    CodedSymbol(tuple(nbrs[lo:hi]), payload.tobytes())
-                    for lo, hi, payload in zip(ptr, ptr[1:], payloads)
-                ]
+            symbols = symbols_from_rows(self.net.block, plan.nbr_ptr, plan.neighbors)
             self._squads[gap] = symbols
         return symbols
 

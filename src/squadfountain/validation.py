@@ -39,6 +39,34 @@ from .network import (
 
 DEFAULT_SEED = 20260810
 
+# Every criterion draws from trial_rng streams of its own within a seed,
+# except determinism: its decode-sim run draws trials 0..4, which are network
+# streams, and it only checks that two runs are byte-identical.
+# Trial-indexed criteria use ``base ^ index`` with index below _STREAM_BLOCK,
+# so each base owns one block of streams; single-stream criteria share a
+# block at distinct offsets.
+_STREAM_BLOCK = 0x10000
+NETWORK_STREAMS = 0x00000
+CODEC_STREAMS = 0x10000
+BITEXACT_STREAMS = 0x20000
+DEGREE_EVOLUTION_STREAMS = 0x30000
+DISSEMINATION_STREAMS = 0x40000
+WALK_STREAM = 0x50004
+COUPON_STREAM = 0x50005
+UNCOVERED_STREAM = 0x50006
+STREAM_RANGES = {
+    "network_doping_sample": range(NETWORK_STREAMS, NETWORK_STREAMS + _STREAM_BLOCK),
+    "codec_doping_sample": range(CODEC_STREAMS, CODEC_STREAMS + _STREAM_BLOCK),
+    "decoder_bitexact": range(BITEXACT_STREAMS, BITEXACT_STREAMS + _STREAM_BLOCK),
+    "degree_evolution": range(
+        DEGREE_EVOLUTION_STREAMS, DEGREE_EVOLUTION_STREAMS + _STREAM_BLOCK
+    ),
+    "dissemination": range(DISSEMINATION_STREAMS, DISSEMINATION_STREAMS + _STREAM_BLOCK),
+    "walk_mc": range(WALK_STREAM, WALK_STREAM + 1),
+    "coupon_coverage": range(COUPON_STREAM, COUPON_STREAM + 1),
+    "uncovered": range(UNCOVERED_STREAM, UNCOVERED_STREAM + 1),
+}
+
 _CACHE: dict[tuple, object] = {}
 
 
@@ -76,7 +104,7 @@ def network_doping_sample(seed: int, trials: int = 200) -> np.ndarray:
         cfg = NetworkConfig(k=1000, h=200, dissemination="degree_one",
                             storage="is_combining", payload_len=32)
         for trial in range(trials):
-            rng = trial_rng(seed, trial)
+            rng = trial_rng(seed, NETWORK_STREAMS ^ trial)
             net = build_network(cfg, rng)
             storage_listen(net, disseminate_degree_one(net))
             report, _ = simulate_collection_with_doping(net, 1, 1000, rng)
@@ -93,7 +121,7 @@ def codec_doping_sample(dist_name: str, seed: int, trials: int = 200) -> np.ndar
         dist = ideal_soliton(k) if dist_name == "is" else robust_soliton(k, 0.1, 0.5)
         kd = np.empty(trials, dtype=np.int64)
         for trial in range(trials):
-            rng = trial_rng(seed, 0x10000 ^ trial)
+            rng = trial_rng(seed, CODEC_STREAMS ^ trial)
             block = SourceBlock.random(k, 32, rng)
             report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
             kd[trial] = report.k_d
@@ -112,7 +140,7 @@ def criterion_decoder_bitexact(seed: int, tol: float) -> CriterionResult:
     start = time.perf_counter()
     exact = 0
     for trial in range(trials):
-        rng = trial_rng(seed, trial)
+        rng = trial_rng(seed, BITEXACT_STREAMS ^ trial)
         block = SourceBlock.random(k, 32, rng)
         report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
         if report.success and all(
@@ -161,7 +189,7 @@ def criterion_recursion_matrix(seed: int, tol: float) -> CriterionResult:
 def criterion_walk_mc(seed: int, tol: float) -> CriterionResult:
     n = 1_000_000
     horizon = 50
-    rng = trial_rng(seed, 4)
+    rng = trial_rng(seed, WALK_STREAM)
     times = analytics.simulate_walk_stopping_times(1.0, n, horizon + 1, rng)
     pmf = analytics.interdoping_yield_pmf(1.0, horizon)
     emp = np.bincount(times, minlength=horizon + 2) / n
@@ -231,7 +259,7 @@ def criterion_degree_evolution(seed: int, tol: float) -> CriterionResult:
     dist = ideal_soliton(k)
     counts: Counter[int] = Counter()
     for trial in range(seeds):
-        rng = trial_rng(seed, 0x30000 ^ trial)
+        rng = trial_rng(seed, DEGREE_EVOLUTION_STREAMS ^ trial)
         block = SourceBlock.random(k, 8, rng)
         state = init_decoder(k, encode_symbols(block, dist, k, rng), block.payload_len)
         while state.decoded_count < ell:
@@ -258,7 +286,7 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
     failures = []
     for k in (3, 5, 7, 9, 15):
         cfg = NetworkConfig(k=k, h=1, dissemination="degree_two_combining", payload_len=16)
-        net = build_network(cfg, trial_rng(seed, 0x40000 ^ k))
+        net = build_network(cfg, trial_rng(seed, DISSEMINATION_STREAMS ^ k))
         sched = disseminate_degree_two(net)
         if sched.rounds != combining_rounds(k) or not sched.verify():
             failures.append(k)
@@ -276,7 +304,7 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
 
 def criterion_coupon_coverage(seed: int, tol: float) -> CriterionResult:
     k, trials = 500, 400
-    rng = trial_rng(seed, 5)
+    rng = trial_rng(seed, COUPON_STREAM)
     target = costs.coupon_requirement(k)
     batch = int(target * 6)
     covers = np.empty(trials)
@@ -303,7 +331,7 @@ def criterion_uncovered(seed: int, tol: float) -> CriterionResult:
     k, seeds = 1000, 500
     k_s = round(k * math.log(k))
     formula = k * (1.0 - 1.0 / k) ** k_s
-    rng = trial_rng(seed, 6)
+    rng = trial_rng(seed, UNCOVERED_STREAM)
     uncovered = np.empty(seeds)
     for t in range(seeds):
         draws = rng.integers(0, k, size=k_s)

@@ -29,3 +29,10 @@ def test_criterion(name):
     result = validation.run_criterion(name, seed=SEED)
     print(result.summary_line())
     assert result.passed, result.summary_line()
+
+
+def test_criteria_streams_disjoint():
+    ranges = list(validation.STREAM_RANGES.values())
+    for i, a in enumerate(ranges):
+        for b in ranges[i + 1:]:
+            assert a.stop <= b.start or b.stop <= a.start, (a, b)

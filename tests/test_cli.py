@@ -53,7 +53,7 @@ class TestStreamVersion:
     ])
     def test_drawn_outputs_carry_version(self, tmp_path, argv):
         _, text = run_to_file(tmp_path, "v.csv", argv + ["--seed", "1"])
-        assert "# stream_version=2\n" in text
+        assert "# stream_version=3\n" in text
 
     def test_analytic_outputs_carry_none(self, tmp_path):
         _, text = run_to_file(tmp_path, "a.csv", ["analyze", "--k", "100", "--seed", "1"])

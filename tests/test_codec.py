@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from squadfountain.codec import (
@@ -10,13 +12,18 @@ from squadfountain.codec import (
     SourceBlock,
     decode_with_doping,
     dope_degree_two,
-    encode_symbol,
     encode_symbols,
     init_decoder,
     process_ripple_symbol,
+    symbols_from_rows,
     unreleased_degree_histogram,
 )
-from squadfountain.degrees import DegreeDistribution, ideal_soliton, robust_soliton
+from squadfountain.degrees import (
+    DegreeDistribution,
+    ideal_soliton,
+    robust_soliton,
+    sample_degrees,
+)
 from squadfountain.errors import (
     DopingUnavailableError,
     InvalidParameterError,
@@ -48,14 +55,14 @@ class TestEncoding:
     def test_degree_one_copies_packet(self):
         block = make_block(10)
         dist = DegreeDistribution.point_mass(10, 1)
-        sym = encode_symbol(block, dist, np.random.default_rng(1))
+        (sym,) = encode_symbols(block, dist, 1, np.random.default_rng(1))
         assert sym.degree == 1
         assert sym.payload == block.packet(sym.neighbors[0])
 
     def test_full_degree_xors_everything(self):
         block = make_block(8)
         dist = DegreeDistribution.point_mass(8, 8)
-        sym = encode_symbol(block, dist, np.random.default_rng(2))
+        (sym,) = encode_symbols(block, dist, 1, np.random.default_rng(2))
         assert sym.neighbors == tuple(range(1, 9))
         assert sym.payload == block.xor_of(range(1, 9))
 
@@ -63,15 +70,68 @@ class TestEncoding:
         block = make_block(12)
         dist = DegreeDistribution.point_mass(12, 12)
         rng = np.random.default_rng(3)
-        a = encode_symbol(block, dist, rng)
-        b = encode_symbol(block, dist, rng)
+        a, b = encode_symbols(block, dist, 2, rng)
         assert a.neighbors == b.neighbors
         xor = bytes(x ^ y for x, y in zip(a.payload, b.payload))
         assert xor == bytes(block.payload_len)
 
     def test_dist_block_size_mismatch(self):
         with pytest.raises(InvalidParameterError):
-            encode_symbol(make_block(5), ideal_soliton(6), np.random.default_rng(0))
+            encode_symbols(make_block(5), ideal_soliton(6), 1, np.random.default_rng(0))
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(InvalidParameterError):
+            encode_symbols(make_block(5), ideal_soliton(5), -1, np.random.default_rng(0))
+
+
+@st.composite
+def encodings(draw):
+    """A small block's distribution (IS, RS or a point mass), n and a seed."""
+    k = draw(st.integers(min_value=2, max_value=24))
+    kind = draw(st.sampled_from(["is", "rs", "point"]))
+    if kind == "is":
+        dist = ideal_soliton(k)
+    elif kind == "rs":
+        dist = robust_soliton(k, 0.1, 0.5)
+    else:
+        dist = DegreeDistribution.point_mass(k, draw(st.integers(1, k)))
+    n = draw(st.integers(min_value=0, max_value=2 * k))
+    return dist, n, draw(st.integers(min_value=0, max_value=2**32 - 1))
+
+
+class TestBatchEncoder:
+    @given(case=encodings())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_payloads_and_degrees(self, case):
+        dist, n, seed = case
+        block = make_block(dist.k, seed=seed % 1000)
+        symbols = encode_symbols(block, dist, n, np.random.default_rng(seed))
+        assert len(symbols) == n
+        for sym in symbols:
+            assert list(sym.neighbors) == sorted(set(sym.neighbors))
+            assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= dist.k
+            assert sym.payload == block.xor_of(sym.neighbors)
+        # the degrees are the stream's first draw
+        degrees = sample_degrees(dist, np.random.default_rng(seed), n)
+        assert [sym.degree for sym in symbols] == degrees.tolist()
+
+    @pytest.mark.parametrize("ptr, neighbors", [
+        ([0, 1, 1], [1]),  # empty row
+        ([0, 2], [3, 1]),  # unsorted
+        ([0, 2], [2, 2]),  # repeated
+        ([0, 1], [0]),  # below 1
+        ([0, 1], [7]),  # above k
+        ([0, 1], [1, 2]),  # pointers stop short of the neighbors
+        ([1, 2], [1, 2]),  # pointers start past zero
+    ])
+    def test_malformed_row_rejected(self, ptr, neighbors):
+        with pytest.raises(InvalidParameterError):
+            symbols_from_rows(make_block(6), np.array(ptr), np.array(neighbors))
+
+    @pytest.mark.parametrize("neighbors", [(), (3, 1), (2, 2)])
+    def test_direct_symbol_still_checked(self, neighbors):
+        with pytest.raises(InvalidParameterError):
+            CodedSymbol(neighbors, b"\x00" * 4)
 
 
 class TestInitDecoder:
@@ -273,9 +333,9 @@ class TestDegreeTwoBucket:
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
             levels.update(min(level, 3) for level in state.dope_levels)
-        # every branch of the rule is drawn; these Robust Soliton trials never
-        # run out of degree-two outputs while higher-degree ones remain
-        assert set(levels) == ({0, 2, 3} if dist_name == "is" else {0, 2})
+        # every branch of the rule is drawn: degree two, the fallback to
+        # degree three and up, and the uncovered poll
+        assert set(levels) == {0, 2, 3}
 
 
 class TestDecodeWithDoping:
