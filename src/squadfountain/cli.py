@@ -7,9 +7,9 @@ trials are independent regardless of execution order, and different seeds
 never share a trial.  CSVs carry '#'-prefixed metadata lines embedding the
 full effective configuration; those whose numbers depend on a random draw
 also carry ``stream_version``, which changes whenever the same seed would
-draw differently.  Version 3 draws all of a codec batch's degrees before its
-neighbour rows, and moves the ``validate`` criteria that shared streams onto
-streams of their own.
+give different numbers.  Version 4 changed no draw: the decoder visits a
+decoded source's outputs in ascending order, which moves states taken
+between stalls (``degree_evolution``) but never a doping or a k_d.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
 # 2: Philox keyed by the pair (seed, trial), and one stream per storage squad
 # 3: codec symbols drawn as a batch (all degrees, then all neighbour rows),
 #    and validate criteria no longer share streams
-STREAM_VERSION = 3
+# 4: the decoder visits a decoded source's outputs in ascending order, not in
+#    Python's set order; ripple order and mid-peel states move, stalls do not
+STREAM_VERSION = 4
 # --mc-kd trials draw from streams of their own: this bit, the grid index
 # shifted past 32 bits, and the trial
 _MC_KD_STREAMS = 1 << 63

@@ -7,7 +7,10 @@ checks such rows once per batch and turns them into symbols.
 
 The decoder peels: processing a ripple symbol removes it from every
 adjacent output symbol, and any output thereby reduced to a single neighbor
-releases that neighbor into the ripple.  When the ripple empties before all
+releases that neighbor into the ripple.  Peeling works on the collected rows
+as int arrays and per-output residual counts; payloads are replayed in
+decode order only when asked for, so a Monte Carlo run that needs only the
+doping count never XORs a payload.  When the ripple empties before all
 sources are recovered, a doping step fetches one true source packet from an
 oracle.  It picks a remaining output of lowest residual degree uniformly
 (degree two first, then three, and so on) and then one of that output's
@@ -19,9 +22,11 @@ uncovered, symbols.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -194,17 +199,26 @@ class StepRecord:
 
 
 class DecoderState:
-    """Mutable peeling-decoder state; single-threaded per trial.
+    """Mutable peeling-decoder state on int arrays; single-threaded per trial.
 
-    Outputs keep a residual neighbor set and a residual payload (original
-    payload with every decoded member XORed out).  An output that releases
-    or empties is spent.  The ids of outputs at residual degree two are kept
-    in a bucket, so doping need not rescan every output.  The ripple holds
-    (source, payload) pairs without duplicates; redundant releases are
-    dropped and counted as defected.
+    The collected rows are kept as CSR (row pointers into the flat, sorted
+    neighbours) beside the source-to-output adjacency.  Peeling touches only
+    a residual count per output: when decoding a source brings an output's
+    count to one, its row is rescanned for the one undecoded source, which
+    joins the ripple (a deque of source ids) unless it is there already, in
+    which case the output is counted as defected.  A decoded source's outputs
+    are visited in ascending order, so the ripple's order follows from the
+    rows alone.  The ids of outputs at count two are kept in a bucket for
+    doping.
+
+    No payload is touched while peeling.  Payloads are replayed in decode
+    order when first asked for: a released source's payload is its releasing
+    row's payload XOR the replayed values of that row's other neighbours,
+    and a doped source's payload is the oracle's packet.
     """
 
-    def __init__(self, k: int, payload_len: int, ripple_discipline: str = "fifo"):
+    def __init__(self, k: int, payload_len: int, ripple_discipline: str = "fifo",
+                 symbols: Sequence[CodedSymbol] = ()):
         if ripple_discipline not in RIPPLE_DISCIPLINES:
             raise InvalidParameterError(
                 f"ripple_discipline must be one of {RIPPLE_DISCIPLINES}"
@@ -212,24 +226,49 @@ class DecoderState:
         self.k = k
         self.payload_len = payload_len
         self.ripple_discipline = ripple_discipline
-        self.undecoded: set[int] = set(range(1, k + 1))
-        self.decoded: dict[int, int] = {}
-        self.ripple: deque[tuple[int, int]] = deque()
-        self._ripple_members: set[int] = set()
-        self._out_neighbors: list[set[int]] = []
-        self._out_payload: list[int] = []
-        self._adjacency: dict[int, set[int]] = {}
-        self._degree_two: set[int] = set()
+        rows = [sym.neighbors for sym in symbols]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        nbrs = list(chain.from_iterable(rows))
+        flat = np.fromiter(nbrs, dtype=np.int64, count=len(nbrs))
+        owner = np.repeat(np.arange(len(rows)), lengths)
+        bad = (flat < 1) | (flat > k)
+        if bad.any():
+            sym = symbols[int(owner[bad.argmax()])]
+            raise MalformedInputError(f"symbol neighbors {sym.neighbors} outside 1..{k}")
+        self._ptr = _csr_ptr(lengths).tolist()
+        self._nbrs = nbrs
+        self._payloads = [sym.payload for sym in symbols]
+        # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
+        # from one sort of (source, output) keys
+        self._adj_ptr = _csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
+        self._adj = (np.sort(flat * len(rows) + owner) % len(rows)).tolist()
+        self._count = lengths.tolist()
+        self._degree_two = set(np.flatnonzero(lengths == 2).tolist())
+        self._flags = bytearray(k + 1)  # decoded sources
+        self._releaser = [-1] * (k + 1)  # releasing output of each source
+        self._order: list[int] = []  # decoded sources in decode order
+        # payloads by source: doped ones when fetched, released ones when
+        # replayed (0 before); _values holds the replayed prefix of _order
+        self._vals = [0] * (k + 1)
+        self._values: dict[int, int] = {}
+        self.ripple: deque[int] = deque()
         self.doped: list[int] = []
         self.dope_levels: list[int] = []
-        self.history: list[StepRecord] = []
         self.defected_total = 0
+        # per-step counters; step 0 seeds the ripple
+        self._releases: list[int] = []
+        self._defected: list[int] = []
+        self._ripple_sizes: list[int] = []
+        self._dope_steps: list[int] = []
+        ones = np.flatnonzero(lengths == 1).tolist()
+        releases = sum(map(self._release, ones))
+        self._record(releases, len(ones) - releases)
 
     # -- inspection ---------------------------------------------------------
 
     @property
     def decoded_count(self) -> int:
-        return len(self.decoded)
+        return len(self._order)
 
     @property
     def ripple_size(self) -> int:
@@ -237,51 +276,84 @@ class DecoderState:
 
     @property
     def finished(self) -> bool:
-        return not self.undecoded
+        return len(self._order) == self.k
+
+    @property
+    def undecoded(self) -> list[int]:
+        """Sources not yet decoded, ascending."""
+        flags = self._flags
+        return [i for i in range(1, self.k + 1) if not flags[i]]
+
+    @property
+    def decoded(self) -> dict[int, int]:
+        """Payloads of the decoded sources, as ints, in decode order (replayed
+        when first asked for)."""
+        self._replay()
+        return self._values
+
+    def _replay(self) -> list[int]:
+        """Replay the sources decoded since the last call; returns the payloads
+        by source, 0 for a source not decoded."""
+        values, vals = self._values, self._vals
+        nbrs, ptr = self._nbrs, self._ptr
+        new = self._order[len(values):]
+        for src in new:
+            oid = self._releaser[src]
+            if oid < 0:  # doped
+                continue
+            value = int.from_bytes(self._payloads[oid], "big")
+            for other in nbrs[ptr[oid]:ptr[oid + 1]]:
+                value ^= vals[other]  # src's own entry is still 0
+            vals[src] = value
+        values.update(zip(new, map(vals.__getitem__, new)))
+        return vals
+
+    @property
+    def history(self) -> list[StepRecord]:
+        """One record per step, built from the step counters when asked for."""
+        levels = dict(zip(self._dope_steps, self.dope_levels))
+        steps = zip(self._releases, self._defected, self._ripple_sizes)
+        return [
+            StepRecord("dope" if t in levels else "decode" if t else "init", *counts,
+                       levels.get(t))
+            for t, counts in enumerate(steps)
+        ]
 
     def iter_outputs(self) -> Iterator[tuple[frozenset[int], int]]:
         """Live (unreleased) outputs as (residual neighbors, residual payload)."""
-        for nbrs, payload in zip(self._out_neighbors, self._out_payload):
-            if len(nbrs) >= 2:
-                yield frozenset(nbrs), payload
+        vals, flags = self._replay(), self._flags
+        for oid, c in enumerate(self._count):
+            if c >= 2:
+                row = self._nbrs[self._ptr[oid]:self._ptr[oid + 1]]
+                payload = int.from_bytes(self._payloads[oid], "big")
+                for src in row:
+                    payload ^= vals[src]
+                yield frozenset(src for src in row if not flags[src]), payload
 
     def recovered_payload(self, index: int) -> bytes:
         return self.decoded[index].to_bytes(self.payload_len, "big")
 
-    # -- construction -------------------------------------------------------
+    # -- peeling ------------------------------------------------------------
 
-    def _add_symbol(self, sym: CodedSymbol) -> None:
-        if sym.neighbors[-1] > self.k or sym.neighbors[0] < 1:
-            raise MalformedInputError(
-                f"symbol neighbors {sym.neighbors} outside 1..{self.k}"
-            )
-        oid = len(self._out_neighbors)
-        self._out_neighbors.append(set(sym.neighbors))
-        self._out_payload.append(int.from_bytes(sym.payload, "big"))
-        for src in sym.neighbors:
-            self._adjacency.setdefault(src, set()).add(oid)
-        if len(sym.neighbors) == 2:
-            self._degree_two.add(oid)
+    def _release(self, oid: int) -> int:
+        """Put output oid's one undecoded source in the ripple; returns 1, or
+        0 when the source is there already (the output defects)."""
+        for src in self._nbrs[self._ptr[oid]:self._ptr[oid + 1]]:
+            if not self._flags[src]:
+                break
+        if self._releaser[src] >= 0:
+            return 0
+        self._releaser[src] = oid
+        self.ripple.append(src)
+        return 1
 
-    def _seed_ripple(self) -> None:
-        releases = defected = 0
-        for oid, nbrs in enumerate(self._out_neighbors):
-            if len(nbrs) == 1:
-                (src,) = nbrs
-                nbrs.clear()
-                self._adjacency[src].discard(oid)
-                if src in self._ripple_members:
-                    defected += 1
-                else:
-                    self.ripple.append((src, self._out_payload[oid]))
-                    self._ripple_members.add(src)
-                    releases += 1
+    def _record(self, releases: int, defected: int) -> None:
         self.defected_total += defected
-        self.history.append(StepRecord("init", releases, defected, len(self.ripple)))
+        self._releases.append(releases)
+        self._defected.append(defected)
+        self._ripple_sizes.append(len(self.ripple))
 
-    # -- core peeling -------------------------------------------------------
-
-    def _pop_ripple(self, rng: np.random.Generator | None) -> tuple[int, int]:
+    def _pop_ripple(self, rng: np.random.Generator | None) -> int:
         if self.ripple_discipline == "fifo":
             return self.ripple.popleft()
         if self.ripple_discipline == "lifo":
@@ -290,34 +362,27 @@ class DecoderState:
             raise InvalidParameterError("random ripple discipline needs an rng")
         pick = int(rng.integers(len(self.ripple)))
         self.ripple.rotate(-pick)
-        item = self.ripple.popleft()
+        src = self.ripple.popleft()
         self.ripple.rotate(pick)
-        return item
+        return src
 
-    def _absorb(self, src: int, payload: int) -> tuple[int, int]:
-        """Record src as decoded and propagate; returns (releases, defected)."""
-        self.decoded[src] = payload
-        self.undecoded.discard(src)
-        releases = defected = 0
-        for oid in self._adjacency.pop(src, ()):
-            nbrs = self._out_neighbors[oid]
-            nbrs.discard(src)
-            self._out_payload[oid] ^= payload
-            if len(nbrs) == 2:
-                self._degree_two.add(oid)
-            elif len(nbrs) == 1:
-                self._degree_two.discard(oid)
-                (last,) = nbrs
-                nbrs.clear()
-                self._adjacency[last].discard(oid)
-                if last in self._ripple_members or last in self.decoded:
-                    defected += 1
-                else:
-                    self.ripple.append((last, self._out_payload[oid]))
-                    self._ripple_members.add(last)
-                    releases += 1
-        self.defected_total += defected
-        return releases, defected
+    def _absorb(self, src: int) -> int:
+        """Record src as decoded and count down its outputs; returns releases."""
+        count, bucket = self._count, self._degree_two
+        self._flags[src] = 1
+        self._order.append(src)
+        releases = spent = 0
+        for oid in self._adj[self._adj_ptr[src]:self._adj_ptr[src + 1]]:
+            c = count[oid] - 1
+            count[oid] = c
+            if c == 2:
+                bucket.add(oid)
+            elif c == 1:
+                bucket.discard(oid)
+                releases += self._release(oid)
+                spent += 1
+        self._record(releases, spent - releases)
+        return releases
 
 
 def init_decoder(
@@ -329,11 +394,7 @@ def init_decoder(
     """Build adjacency from the collected symbols and seed the ripple."""
     if payload_len is None:
         payload_len = len(symbols[0].payload) if symbols else 1
-    state = DecoderState(k, payload_len, ripple_discipline)
-    for sym in symbols:
-        state._add_symbol(sym)
-    state._seed_ripple()
-    return state
+    return DecoderState(k, payload_len, ripple_discipline, symbols)
 
 
 def process_ripple_symbol(
@@ -342,11 +403,7 @@ def process_ripple_symbol(
     """Decode one ripple symbol; returns the number of new ripple entries."""
     if not state.ripple:
         raise StalledDecoderError("ripple is empty; dope or stop")
-    src, payload = state._pop_ripple(rng)
-    state._ripple_members.discard(src)
-    releases, defected = state._absorb(src, payload)
-    state.history.append(StepRecord("decode", releases, defected, len(state.ripple)))
-    return releases
+    return state._absorb(state._pop_ripple(rng))
 
 
 def dope_degree_two(
@@ -369,19 +426,22 @@ def dope_degree_two(
         raise InvalidParameterError("doping requires an empty ripple")
     if state.finished:
         raise InvalidParameterError("decoding already complete")
+    count = state._count
     if state._degree_two:
         lowest = 2
-        holders = [state._out_neighbors[oid] for oid in sorted(state._degree_two)]
+        holders = sorted(state._degree_two)
     else:  # rare: rescan for the lowest residual degree above two
-        live = [nbrs for nbrs in state._out_neighbors if len(nbrs) > 2]
-        lowest = min(map(len, live), default=0)
-        holders = [nbrs for nbrs in live if len(nbrs) == lowest]
+        live = [oid for oid, c in enumerate(count) if c > 2]
+        lowest = min((count[oid] for oid in live), default=0)
+        holders = [oid for oid in live if count[oid] == lowest]
     if holders:
         pair = int(rng.integers(len(holders) * lowest))
-        src = sorted(holders[pair // lowest])[pair % lowest]
+        oid = holders[pair // lowest]
+        row = state._nbrs[state._ptr[oid]:state._ptr[oid + 1]]
+        src = [s for s in row if not state._flags[s]][pair % lowest]
         level = lowest
     else:
-        candidates = sorted(state.undecoded)
+        candidates = state.undecoded
         src = candidates[int(rng.integers(len(candidates)))]
         level = 0
     try:
@@ -390,18 +450,17 @@ def dope_degree_two(
         raise DopingUnavailableError(f"oracle failed for source {src}") from exc
     if packet is None:
         raise DopingUnavailableError(f"oracle returned nothing for source {src}")
-    releases, defected = state._absorb(src, int.from_bytes(packet, "big"))
+    state._vals[src] = int.from_bytes(packet, "big")
     state.doped.append(src)
     state.dope_levels.append(level)
-    state.history.append(
-        StepRecord("dope", releases, defected, len(state.ripple), dope_level=level)
-    )
+    state._dope_steps.append(len(state._releases))
+    state._absorb(src)
     return src
 
 
 @dataclass(frozen=True)
 class DecodeReport:
-    """Outcome of one doped decode run."""
+    """Outcome of one doped decode run; ``recovered`` is replayed on first use."""
 
     success: bool
     k: int
@@ -412,7 +471,12 @@ class DecodeReport:
     interdoping_yields: tuple[int, ...]
     ripple_trajectory: tuple[int, ...]
     defected_total: int
-    recovered: dict[int, bytes]
+    state: DecoderState = field(repr=False, compare=False)
+
+    @cached_property
+    def recovered(self) -> dict[int, bytes]:
+        values, size = self.state.decoded, self.state.payload_len
+        return {i: values[i].to_bytes(size, "big") for i in sorted(values)}
 
 
 def decode_with_doping(
@@ -431,18 +495,14 @@ def decode_with_doping(
     state = init_decoder(block.k, symbols, block.payload_len, ripple_discipline)
     if oracle is None:
         oracle = block.packet
-    stall_steps: list[int] = []
     while not state.finished:
         if state.ripple:
             process_ripple_symbol(state, rng)
         else:
-            stall_steps.append(state.decoded_count)
             dope_degree_two(state, oracle, rng)
-    yields = tuple(
-        int(b) - int(a) for a, b in zip([0] + stall_steps[:-1], stall_steps)
-    )
-    trajectory = tuple(rec.ripple_size for rec in state.history)
-    recovered = {i: state.recovered_payload(i) for i in sorted(state.decoded)}
+    # step 0 seeds the ripple and every later step decodes one source
+    stalls = [0] + [step - 1 for step in state._dope_steps]
+    yields = tuple(b - a for a, b in zip(stalls, stalls[1:]))
     return DecodeReport(
         success=state.finished,
         k=block.k,
@@ -451,20 +511,14 @@ def decode_with_doping(
         doped_indices=tuple(state.doped),
         dope_levels=tuple(state.dope_levels),
         interdoping_yields=yields,
-        ripple_trajectory=trajectory,
+        ripple_trajectory=tuple(state._ripple_sizes),
         defected_total=state.defected_total,
-        recovered=recovered,
+        state=state,
     )
 
 
 def unreleased_degree_histogram(state: DecoderState) -> dict[int, float]:
     """Empirical pmf of residual degrees among unreleased (degree >= 2) outputs."""
-    counts: dict[int, int] = {}
-    for nbrs in state._out_neighbors:
-        d = len(nbrs)
-        if d >= 2:
-            counts[d] = counts.get(d, 0) + 1
+    counts = Counter(c for c in state._count if c >= 2)
     total = sum(counts.values())
-    if total == 0:
-        return {}
     return {d: c / total for d, c in sorted(counts.items())}

@@ -445,6 +445,8 @@ def collect(
         raise InvalidParameterError("run storage_listen before collecting")
     if not 1 <= collector_relay <= net.k:
         raise InvalidParameterError(f"collector relay {collector_relay} outside 1..{net.k}")
+    if k_s < 0:
+        raise InvalidParameterError(f"cannot collect {k_s} symbols")
     if k_s > net.total_storage_nodes:
         raise ExhaustedNetworkError(
             f"need {k_s} symbols but the network stores only {net.total_storage_nodes}"

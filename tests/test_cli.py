@@ -53,7 +53,7 @@ class TestStreamVersion:
     ])
     def test_drawn_outputs_carry_version(self, tmp_path, argv):
         _, text = run_to_file(tmp_path, "v.csv", argv + ["--seed", "1"])
-        assert "# stream_version=3\n" in text
+        assert "# stream_version=4\n" in text
 
     def test_analytic_outputs_carry_none(self, tmp_path):
         _, text = run_to_file(tmp_path, "a.csv", ["analyze", "--k", "100", "--seed", "1"])
@@ -93,6 +93,15 @@ class TestDecodeSim:
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         assert main(["decode-sim", "--k", "50", "--trials", "1", "--seed", str(seed)]) == 2
+
+    @pytest.mark.parametrize("network", [[], ["--network", "--h", "5"]])
+    def test_negative_symbol_count_rejected(self, tmp_path, network):
+        code, text = run_to_file(
+            tmp_path, "n.csv",
+            ["decode-sim", "--k", "20", "--ks", "-1", "--trials", "1", "--seed", "1",
+             *network],
+        )
+        assert code == 2 and text == ""
 
     @pytest.mark.parametrize("network", [[], ["--network", "--h", "15"]])
     def test_seeds_draw_different_trials(self, tmp_path, network):

@@ -1,4 +1,4 @@
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+from squadfountain import cli
 from squadfountain.codec import (
     CodedSymbol,
     DecoderState,
@@ -134,11 +135,27 @@ class TestBatchEncoder:
             CodedSymbol(neighbors, b"\x00" * 4)
 
 
+class TestGoldenStream:
+    def test_first_codec_trial_pinned(self):
+        # trial 0 of decode-sim --seed 1 --k 1000 --payload-len 32 under IS:
+        # any change to the codec's random stream moves these numbers
+        rng = cli.trial_rng(1, 0)
+        block = SourceBlock.random(1000, 32, rng)
+        symbols = encode_symbols(block, ideal_soliton(1000), 1000, rng)
+        assert sum(sym.degree for sym in symbols) == 7145
+        assert [sym.neighbors for sym in symbols[:4]] == [
+            (81, 443), (513, 555, 728), (139, 177, 579, 729), (309, 657)
+        ]
+        report = decode_with_doping(block, symbols, rng)
+        assert report.k_d == 13
+        assert report.doped_indices[:5] == (145, 700, 735, 256, 783)
+
+
 class TestInitDecoder:
     def test_degree_one_seeds_ripple(self):
         block = make_block(5)
         state = init_decoder(5, [symbol_for(block, 3)])
-        assert [src for src, _ in state.ripple] == [3]
+        assert list(state.ripple) == [3]
 
     def test_no_degree_one_means_stalled(self):
         block = make_block(5)
@@ -150,7 +167,7 @@ class TestInitDecoder:
     def test_duplicate_degree_one_deduplicated(self):
         block = make_block(5)
         state = init_decoder(5, [symbol_for(block, 3), symbol_for(block, 3)])
-        assert [src for src, _ in state.ripple] == [3]
+        assert list(state.ripple) == [3]
         assert state.defected_total == 1
 
     def test_out_of_range_neighbor_rejected(self):
@@ -165,9 +182,9 @@ class TestPeeling:
         state = init_decoder(6, [symbol_for(block, 2), symbol_for(block, 2, 5)])
         released = process_ripple_symbol(state)
         assert released == 1
-        src, payload = state.ripple[0]
-        assert src == 5
-        assert payload.to_bytes(block.payload_len, "big") == block.packet(5)
+        assert list(state.ripple) == [5]
+        process_ripple_symbol(state)
+        assert state.recovered_payload(5) == block.packet(5)
 
     def test_degree_three_only_reduces(self):
         block = make_block(6)
@@ -209,10 +226,12 @@ class TestDoping:
         assert state.dope_levels == [2]
 
     def test_uncovered_forced_choice(self):
+        # sources 1..6 peel off their own degree-one symbols; 7 is uncovered
         block = make_block(7)
-        state = init_decoder(7, [])
-        state.undecoded = {7}
-        state.decoded = {i: 0 for i in range(1, 7)}
+        state = init_decoder(7, [symbol_for(block, i) for i in range(1, 7)])
+        while state.ripple:
+            process_ripple_symbol(state)
+        assert state.undecoded == [7]
         doped = dope_degree_two(state, block.packet, np.random.default_rng(0))
         assert doped == 7
         assert state.dope_levels == [0]
@@ -230,7 +249,7 @@ class TestDoping:
         doped = dope_degree_two(state, block.packet, _FixedPick(0))
         assert doped == 1  # pairs in output order: (1,2),(1,3),(1,5)
         assert state.ripple_size == 3
-        assert {src for src, _ in state.ripple} == {2, 3, 5}
+        assert set(state.ripple) == {2, 3, 5}
 
     def test_draw_is_size_biased_over_lowest_degree_pairs(self):
         # one uniform draw over (output, neighbor) pairs: input 1 sits in
@@ -279,11 +298,85 @@ class TestDoping:
             dope_degree_two(state, broken, np.random.default_rng(0))
 
 
+class SetDecoder:
+    """The set-based peeling decoder that ``DecoderState`` replaced, kept as
+    the reference it must match.
+
+    Each output keeps a residual neighbour set and a residual payload (its
+    payload with every decoded neighbour XORed out), each source a set of
+    its outputs, and the ripple (source, payload) pairs.  An output that
+    releases is spent.  With ``ordered`` a decoded source's outputs are
+    visited in ascending order, as ``DecoderState`` visits them; without,
+    in Python's set order.  That order decides the ripple's order, and so
+    the random discipline's picks and any state taken between stalls, but
+    never a stall state: that is the peeling closure of what was decoded.
+    """
+
+    def __init__(self, k, symbols, discipline, ordered):
+        self.discipline, self.ordered = discipline, ordered
+        self.undecoded = set(range(1, k + 1))
+        self.decoded = {}
+        self.ripple = deque()
+        self.members = set()
+        self.out_nbrs = [set(sym.neighbors) for sym in symbols]
+        self.out_payload = [int.from_bytes(sym.payload, "big") for sym in symbols]
+        self.adjacency = {}
+        for oid, sym in enumerate(symbols):
+            for src in sym.neighbors:
+                self.adjacency.setdefault(src, set()).add(oid)
+        self.doped, self.dope_levels = [], []
+        self.defected_total = 0
+        for oid, nbrs in enumerate(self.out_nbrs):
+            if len(nbrs) == 1:
+                self._release(oid)
+        self.trajectory = [len(self.ripple)]
+
+    def _release(self, oid):
+        nbrs = self.out_nbrs[oid]
+        (last,) = nbrs
+        nbrs.clear()
+        self.adjacency[last].discard(oid)
+        if last in self.members or last in self.decoded:
+            self.defected_total += 1
+        else:
+            self.ripple.append((last, self.out_payload[oid]))
+            self.members.add(last)
+
+    def absorb(self, src, payload):
+        self.decoded[src] = payload
+        self.undecoded.discard(src)
+        outputs = self.adjacency.pop(src, set())
+        for oid in sorted(outputs) if self.ordered else outputs:
+            nbrs = self.out_nbrs[oid]
+            nbrs.discard(src)
+            self.out_payload[oid] ^= payload
+            if len(nbrs) == 1:
+                self._release(oid)
+        self.trajectory.append(len(self.ripple))
+
+    def step(self, rng):
+        if self.discipline == "fifo":
+            src, payload = self.ripple.popleft()
+        elif self.discipline == "lifo":
+            src, payload = self.ripple.pop()
+        else:
+            pick = int(rng.integers(len(self.ripple)))
+            self.ripple.rotate(-pick)
+            src, payload = self.ripple.popleft()
+            self.ripple.rotate(pick)
+        self.members.discard(src)
+        self.absorb(src, payload)
+
+    def degree_two(self):
+        return {oid for oid, nbrs in enumerate(self.out_nbrs) if len(nbrs) == 2}
+
+
 def scan_dope_degree_two(state, oracle, rng):
-    """The doping rule as a scan over every output, before the degree-two
-    bucket: the oracle the bucket must match draw for draw."""
+    """The doping rule as a scan over every output of a ``SetDecoder``,
+    before the degree-two bucket: the reference the bucket must match draw
+    for draw."""
     lowest = None
-    for nbrs in state._out_neighbors:
+    for nbrs in state.out_nbrs:
         d = len(nbrs)
         if d >= 2 and (lowest is None or d < lowest):
             lowest = d
@@ -294,14 +387,29 @@ def scan_dope_degree_two(state, oracle, rng):
         src = candidates[int(rng.integers(len(candidates)))]
         level = 0
     else:
-        holders = [nbrs for nbrs in state._out_neighbors if len(nbrs) == lowest]
+        holders = [nbrs for nbrs in state.out_nbrs if len(nbrs) == lowest]
         pair = int(rng.integers(len(holders) * lowest))
         src = sorted(holders[pair // lowest])[pair % lowest]
         level = lowest
-    state._absorb(src, int.from_bytes(oracle(src), "big"))
+    state.absorb(src, int.from_bytes(oracle(src), "big"))
     state.doped.append(src)
     state.dope_levels.append(level)
     return src
+
+
+def reference_decode(block, symbols, seed, discipline, ordered):
+    """Doped decode by ``SetDecoder`` and the scan; also returns the
+    degree-two outputs at every doping."""
+    rng = np.random.default_rng(seed)
+    ref = SetDecoder(block.k, symbols, discipline, ordered)
+    buckets = []
+    while ref.undecoded:
+        if ref.ripple:
+            ref.step(rng)
+        else:
+            buckets.append(ref.degree_two())
+            scan_dope_degree_two(ref, block.packet, rng)
+    return ref, buckets
 
 
 class TestDegreeTwoBucket:
@@ -321,21 +429,82 @@ class TestDegreeTwoBucket:
             )
             rng = np.random.default_rng(500 + seed)
             state = init_decoder(k, symbols, block.payload_len, discipline)
+            buckets = []
             while not state.finished:
                 if state.ripple:
                     process_ripple_symbol(state, rng)
                 else:
                     assert state._degree_two == {
-                        oid for oid, nbrs in enumerate(state._out_neighbors)
-                        if len(nbrs) == 2
+                        oid for oid, c in enumerate(state._count) if c == 2
                     }
-                    scan_dope_degree_two(state, block.packet, rng)
+                    buckets.append(set(state._degree_two))
+                    dope_degree_two(state, block.packet, rng)
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
+            # in ascending visiting order the reference peels step for step
+            # alike; in set order (fifo and lifo only: the random picks
+            # follow the ripple's order) it stalls in the same states
+            orders = [True] if discipline == "random" else [True, False]
+            for ordered in orders:
+                ref, ref_buckets = reference_decode(
+                    block, symbols, 500 + seed, discipline, ordered
+                )
+                assert report.doped_indices == tuple(ref.doped)
+                assert report.dope_levels == tuple(ref.dope_levels)
+                assert report.defected_total == ref.defected_total
+                assert buckets == ref_buckets
+                assert report.recovered == {
+                    i: p.to_bytes(block.payload_len, "big")
+                    for i, p in sorted(ref.decoded.items())
+                }
+                if ordered:
+                    assert report.ripple_trajectory == tuple(ref.trajectory)
             levels.update(min(level, 3) for level in state.dope_levels)
         # every branch of the rule is drawn: degree two, the fallback to
         # degree three and up, and the uncovered poll
         assert set(levels) == {0, 2, 3}
+
+
+@st.composite
+def decodes(draw):
+    """A small encoding with repeated symbols, a discipline, a seed and a
+    step count to stop at midway."""
+    dist, n, seed = draw(encodings())
+    repeats = draw(st.integers(min_value=0, max_value=n))
+    discipline = draw(st.sampled_from(["fifo", "lifo", "random"]))
+    return dist, n, repeats, discipline, seed, draw(st.integers(0, 2 * dist.k))
+
+
+class TestDecoderInvariants:
+    @given(case=decodes())
+    @settings(max_examples=150, deadline=None)
+    def test_replay_and_counters(self, case):
+        dist, n, repeats, discipline, seed, midway = case
+        k = dist.k
+        block = make_block(k, seed=seed % 1000)
+        rng = np.random.default_rng(seed)
+        symbols = encode_symbols(block, dist, n, rng)
+        symbols += symbols[:repeats]
+        state = init_decoder(k, symbols, block.payload_len, discipline)
+        steps = 0
+        while not state.finished:
+            if steps == midway:
+                # residual payloads replayed midway equal the residual XORs
+                for nbrs, payload in state.iter_outputs():
+                    assert len(nbrs) >= 2
+                    assert payload == int.from_bytes(block.xor_of(sorted(nbrs)), "big")
+            if state.ripple:
+                process_ripple_symbol(state, rng)
+            else:
+                dope_degree_two(state, block.packet, rng)
+            steps += 1
+        assert all(state.recovered_payload(i) == block.packet(i) for i in range(1, k + 1))
+        covered = {src for sym in symbols for src in sym.neighbors}
+        assert len(state.doped) >= k - len(covered)
+        releases = sum(rec.releases for rec in state.history)
+        assert releases == k - len(state.doped)
+        # every output reaches residual degree one exactly once
+        assert releases + state.defected_total == len(symbols)
 
 
 class TestDecodeWithDoping:

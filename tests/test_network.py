@@ -361,6 +361,12 @@ class TestCollect:
         with pytest.raises(InvalidParameterError):
             nw.collect(net, 1, 4)
 
+    def test_negative_count_rejected(self):
+        net = build(k=20, h=5)
+        nw.storage_listen(net, nw.disseminate_degree_one(net))
+        with pytest.raises(InvalidParameterError):
+            nw.collect(net, 1, -1)
+
     def test_exhausted_network(self):
         net = build(k=6, h=1)
         nw.storage_listen(net, nw.disseminate_degree_one(net))
