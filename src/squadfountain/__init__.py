@@ -22,6 +22,7 @@ from .codec import (
     DecodeReport,
     DecoderState,
     SourceBlock,
+    SymbolBatch,
     decode_with_doping,
     dope_degree_two,
     encode_symbols,

@@ -202,23 +202,6 @@ def _require_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _coerce(args: argparse.Namespace) -> None:
-    """Config-file values arrive as strings; coerce the numeric ones."""
-    int_names = ("k", "ks", "trials", "payload_len", "collector", "seed", "t_max")
-    float_names = ["delta", "rs_c", "rs_delta", "yield_lambda", "eps_rs", "tolerance_scale"]
-    if args.command != "cost":
-        float_names.append("h")  # the cost table takes --h as a comma list
-    for name in int_names:
-        if isinstance(getattr(args, name, None), str):
-            setattr(args, name, int(getattr(args, name)))
-    for name in float_names:
-        if isinstance(getattr(args, name, None), str):
-            setattr(args, name, float(getattr(args, name)))
-    for name in ("network", "mc_kd"):
-        if isinstance(getattr(args, name, None), str):
-            setattr(args, name, getattr(args, name).lower() in ("1", "true", "yes"))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -561,7 +544,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        _coerce(args)
+        # argparse converts config-file strings for typed options, not for flags
+        for name in ("network", "mc_kd"):
+            if isinstance(getattr(args, name, None), str):
+                setattr(args, name, getattr(args, name).lower() in ("1", "true", "yes"))
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)

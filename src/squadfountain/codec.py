@@ -2,8 +2,9 @@
 
 Coded symbols are XORs of source-packet subsets.  A batch is encoded in one
 vectorised pass into compressed sparse rows (a row-pointer array plus a
-flat index array), the form storage squads are planned in too; one builder
-checks such rows once per batch and turns them into symbols.
+flat index array), the form storage squads are planned in too.  Rows are
+checked once per batch and travel, beside their payloads, as a read-only
+``SymbolBatch`` that the decoder reads without building symbol objects.
 
 The decoder peels: processing a ripple symbol removes it from every
 adjacent output symbol, and any output thereby reduced to a single neighbor
@@ -26,7 +27,6 @@ from collections import Counter, deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -137,41 +137,99 @@ def _distinct_rows(
     return _csr_ptr(sizes), keys % m
 
 
+class SymbolBatch(Sequence[CodedSymbol]):
+    """Coded symbols as read-only arrays: symbol i covers the sources
+    ``neighbors[ptr[i]:ptr[i+1]]`` (sorted, distinct) and carries row i of
+    the n x payload_len uint8 ``payloads``.  A ``CodedSymbol`` is built only
+    when indexed or iterated; a step-one slice is a batch of views.  A batch
+    equals a batch, list or tuple of the same symbols in order.
+    """
+
+    __slots__ = ("ptr", "neighbors", "payloads")
+
+    def __init__(self, ptr: np.ndarray, neighbors: np.ndarray, payloads: np.ndarray):
+        # unchecked: symbols_from_rows checks rows, and a CodedSymbol its own
+        self.ptr, self.neighbors, self.payloads = arrays = (
+            np.asarray(ptr, np.int64).view(), np.asarray(neighbors, np.int64).view(),
+            np.asarray(payloads, np.uint8).view())
+        for arr in arrays:
+            arr.flags.writeable = False
+
+    @classmethod
+    def of(cls, symbols: Iterable[CodedSymbol]) -> "SymbolBatch":
+        """``symbols`` as a batch, converted once; a batch is returned as is."""
+        if isinstance(symbols, SymbolBatch):
+            return symbols
+        symbols = list(symbols)
+        width = len(symbols[0].payload) if symbols else 0
+        if any(len(sym.payload) != width for sym in symbols):
+            raise MalformedInputError("symbol payloads differ in length")
+        payloads = np.frombuffer(b"".join(sym.payload for sym in symbols), np.uint8)
+        return cls(_csr_ptr(np.array([sym.degree for sym in symbols], np.int64)),
+                   np.array([s for sym in symbols for s in sym.neighbors], np.int64),
+                   payloads.reshape(len(symbols), width))
+
+    @classmethod
+    def concat(cls, batches: Sequence["SymbolBatch"]) -> "SymbolBatch":
+        """The symbols of ``batches``, in order, as one batch."""
+        if not batches:
+            return cls.of(())
+        lengths = np.concatenate([np.diff(b.ptr) for b in batches])
+        return cls(_csr_ptr(lengths), np.concatenate([b.neighbors for b in batches]),
+                   np.concatenate([b.payloads for b in batches]))
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, index):
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return next(iter(self[rows:rows + 1]))
+        if rows.step != 1:
+            return SymbolBatch.of(map(self.__getitem__, rows))
+        lo, hi = rows.start, max(rows.start, rows.stop)
+        ptr = self.ptr[lo:hi + 1]
+        return SymbolBatch(ptr - ptr[0], self.neighbors[ptr[0]:ptr[-1]], self.payloads[lo:hi])
+
+    def __iter__(self) -> Iterator[CodedSymbol]:
+        nbrs, bounds = self.neighbors.tolist(), self.ptr.tolist()
+        for lo, hi, payload in zip(bounds, bounds[1:], self.payloads):
+            sym = object.__new__(CodedSymbol)  # rows are checked as a batch
+            sym.__dict__.update(neighbors=tuple(nbrs[lo:hi]), payload=payload.tobytes())
+            yield sym
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (SymbolBatch, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
 def symbols_from_rows(
     block: SourceBlock, ptr: np.ndarray, neighbors: np.ndarray
-) -> list[CodedSymbol]:
+) -> SymbolBatch:
     """One coded symbol per CSR row ``neighbors[ptr[i]:ptr[i+1]]`` of sources.
 
     The batch is checked once, as arrays: every row non-empty, strictly
-    increasing and inside 1..k.  The symbols are then built without
-    repeating that check one symbol at a time, and every payload comes from
-    one XOR reduction over the block's packet matrix.
+    increasing and inside 1..k.  Every payload comes from one XOR reduction
+    over the block's packet matrix.
     """
     if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != len(neighbors):
         raise InvalidParameterError("row pointers must run from 0 to the neighbor count")
     if np.any(ptr[1:] <= ptr[:-1]):
         raise InvalidParameterError("a coded symbol needs at least one neighbor")
-    if len(neighbors) == 0:
-        return []
-    if neighbors.min() < 1 or neighbors.max() > block.k:
+    if len(neighbors) and (neighbors.min() < 1 or neighbors.max() > block.k):
         raise InvalidParameterError(f"neighbors must lie in 1..{block.k}")
     step = np.diff(neighbors)
     step[ptr[1:-1] - 1] = 1  # a row may start below the previous row's end
     if np.any(step < 1):
         raise InvalidParameterError("neighbors must be sorted and distinct")
     payloads = np.bitwise_xor.reduceat(block.matrix[neighbors - 1], ptr[:-1], axis=0)
-    nbrs, bounds = neighbors.tolist(), ptr.tolist()
-    symbols = []
-    for lo, hi, payload in zip(bounds, bounds[1:], payloads):
-        sym = object.__new__(CodedSymbol)  # checked above, as a batch
-        sym.__dict__.update(neighbors=tuple(nbrs[lo:hi]), payload=payload.tobytes())
-        symbols.append(sym)
-    return symbols
+    return SymbolBatch(ptr, neighbors, payloads)
 
 
 def encode_symbols(
     block: SourceBlock, dist: DegreeDistribution, n: int, rng: np.random.Generator
-) -> list[CodedSymbol]:
+) -> SymbolBatch:
     """Encode n symbols: each draws a degree, that many distinct sources, XORs them.
 
     All n degrees are drawn first, in one call, then all neighbour rows in
@@ -202,19 +260,21 @@ class DecoderState:
     """Mutable peeling-decoder state on int arrays; single-threaded per trial.
 
     The collected rows are kept as CSR (row pointers into the flat, sorted
-    neighbours) beside the source-to-output adjacency.  Peeling touches only
-    a residual count per output: when decoding a source brings an output's
-    count to one, its row is rescanned for the one undecoded source, which
-    joins the ripple (a deque of source ids) unless it is there already, in
-    which case the output is counted as defected.  A decoded source's outputs
-    are visited in ascending order, so the ripple's order follows from the
-    rows alone.  The ids of outputs at count two are kept in a bucket for
-    doping.
+    neighbours), taken straight from a ``SymbolBatch`` (a plain sequence of
+    symbols is converted once), beside the source-to-output adjacency.
+    Peeling touches only a residual count per output: when decoding a source
+    brings an output's count to one, its row is rescanned for the one
+    undecoded source, which joins the ripple (a deque of source ids) unless
+    it is there already, in which case the output is counted as defected.  A
+    decoded source's outputs are visited in ascending order, so the ripple's
+    order follows from the rows alone.  The ids of outputs at count two are
+    kept in a bucket for doping.
 
     No payload is touched while peeling.  Payloads are replayed in decode
     order when first asked for: a released source's payload is its releasing
-    row's payload XOR the replayed values of that row's other neighbours,
-    and a doped source's payload is the oracle's packet.
+    row's payload (turned into an int only then) XOR the replayed values of
+    that row's other neighbours, and a doped source's payload is the
+    oracle's packet.
     """
 
     def __init__(self, k: int, payload_len: int, ripple_discipline: str = "fifo",
@@ -226,22 +286,21 @@ class DecoderState:
         self.k = k
         self.payload_len = payload_len
         self.ripple_discipline = ripple_discipline
-        rows = [sym.neighbors for sym in symbols]
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        nbrs = list(chain.from_iterable(rows))
-        flat = np.fromiter(nbrs, dtype=np.int64, count=len(nbrs))
-        owner = np.repeat(np.arange(len(rows)), lengths)
+        batch = SymbolBatch.of(symbols)
+        n, flat = len(batch), batch.neighbors
         bad = (flat < 1) | (flat > k)
         if bad.any():
-            sym = symbols[int(owner[bad.argmax()])]
-            raise MalformedInputError(f"symbol neighbors {sym.neighbors} outside 1..{k}")
-        self._ptr = _csr_ptr(lengths).tolist()
-        self._nbrs = nbrs
-        self._payloads = [sym.payload for sym in symbols]
+            row = batch[int(np.searchsorted(batch.ptr, bad.argmax(), "right")) - 1]
+            raise MalformedInputError(f"symbol neighbors {row.neighbors} outside 1..{k}")
+        lengths = np.diff(batch.ptr)
+        owner = np.repeat(np.arange(n), lengths)
+        self._ptr = batch.ptr.tolist()
+        self._nbrs = flat.tolist()
+        self._payloads = batch.payloads  # rows turned into ints when replayed
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
         # from one sort of (source, output) keys
         self._adj_ptr = _csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
-        self._adj = (np.sort(flat * len(rows) + owner) % len(rows)).tolist()
+        self._adj = (np.sort(flat * n + owner) % n).tolist()
         self._count = lengths.tolist()
         self._degree_two = set(np.flatnonzero(lengths == 2).tolist())
         self._flags = bytearray(k + 1)  # decoded sources

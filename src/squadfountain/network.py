@@ -8,7 +8,8 @@ forwards every packet once, both directions) or as degree-two combinations
 number of transmission rounds).  Storage nodes pre-plan a degree and a
 slot subset, then store the XOR of the overheard transmissions in those
 slots.  A collector drains nearby squads for the upfront symbols and polls
-source relays directly whenever the decoder needs doping.
+source relays directly whenever the decoder needs doping.  Stored and
+collected symbols travel as ``SymbolBatch``es, a squad's rows at a time.
 
 Networks are built lazily: squad sizes are drawn eagerly, and each
 squad's node plans are made in one vectorised pass on first touch, from a
@@ -28,9 +29,9 @@ from typing import IO
 import numpy as np
 
 from .codec import (
-    CodedSymbol,
     DecodeReport,
     SourceBlock,
+    SymbolBatch,
     _csr_ptr,
     _distinct_rows,
     decode_with_doping,
@@ -107,27 +108,14 @@ class NetworkConfig:
 
 
 @dataclass(frozen=True)
-class StorageNode:
-    """A storage node's pre-planned behavior.
-
-    For degree-one inputs (and coupon storage) ``slots`` are source indices;
-    for degree-two inputs they index the node's overheard transmission list
-    (left relay's rounds first, then the right relay's).
-    """
-
-    gap: int
-    index: int
-    degree: int
-    slots: tuple[int, ...]
-
-
-@dataclass(frozen=True)
 class SquadPlan:
     """Every node of one squad, as rows of two CSR arrays.
 
     Node i stores the slots ``slots[slot_ptr[i]:slot_ptr[i+1]]`` and covers
     the sources ``neighbors[nbr_ptr[i]:nbr_ptr[i+1]]``; both rows are sorted.
-    Slots are source indices except for degree-two inputs (see StorageNode).
+    For degree-one inputs (and coupon storage) slots are source indices; for
+    degree-two inputs they index the squad's overheard transmission list
+    (left relay's rounds first, then the right relay's).
     """
 
     slot_ptr: np.ndarray
@@ -279,20 +267,11 @@ class Network:
 
     def squad(self, gap: int) -> SquadPlan:
         """The plans of every node in squad ``gap``, made on first touch."""
-        plan = self._squads.get(gap)
-        if plan is None:
+        if gap not in self._squads:
             if not 1 <= gap <= self.k:
                 raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
-            plan = self._plan_squad(gap)
-            self._squads[gap] = plan
-        return plan
-
-    def node(self, gap: int, index: int) -> StorageNode:
-        if not 1 <= gap <= self.k or not 0 <= index < self.squad_size(gap):
-            raise InvalidParameterError(f"no node {index} in squad {gap}")
-        plan = self.squad(gap)
-        lo, hi = plan.slot_ptr[index], plan.slot_ptr[index + 1]
-        return StorageNode(gap, index, int(hi - lo), tuple(plan.slots[lo:hi].tolist()))
+            self._squads[gap] = self._plan_squad(gap)
+        return self._squads[gap]
 
     def _plan_squad(self, gap: int) -> SquadPlan:
         rng = np.random.Generator(np.random.Philox(key=[self._node_key, gap]))
@@ -329,13 +308,6 @@ class Network:
         nbr_ptr = _csr_ptr(np.bincount(odd // (k + 1), minlength=len(ptr) - 1))
         return SquadPlan(ptr, slots, nbr_ptr, odd % (k + 1))
 
-    def dump(self, fp: IO[str]) -> None:
-        for gap in range(1, self.k + 1):
-            for idx in range(self.squad_size(gap)):
-                node = self.node(gap, idx)
-                slots = ",".join(str(s) for s in node.slots)
-                fp.write(f"squad={gap} node={idx} degree={node.degree} slots={slots}\n")
-
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:
     """Draw the source block and squad sizes; node plans follow lazily."""
@@ -359,7 +331,7 @@ def disseminate_degree_two(net: Network) -> TransmissionSchedule:
 
 
 class SymbolStore:
-    """Stored symbols, one per storage node, materialized a squad at a time.
+    """Stored symbols, one per storage node, as a batch per squad made on first touch.
 
     The network owns its store (``net.stored``) and the store refers back to
     it weakly, so a trial's network and symbols are freed as soon as the
@@ -373,28 +345,14 @@ class SymbolStore:
             )
         self.net = weakref.proxy(net)
         self.schedule = schedule
-        self._squads: dict[int, list[CodedSymbol]] = {}
+        self._squads: dict[int, SymbolBatch] = {}
 
-    def squad_symbols(self, gap: int) -> list[CodedSymbol]:
+    def squad_symbols(self, gap: int) -> SymbolBatch:
         """Every symbol of squad ``gap``: each payload XORs the covered sources."""
-        symbols = self._squads.get(gap)
-        if symbols is None:
+        if gap not in self._squads:
             plan = self.net.squad(gap)
-            symbols = symbols_from_rows(self.net.block, plan.nbr_ptr, plan.neighbors)
-            self._squads[gap] = symbols
-        return symbols
-
-    def symbol(self, gap: int, index: int) -> CodedSymbol:
-        if not 1 <= gap <= self.net.k or not 0 <= index < self.net.squad_size(gap):
-            raise InvalidParameterError(f"no node {index} in squad {gap}")
-        return self.squad_symbols(gap)[index]
-
-    def all_symbols(self) -> dict[tuple[int, int], CodedSymbol]:
-        return {
-            (gap, idx): sym
-            for gap in range(1, self.net.k + 1)
-            for idx, sym in enumerate(self.squad_symbols(gap))
-        }
+            self._squads[gap] = symbols_from_rows(self.net.block, plan.nbr_ptr, plan.neighbors)
+        return self._squads[gap]
 
 
 def storage_listen(net: Network, schedule: TransmissionSchedule) -> SymbolStore:
@@ -412,10 +370,6 @@ class CollectionReport:
     squads_drained: tuple[int, ...]
     k_d: int = 0
     doped_hop_costs: tuple[int, ...] = field(default=())
-
-    @property
-    def doping_hops(self) -> int:
-        return int(sum(self.doped_hop_costs))
 
 
 def _drain_order(k: int, collector: int):
@@ -435,8 +389,9 @@ def _drain_order(k: int, collector: int):
 
 def collect(
     net: Network, collector_relay: int, k_s: int
-) -> tuple[list[CodedSymbol], CollectionReport]:
-    """Drain squads outward from the collector until k_s symbols are gathered.
+) -> tuple[SymbolBatch, CollectionReport]:
+    """Drain squads outward from the collector until k_s symbols are gathered;
+    they come back as one batch of the drained squads' leading rows.
 
     A symbol from the j-th squad drained (0-based) is charged j/2 + 1 hops,
     which makes a full supersquad average exactly (s-1)/4 + 1 per symbol.
@@ -451,25 +406,25 @@ def collect(
         raise ExhaustedNetworkError(
             f"need {k_s} symbols but the network stores only {net.total_storage_nodes}"
         )
-    symbols: list[CodedSymbol] = []
+    parts: list[SymbolBatch] = []
     drained: list[int] = []
     hops = 0.0
-    j = 0
+    taken = 0
     for gap in _drain_order(net.k, collector_relay):
-        if len(symbols) >= k_s:
+        if taken >= k_s:
             break
         size = net.squad_size(gap)
         if size == 0:
             continue  # empty squads cost nothing and are not part of the supersquad
+        take = min(size, k_s - taken)
+        parts.append(net.stored.squad_symbols(gap)[:take])
+        hops += take * (len(drained) / 2.0 + 1.0)
         drained.append(gap)
-        take = min(size, k_s - len(symbols))
-        symbols.extend(net.stored.squad_symbols(gap)[:take])
-        hops += take * (j / 2.0 + 1.0)
-        j += 1
+        taken += take
     report = CollectionReport(
         k_s=k_s, s=len(drained), supersquad_hops=hops, squads_drained=tuple(drained)
     )
-    return symbols, report
+    return SymbolBatch.concat(parts), report
 
 
 def simulate_collection_with_doping(

@@ -267,8 +267,7 @@ def criterion_degree_evolution(seed: int, tol: float) -> CriterionResult:
                 process_ripple_symbol(state)
             else:
                 dope_degree_two(state, block.packet, rng)
-        for nbrs, _ in state.iter_outputs():
-            counts[len(nbrs)] += 1
+        counts.update(c for c in state._count if c >= 2)  # residual degrees
     total = sum(counts.values())
     ref = analytics.unreleased_degree_dist(k, ell).dist
     tv = 0.5 * sum(

@@ -220,6 +220,17 @@ class TestConfigFile:
         assert code == 0
         assert "# k=30" in out2.read_text()
 
+    @pytest.mark.parametrize("network", ["true", "false"])
+    def test_typed_values_and_flags_from_file(self, tmp_path, network):
+        cfg = tmp_path / "typed.conf"
+        cfg.write_text(f"k=30\nh=3\ndelta=0.1\ntrials=2\nseed=4\nnetwork={network}\n")
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        assert main(["decode-sim", "--config", str(cfg), "--out", str(by_file)]) == 0
+        flags = ["--k", "30", "--h", "3", "--delta", "0.1", "--trials", "2", "--seed", "4"]
+        flags += ["--network"] if network == "true" else []
+        assert main(["decode-sim", *flags, "--out", str(by_flags)]) == 0
+        assert by_file.read_text() == by_flags.read_text()
+
     def test_malformed_line_reports_position(self, tmp_path):
         cfg = tmp_path / "bad.conf"
         cfg.write_text("k=40\nnot a pair\n")

@@ -11,6 +11,7 @@ from squadfountain.codec import (
     CodedSymbol,
     DecoderState,
     SourceBlock,
+    SymbolBatch,
     decode_with_doping,
     dope_degree_two,
     encode_symbols,
@@ -86,9 +87,9 @@ class TestEncoding:
 
 
 @st.composite
-def encodings(draw):
+def encodings(draw, max_k=24):
     """A small block's distribution (IS, RS or a point mass), n and a seed."""
-    k = draw(st.integers(min_value=2, max_value=24))
+    k = draw(st.integers(min_value=2, max_value=max_k))
     kind = draw(st.sampled_from(["is", "rs", "point"]))
     if kind == "is":
         dist = ideal_soliton(k)
@@ -133,6 +134,58 @@ class TestBatchEncoder:
     def test_direct_symbol_still_checked(self, neighbors):
         with pytest.raises(InvalidParameterError):
             CodedSymbol(neighbors, b"\x00" * 4)
+
+
+def assert_read_only(batch):
+    for arr in (batch.ptr, batch.neighbors, batch.payloads):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        batch.ptr[0] = 1
+    if len(batch):
+        with pytest.raises(ValueError):
+            batch.payloads[0, 0] ^= 1
+
+
+class TestSymbolBatch:
+    @given(case=encodings(max_k=40), discipline=st.sampled_from(["fifo", "lifo", "random"]))
+    @settings(max_examples=100, deadline=None)
+    def test_batch_decodes_like_its_symbols(self, case, discipline):
+        dist, n, seed = case
+        block = make_block(dist.k, seed=seed % 1000)
+        batch = encode_symbols(block, dist, n, np.random.default_rng(seed))
+        symbols = list(batch)
+        assert SymbolBatch.of(symbols) == batch == symbols
+        assert batch[::-2] == symbols[::-2] and batch[1:-1] == symbols[1:-1]
+        if n:
+            assert batch[-1] == symbols[-1]
+        for view in (batch, batch[1:], SymbolBatch.concat([batch, batch[:2]])):
+            assert_read_only(view)
+        a, b = (
+            decode_with_doping(block, given, np.random.default_rng(seed), discipline)
+            for given in (batch, symbols)
+        )
+        assert a.k_s == b.k_s == n
+        for name in ("k_d", "doped_indices", "dope_levels", "interdoping_yields",
+                     "ripple_trajectory", "defected_total", "recovered"):
+            assert getattr(a, name) == getattr(b, name), name
+
+    def test_equality_is_by_symbols(self):
+        block = make_block(6)
+        symbols = [symbol_for(block, 1, 2), symbol_for(block, 3)]
+        batch = SymbolBatch.of(symbols)
+        assert batch == symbols == list(batch) and batch == tuple(symbols)
+        assert batch != symbols[::-1] and batch != symbols[:1]
+        assert batch != [symbols[0], CodedSymbol((3,), bytes(4))]
+
+    def test_index_out_of_range(self):
+        batch = encode_symbols(make_block(6), ideal_soliton(6), 3, np.random.default_rng(0))
+        for index in (3, -4):
+            with pytest.raises(IndexError):
+                batch[index]
+
+    def test_unequal_payloads_rejected(self):
+        with pytest.raises(MalformedInputError):
+            SymbolBatch.of([CodedSymbol((1,), b"\x00"), CodedSymbol((2,), b"\x00\x00")])
 
 
 class TestGoldenStream:
@@ -484,7 +537,7 @@ class TestDecoderInvariants:
         block = make_block(k, seed=seed % 1000)
         rng = np.random.default_rng(seed)
         symbols = encode_symbols(block, dist, n, rng)
-        symbols += symbols[:repeats]
+        symbols = SymbolBatch.concat([symbols, symbols[:repeats]])
         state = init_decoder(k, symbols, block.payload_len, discipline)
         steps = 0
         while not state.finished:
@@ -564,7 +617,7 @@ class TestDecodeWithDoping:
         block = make_block(k, seed=11)
         rng = np.random.default_rng(12)
         symbols = encode_symbols(block, ideal_soliton(k), 2 * k, rng)
-        symbols += symbols[:20]  # force duplicates
+        symbols = SymbolBatch.concat([symbols, symbols[:20]])  # force duplicates
         state = init_decoder(k, symbols, block.payload_len)
         for _ in range(25):
             if state.ripple:

@@ -26,6 +26,17 @@ def replan_node(net, gap, index, slots):
     net._squads[gap] = net._plan_rows(gap, ptr, np.array(sum(rows, []), dtype=np.int64))
 
 
+def slot_row(net, gap, index):
+    """The planned slots of node ``index`` in squad ``gap``."""
+    plan = net.squad(gap)
+    return tuple(plan.slots[plan.slot_ptr[index]:plan.slot_ptr[index + 1]].tolist())
+
+
+def stored_symbols(net, store):
+    """Every stored symbol, squad by squad."""
+    return [sym for gap in range(1, net.k + 1) for sym in store.squad_symbols(gap)]
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidParameterError):
@@ -66,15 +77,16 @@ class TestBuild:
     def test_node_plans_deterministic(self):
         a, b = build(seed=4), build(seed=4)
         for gap, idx in [(1, 0), (5, 3), (20, 4)]:
-            assert a.node(gap, idx) == b.node(gap, idx)
-        assert a.node(2, 1) == a.node(2, 1)
+            assert slot_row(a, gap, idx) == slot_row(b, gap, idx)
+        assert slot_row(a, 2, 1) == slot_row(a, 2, 1)
 
     def test_node_bounds_checked(self):
         net = build(k=5, h=2)
+        store = listen(net)
+        with pytest.raises(IndexError):
+            store.squad_symbols(1)[2]
         with pytest.raises(InvalidParameterError):
-            net.node(1, 2)
-        with pytest.raises(InvalidParameterError):
-            net.node(6, 0)
+            net.squad(6)
 
 
 class TestDegreeOneDissemination:
@@ -152,7 +164,7 @@ class TestStorageListen:
         seen = set()
         for gap in range(1, 51):
             for idx in range(net.squad_size(gap)):
-                sym = store.symbol(gap, idx)
+                sym = store.squad_symbols(gap)[idx]
                 assert sym.degree == 1
                 assert sym.payload == net.block.packet(sym.neighbors[0])
                 seen.add(sym.neighbors[0])
@@ -163,7 +175,7 @@ class TestStorageListen:
         net = build(k=21, h=5, storage="coupon", dissemination="degree_two_combining",
                     storage_combine_input="degree_two_inputs")
         store = nw.storage_listen(net, nw.disseminate_degree_two(net))
-        for sym in store.all_symbols().values():
+        for sym in stored_symbols(net, store):
             assert sym.degree == 1
             assert sym.payload == net.block.packet(sym.neighbors[0])
 
@@ -171,7 +183,7 @@ class TestStorageListen:
         net = build(k=12, h=2)
         store = nw.storage_listen(net, nw.disseminate_degree_one(net))
         replan_node(net, 3, 0, (2, 5, 9))
-        sym = store.symbol(3, 0)
+        sym = store.squad_symbols(3)[0]
         assert sym.neighbors == (2, 5, 9)
         assert sym.payload == net.block.xor_of((2, 5, 9))
 
@@ -185,7 +197,7 @@ class TestStorageListen:
         heard = store.schedule.overheard(4)
         replan_node(net, 4, 0, (1, 2))
         expected = set(heard[1].neighbors) ^ set(heard[2].neighbors)
-        sym = store.symbol(4, 0)
+        sym = store.squad_symbols(4)[0]
         assert set(sym.neighbors) == expected
         assert sym.payload == net.block.xor_of(sym.neighbors)
 
@@ -202,7 +214,7 @@ class TestStorageListen:
         assert heard[2].neighbors == (2, 6)
         assert heard[6].neighbors == (4, 6)
         replan_node(net, 4, 1, (2, 6))
-        sym = store.symbol(4, 1)
+        sym = store.squad_symbols(4)[1]
         assert sym.neighbors == (2, 4)
         assert sym.payload == net.block.xor_of((2, 4))
 
@@ -214,7 +226,7 @@ class TestStorageListen:
             storage_combine_input="degree_two_inputs",
         )
         store = nw.storage_listen(net, nw.disseminate_degree_two(net))
-        for sym in store.all_symbols().values():
+        for sym in stored_symbols(net, store):
             assert sym.degree >= 1
             assert sym.payload == net.block.xor_of(sym.neighbors)
 
@@ -258,14 +270,15 @@ class TestSquadPlans:
     def test_stored_symbols_well_formed(self, net):
         store = listen(net)
         for gap in range(1, net.k + 1):
-            assert len(store.squad_symbols(gap)) == net.squad_size(gap)
+            symbols = store.squad_symbols(gap)
+            assert len(symbols) == net.squad_size(gap)
             for idx in range(net.squad_size(gap)):
-                node, sym = net.node(gap, idx), store.symbol(gap, idx)
+                slots, sym = slot_row(net, gap, idx), symbols[idx]
                 assert list(sym.neighbors) == sorted(set(sym.neighbors))
                 assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= net.k
                 assert sym.payload == net.block.xor_of(sym.neighbors)
-                assert 1 <= node.degree == len(node.slots) <= net._slot_count
-                assert list(node.slots) == sorted(set(node.slots))
+                assert 1 <= len(slots) <= net._slot_count
+                assert list(slots) == sorted(set(slots))
 
     @given(net=networks(), order_seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -279,7 +292,7 @@ class TestSquadPlans:
         assert forward == backward
         for gap in gaps:
             for idx in range(net.squad_size(gap)):
-                assert net.node(gap, idx) == twin.node(gap, idx)
+                assert slot_row(net, gap, idx) == slot_row(twin, gap, idx)
 
     def test_overheard_transmissions_never_cancel(self):
         # linearly independent over GF(2): no slot subset leaves a node empty
@@ -303,8 +316,8 @@ class TestSquadPlans:
         empty = [g for g in range(1, 41) if net.squad_size(g) == 0]
         assert empty  # Poisson(1) leaves about 15 of 40 squads empty
         assert all(store.squad_symbols(g) == [] for g in empty)
-        with pytest.raises(InvalidParameterError):
-            store.symbol(empty[0], 0)
+        with pytest.raises(IndexError):
+            store.squad_symbols(empty[0])[0]
 
 
 class TestCollect:
@@ -372,6 +385,17 @@ class TestCollect:
         nw.storage_listen(net, nw.disseminate_degree_one(net))
         with pytest.raises(ExhaustedNetworkError):
             nw.collect(net, 1, 7)
+
+    @given(net=networks(), collector=st.integers(min_value=1), share=st.floats(0, 1))
+    @settings(max_examples=80, deadline=None)
+    def test_batch_concatenates_drained_squads(self, net, collector, share):
+        store = listen(net)
+        k_s = round(share * net.total_storage_nodes)
+        symbols, rep = nw.collect(net, (collector - 1) % net.k + 1, k_s)
+        assert all(net.squad_size(gap) > 0 for gap in rep.squads_drained)
+        drained = [sym for gap in rep.squads_drained for sym in store.squad_symbols(gap)]
+        assert len(symbols) == k_s and symbols == drained[:k_s]
+        assert not symbols.payloads.flags.writeable
 
     def test_deterministic(self):
         net = build(k=16, h=3, seed=9)
@@ -466,12 +490,3 @@ class TestMixingProperty:
         # mixing across squads must not make the dependency worse
         assert spread_d2 < 1.05 * same_squad_d2
 
-
-class TestNetworkDump:
-    def test_one_line_per_node(self):
-        net = build(k=6, h=2, seed=8)
-        buf = io.StringIO()
-        net.dump(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == net.total_storage_nodes
-        assert lines[0].startswith("squad=1 node=0 degree=")
