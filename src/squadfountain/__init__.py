@@ -3,7 +3,6 @@
 from .analytics import (
     DopingPrediction,
     UncoveredCount,
-    UnreleasedDegrees,
     YieldPmf,
     degree_evolution_pmf,
     expected_dopings,
@@ -28,7 +27,6 @@ from .codec import (
     encode_symbols,
     init_decoder,
     process_ripple_symbol,
-    unreleased_degree_histogram,
 )
 from .costs import (
     CostPoint,

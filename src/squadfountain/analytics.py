@@ -67,33 +67,16 @@ def degree_evolution_pmf(k: int, ell: int, d: int) -> float:
     return (k - ell) / k * (1.0 / (d * (d - 1.0)))
 
 
-@dataclass(frozen=True)
-class UnreleasedDegrees:
-    """Degree law of still-unreleased output symbols at decode depth ell.
-
-    ``raw[d]`` is the unnormalized Ideal Soliton mass on the shrunken support
-    {2..k-ell}; ``dist`` renormalizes it (the raw masses sum below one on a
-    truncated support).  Comparisons against simulated histograms use
-    ``dist``.
-    """
-
-    k: int
-    ell: int
-    raw: np.ndarray
-    dist: DegreeDistribution
-
-
-def unreleased_degree_dist(k: int, ell: int) -> UnreleasedDegrees:
+def unreleased_degree_dist(k: int, ell: int) -> DegreeDistribution:
+    """Degree law of still-unreleased output symbols at decode depth ell: the
+    Ideal Soliton masses on the shrunken support {2..k-ell}, renormalized."""
     if not 0 <= ell <= k - 3:
         raise InvalidParameterError(f"ell={ell} outside 0..k-3 for k={k}")
     top = k - ell
     raw = np.zeros(top + 1)
     d = np.arange(2, top + 1, dtype=float)
     raw[2:] = 1.0 / (d * (d - 1.0))
-    raw.setflags(write=False)
-    return UnreleasedDegrees(
-        k=k, ell=ell, raw=raw, dist=DegreeDistribution.from_weights(raw)
-    )
+    return DegreeDistribution.from_weights(raw)
 
 
 # ---------------------------------------------------------------------------

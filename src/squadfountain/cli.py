@@ -230,15 +230,12 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
         for trial in range(args.trials):
             rng = trial_rng(seed, trial)
             if args.network:
-                if args.storage == "coupon":
-                    storage_mode = "coupon"
-                else:
-                    storage_mode = _STORAGE[dist_name]  # strategy picks the code
                 cfg = NetworkConfig(
                     k=k,
                     h=args.h,
                     dissemination=_DISSEMINATION[args.dissemination],
-                    storage=storage_mode,
+                    # the strategy picks the code unless nodes store coupons
+                    storage="coupon" if args.storage == "coupon" else _STORAGE[dist_name],
                     storage_combine_input=args.storage_input,
                     rs_c=args.rs_c,
                     rs_delta=args.rs_delta,
@@ -312,7 +309,7 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
             {
                 "h": args.h,
                 "dissemination": args.dissemination,
-                "storage": args.storage,
+                "storage": "coupon" if args.storage == "coupon" else ",".join(dists),
                 "storage_input": args.storage_input,
                 "collector": args.collector,
             }

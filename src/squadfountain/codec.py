@@ -8,10 +8,12 @@ checked once per batch and travel, beside their payloads, as a read-only
 
 The decoder peels: processing a ripple symbol removes it from every
 adjacent output symbol, and any output thereby reduced to a single neighbor
-releases that neighbor into the ripple.  Peeling works on the collected rows
-as int arrays and per-output residual counts; payloads are replayed in
-decode order only when asked for, so a Monte Carlo run that needs only the
-doping count never XORs a payload.  When the ripple empties before all
+releases that neighbor into the ripple, a first-in-first-out queue.  The
+queue's order never changes a stall: a stall state is the peeling closure
+of what has been decoded.  Peeling works on the collected rows as int
+arrays and per-output residual counts; payloads are replayed in decode
+order only when asked for, so a Monte Carlo run that needs only the doping
+count never XORs a payload.  When the ripple empties before all
 sources are recovered, a doping step fetches one true source packet from an
 oracle.  It picks a remaining output of lowest residual degree uniformly
 (degree two first, then three, and so on) and then one of that output's
@@ -23,7 +25,7 @@ uncovered, symbols.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,9 +39,6 @@ from .errors import (
     MalformedInputError,
     StalledDecoderError,
 )
-
-RIPPLE_DISCIPLINES = ("fifo", "lifo", "random")
-
 
 @dataclass(frozen=True)
 class SourceBlock:
@@ -264,11 +263,11 @@ class DecoderState:
     symbols is converted once), beside the source-to-output adjacency.
     Peeling touches only a residual count per output: when decoding a source
     brings an output's count to one, its row is rescanned for the one
-    undecoded source, which joins the ripple (a deque of source ids) unless
-    it is there already, in which case the output is counted as defected.  A
-    decoded source's outputs are visited in ascending order, so the ripple's
-    order follows from the rows alone.  The ids of outputs at count two are
-    kept in a bucket for doping.
+    undecoded source, which joins the back of the ripple (a first-in-first-out
+    deque of source ids) unless it is there already, in which case the output
+    is counted as defected.  A decoded source's outputs are visited in
+    ascending order, so the ripple's order follows from the rows alone.  The
+    ids of outputs at count two are kept in a bucket for doping.
 
     No payload is touched while peeling.  Payloads are replayed in decode
     order when first asked for: a released source's payload is its releasing
@@ -277,15 +276,9 @@ class DecoderState:
     oracle's packet.
     """
 
-    def __init__(self, k: int, payload_len: int, ripple_discipline: str = "fifo",
-                 symbols: Sequence[CodedSymbol] = ()):
-        if ripple_discipline not in RIPPLE_DISCIPLINES:
-            raise InvalidParameterError(
-                f"ripple_discipline must be one of {RIPPLE_DISCIPLINES}"
-            )
+    def __init__(self, k: int, payload_len: int, symbols: Sequence[CodedSymbol] = ()):
         self.k = k
         self.payload_len = payload_len
-        self.ripple_discipline = ripple_discipline
         batch = SymbolBatch.of(symbols)
         n, flat = len(batch), batch.neighbors
         bad = (flat < 1) | (flat > k)
@@ -378,17 +371,6 @@ class DecoderState:
             for t, counts in enumerate(steps)
         ]
 
-    def iter_outputs(self) -> Iterator[tuple[frozenset[int], int]]:
-        """Live (unreleased) outputs as (residual neighbors, residual payload)."""
-        vals, flags = self._replay(), self._flags
-        for oid, c in enumerate(self._count):
-            if c >= 2:
-                row = self._nbrs[self._ptr[oid]:self._ptr[oid + 1]]
-                payload = int.from_bytes(self._payloads[oid], "big")
-                for src in row:
-                    payload ^= vals[src]
-                yield frozenset(src for src in row if not flags[src]), payload
-
     def recovered_payload(self, index: int) -> bytes:
         return self.decoded[index].to_bytes(self.payload_len, "big")
 
@@ -411,19 +393,6 @@ class DecoderState:
         self._releases.append(releases)
         self._defected.append(defected)
         self._ripple_sizes.append(len(self.ripple))
-
-    def _pop_ripple(self, rng: np.random.Generator | None) -> int:
-        if self.ripple_discipline == "fifo":
-            return self.ripple.popleft()
-        if self.ripple_discipline == "lifo":
-            return self.ripple.pop()
-        if rng is None:
-            raise InvalidParameterError("random ripple discipline needs an rng")
-        pick = int(rng.integers(len(self.ripple)))
-        self.ripple.rotate(-pick)
-        src = self.ripple.popleft()
-        self.ripple.rotate(pick)
-        return src
 
     def _absorb(self, src: int) -> int:
         """Record src as decoded and count down its outputs; returns releases."""
@@ -448,21 +417,21 @@ def init_decoder(
     k: int,
     symbols: Sequence[CodedSymbol],
     payload_len: int | None = None,
-    ripple_discipline: str = "fifo",
 ) -> DecoderState:
     """Build adjacency from the collected symbols and seed the ripple."""
     if payload_len is None:
         payload_len = len(symbols[0].payload) if symbols else 1
-    return DecoderState(k, payload_len, ripple_discipline, symbols)
+    return DecoderState(k, payload_len, symbols)
 
 
 def process_ripple_symbol(
     state: DecoderState, rng: np.random.Generator | None = None
 ) -> int:
-    """Decode one ripple symbol; returns the number of new ripple entries."""
+    """Decode the oldest ripple symbol; returns the number of new ripple
+    entries.  ``rng`` is unused: the ripple is first in, first out."""
     if not state.ripple:
         raise StalledDecoderError("ripple is empty; dope or stop")
-    return state._absorb(state._pop_ripple(rng))
+    return state._absorb(state.ripple.popleft())
 
 
 def dope_degree_two(
@@ -542,23 +511,20 @@ def decode_with_doping(
     block: SourceBlock,
     symbols: Sequence[CodedSymbol],
     rng: np.random.Generator,
-    ripple_discipline: str = "fifo",
-    oracle: Callable[[int], bytes] | None = None,
 ) -> DecodeReport:
-    """Run the full decode loop: dope whenever the ripple is empty.
+    """Run the full decode loop: dope from ``block.packet`` whenever the
+    ripple is empty.
 
     Stall times are logged at each doping; interdoping yields are their
     successive differences (the very first yield counts the decodes that
     happened before the first stall).
     """
-    state = init_decoder(block.k, symbols, block.payload_len, ripple_discipline)
-    if oracle is None:
-        oracle = block.packet
+    state = init_decoder(block.k, symbols, block.payload_len)
     while not state.finished:
         if state.ripple:
             process_ripple_symbol(state, rng)
         else:
-            dope_degree_two(state, oracle, rng)
+            dope_degree_two(state, block.packet, rng)
     # step 0 seeds the ripple and every later step decodes one source
     stalls = [0] + [step - 1 for step in state._dope_steps]
     yields = tuple(b - a for a, b in zip(stalls, stalls[1:]))
@@ -574,10 +540,3 @@ def decode_with_doping(
         defected_total=state.defected_total,
         state=state,
     )
-
-
-def unreleased_degree_histogram(state: DecoderState) -> dict[int, float]:
-    """Empirical pmf of residual degrees among unreleased (degree >= 2) outputs."""
-    counts = Counter(c for c in state._count if c >= 2)
-    total = sum(counts.values())
-    return {d: c / total for d, c in sorted(counts.items())}

@@ -8,11 +8,11 @@ forwards every packet once, both directions) or as degree-two combinations
 number of transmission rounds).  Storage nodes pre-plan a degree and a
 slot subset, then store the XOR of the overheard transmissions in those
 slots.  A collector drains nearby squads for the upfront symbols and polls
-source relays directly whenever the decoder needs doping.  Stored and
-collected symbols travel as ``SymbolBatch``es, a squad's rows at a time.
+source relays directly whenever the decoder needs doping.
 
-Networks are built lazily: squad sizes are drawn eagerly, and each
-squad's node plans are made in one vectorised pass on first touch, from a
+Networks are built lazily: squad sizes are drawn eagerly, and each squad's
+node plans and stored symbols (one ``SymbolBatch`` per squad, which the
+network keeps) are made in one vectorised pass on first touch, from a
 counter-based (Philox) stream keyed by the network and the squad, so large
 networks cost only the squads a collection actually visits, and a plan does
 not depend on the order in which squads are touched.  A stored symbol's
@@ -22,9 +22,7 @@ the overheard transmissions it combines.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
-from typing import IO
 
 import numpy as np
 
@@ -109,19 +107,18 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class SquadPlan:
-    """Every node of one squad, as rows of two CSR arrays.
+    """Every node of one squad: the slots it stores and the symbol it holds.
 
-    Node i stores the slots ``slots[slot_ptr[i]:slot_ptr[i+1]]`` and covers
-    the sources ``neighbors[nbr_ptr[i]:nbr_ptr[i+1]]``; both rows are sorted.
-    For degree-one inputs (and coupon storage) slots are source indices; for
+    Node i stores the slots ``slots[slot_ptr[i]:slot_ptr[i+1]]`` (sorted) and
+    holds ``symbols[i]``, which covers the sources those slots combine.  For
+    degree-one inputs (and coupon storage) slots are source indices; for
     degree-two inputs they index the squad's overheard transmission list
     (left relay's rounds first, then the right relay's).
     """
 
     slot_ptr: np.ndarray
     slots: np.ndarray
-    nbr_ptr: np.ndarray
-    neighbors: np.ndarray
+    symbols: SymbolBatch
 
 
 @dataclass(frozen=True)
@@ -176,12 +173,17 @@ class TransmissionSchedule:
         return all(self._online_decode(i) for i in range(1, self.k + 1))
 
     def _collect_degree_one(self, relay: int) -> bool:
+        """Own packet, plus each neighbour's forwards of sources up to
+        ``rounds`` hops on its side; every one heard must be its packet."""
         k, block = self.k, self.block
-        got = {relay: block.packet(relay)}
-        for r in range(1, self.rounds + 1):
-            for src in (_wrap(k, relay - r), _wrap(k, relay + r)):
-                got[src] = block.packet(src)
-        return len(got) == k and all(got[i] == block.packet(i) for i in got)
+        got = {relay}
+        for side in (-1, 1):
+            for t in self.relay_transmissions(_wrap(k, relay + side)):
+                if len(t.neighbors) != 1 or t.payload != block.packet(t.neighbors[0]):
+                    return False
+                if 1 <= side * (t.neighbors[0] - relay) % k <= self.rounds:
+                    got.add(t.neighbors[0])
+        return len(got) == k
 
     def _online_decode(self, relay: int) -> bool:
         """Replay the combining rounds with the rolling buffer discipline.
@@ -223,12 +225,6 @@ class TransmissionSchedule:
             recovered[i] == block.packet(i) for i in recovered
         )
 
-    def dump(self, fp: IO[str]) -> None:
-        for relay in range(1, self.k + 1):
-            for t in self.relay_transmissions(relay):
-                nbrs = "+".join(str(n) for n in t.neighbors)
-                fp.write(f"relay={relay} round={t.round} sources={nbrs}\n")
-
 
 class Network:
     """Relays, squads, and lazily planned storage nodes."""
@@ -252,7 +248,7 @@ class Network:
             cfg.storage != "coupon" and cfg.storage_combine_input == "degree_two_inputs"
         )
         self._slot_count = 2 * combining_rounds(cfg.k) if self._combines_slots else cfg.k
-        self.stored: "SymbolStore | None" = None
+        self.schedule: TransmissionSchedule | None = None  # set by storage_listen
 
     @property
     def k(self) -> int:
@@ -266,7 +262,8 @@ class Network:
         return int(self.squad_sizes[gap - 1])
 
     def squad(self, gap: int) -> SquadPlan:
-        """The plans of every node in squad ``gap``, made on first touch."""
+        """The plans and symbols of every node in squad ``gap``, made on first
+        touch; each payload XORs the covered sources."""
         if gap not in self._squads:
             if not 1 <= gap <= self.k:
                 raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
@@ -285,7 +282,7 @@ class Network:
         return self._plan_rows(gap, ptr, slots if self._combines_slots else slots + 1)
 
     def _plan_rows(self, gap: int, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
-        """Attach to each row of slots the sources it covers.
+        """Attach to each row of slots the symbol over the sources it covers.
 
         A squad's overheard transmissions are linearly independent over
         GF(2): taken from the outermost round inwards, each covers a source
@@ -293,7 +290,7 @@ class Network:
         and every node covers at least one source.
         """
         if not self._combines_slots:
-            return SquadPlan(ptr, slots, ptr, slots)
+            return SquadPlan(ptr, slots, symbols_from_rows(self.block, ptr, slots))
         k, rounds = self.k, combining_rounds(self.k)
         # slot s is round s % rounds + 1 of the left relay (s < rounds) or the right one
         relay = np.where(slots < rounds, gap, gap % k + 1)
@@ -306,7 +303,7 @@ class Network:
         heard, times = np.unique(keys, return_counts=True)
         odd = heard[times % 2 == 1]  # a source heard an even number of times cancels
         nbr_ptr = _csr_ptr(np.bincount(odd // (k + 1), minlength=len(ptr) - 1))
-        return SquadPlan(ptr, slots, nbr_ptr, odd % (k + 1))
+        return SquadPlan(ptr, slots, symbols_from_rows(self.block, nbr_ptr, odd % (k + 1)))
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:
@@ -330,36 +327,14 @@ def disseminate_degree_two(net: Network) -> TransmissionSchedule:
     return TransmissionSchedule("degree_two_combining", net.block)
 
 
-class SymbolStore:
-    """Stored symbols, one per storage node, as a batch per squad made on first touch.
-
-    The network owns its store (``net.stored``) and the store refers back to
-    it weakly, so a trial's network and symbols are freed as soon as the
-    trial drops them, not at the next full garbage collection.
-    """
-
-    def __init__(self, net: Network, schedule: TransmissionSchedule):
-        if net.cfg.dissemination != schedule.mode:
-            raise InvalidParameterError(
-                f"schedule mode {schedule.mode!r} does not match config"
-            )
-        self.net = weakref.proxy(net)
-        self.schedule = schedule
-        self._squads: dict[int, SymbolBatch] = {}
-
-    def squad_symbols(self, gap: int) -> SymbolBatch:
-        """Every symbol of squad ``gap``: each payload XORs the covered sources."""
-        if gap not in self._squads:
-            plan = self.net.squad(gap)
-            self._squads[gap] = symbols_from_rows(self.net.block, plan.nbr_ptr, plan.neighbors)
-        return self._squads[gap]
-
-
-def storage_listen(net: Network, schedule: TransmissionSchedule) -> SymbolStore:
-    """Bind the network's planned nodes to a dissemination schedule."""
-    store = SymbolStore(net, schedule)
-    net.stored = store
-    return store
+def storage_listen(net: Network, schedule: TransmissionSchedule) -> None:
+    """Record the schedule the storage nodes overhear; ``collect`` needs one.
+    Squad plans make the nodes' symbols from the sources they cover."""
+    if net.cfg.dissemination != schedule.mode:
+        raise InvalidParameterError(
+            f"schedule mode {schedule.mode!r} does not match config"
+        )
+    net.schedule = schedule
 
 
 @dataclass(frozen=True)
@@ -396,7 +371,7 @@ def collect(
     A symbol from the j-th squad drained (0-based) is charged j/2 + 1 hops,
     which makes a full supersquad average exactly (s-1)/4 + 1 per symbol.
     """
-    if net.stored is None:
+    if net.schedule is None:
         raise InvalidParameterError("run storage_listen before collecting")
     if not 1 <= collector_relay <= net.k:
         raise InvalidParameterError(f"collector relay {collector_relay} outside 1..{net.k}")
@@ -417,7 +392,7 @@ def collect(
         if size == 0:
             continue  # empty squads cost nothing and are not part of the supersquad
         take = min(size, k_s - taken)
-        parts.append(net.stored.squad_symbols(gap)[:take])
+        parts.append(net.squad(gap).symbols[:take])
         hops += take * (len(drained) / 2.0 + 1.0)
         drained.append(gap)
         taken += take
@@ -432,7 +407,6 @@ def simulate_collection_with_doping(
     collector_relay: int,
     k_s: int,
     rng: np.random.Generator,
-    ripple_discipline: str = "fifo",
 ) -> tuple[DecodeReport, CollectionReport]:
     """Collect upfront symbols, then decode, polling sources on every stall.
 
@@ -440,7 +414,7 @@ def simulate_collection_with_doping(
     source relay (uniform sources average about k/4 hops).
     """
     symbols, creport = collect(net, collector_relay, k_s)
-    report = decode_with_doping(net.block, symbols, rng, ripple_discipline)
+    report = decode_with_doping(net.block, symbols, rng)
     doped_hops = tuple(
         ring_distance(net.k, collector_relay, src) for src in report.doped_indices
     )

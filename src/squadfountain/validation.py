@@ -269,7 +269,7 @@ def criterion_degree_evolution(seed: int, tol: float) -> CriterionResult:
                 dope_degree_two(state, block.packet, rng)
         counts.update(c for c in state._count if c >= 2)  # residual degrees
     total = sum(counts.values())
-    ref = analytics.unreleased_degree_dist(k, ell).dist
+    ref = analytics.unreleased_degree_dist(k, ell)
     tv = 0.5 * sum(
         abs(counts.get(d, 0) / total - ref.pmf[d]) for d in range(2, k - ell + 1)
     )

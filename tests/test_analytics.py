@@ -81,19 +81,21 @@ class TestDegreeEvolution:
 class TestUnreleasedDegreeDist:
     def test_mass_at_two_dominates(self):
         res = an.unreleased_degree_dist(1000, 300)
-        assert res.raw[2] == pytest.approx(0.5, abs=1e-15)
-        assert res.dist.pmf[2] == max(res.dist.pmf)
+        assert res.pmf[2] == pytest.approx(3 * res.pmf[3], rel=1e-12)  # 1/2 : 1/6
+        assert res.pmf[2] == max(res.pmf)
 
     def test_smallest_support(self):
         res = an.unreleased_degree_dist(10, 7)
-        assert res.dist.k == 3
-        assert res.dist.pmf[1] == 0.0
-        assert res.dist.pmf[2] + res.dist.pmf[3] == pytest.approx(1.0)
+        assert res.k == 3
+        assert res.pmf[1] == 0.0
+        assert res.pmf[2] + res.pmf[3] == pytest.approx(1.0)
 
     def test_renormalization(self):
+        # the Ideal Soliton masses on 2..60 sum to 1 - 1/60; renormalized,
+        # degree two carries more than its raw half
         res = an.unreleased_degree_dist(100, 40)
-        assert res.raw.sum() < 1.0
-        assert res.dist.pmf.sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.pmf[2] == pytest.approx(0.5 / (1 - 1 / 60), rel=1e-12)
+        assert res.pmf.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 # Stall-time anchors, derived by enumerating the Poisson increment sequences

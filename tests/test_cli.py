@@ -90,6 +90,18 @@ class TestDecodeSim:
         _, rows = data_rows(text)
         assert len(rows) == 4  # 2 trials + mean + var
 
+    @pytest.mark.parametrize("storage, dist, written", [
+        ("rs", "is", "is"), ("is", "is,rs", "is,rs"), ("coupon", "is", "coupon"),
+    ])
+    def test_network_metadata_names_storage_that_ran(self, tmp_path, storage, dist, written):
+        # combining storage uses the strategy's code, whatever --storage says
+        common = ["decode-sim", "--network", "--k", "40", "--h", "10", "--trials", "2",
+                  "--payload-len", "8", "--seed", "4", "--dist", dist]
+        _, text = run_to_file(tmp_path, "m.csv", common + ["--storage", storage])
+        assert f"# storage={written}\n" in text
+        _, ran = run_to_file(tmp_path, "w.csv", common + ["--storage", written.split(",")[0]])
+        assert data_rows(text) == data_rows(ran)
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         assert main(["decode-sim", "--k", "50", "--trials", "1", "--seed", str(seed)]) == 2

@@ -9,7 +9,6 @@ from scipy.stats import poisson
 from squadfountain import cli
 from squadfountain.codec import (
     CodedSymbol,
-    DecoderState,
     SourceBlock,
     SymbolBatch,
     decode_with_doping,
@@ -18,7 +17,6 @@ from squadfountain.codec import (
     init_decoder,
     process_ripple_symbol,
     symbols_from_rows,
-    unreleased_degree_histogram,
 )
 from squadfountain.degrees import (
     DegreeDistribution,
@@ -147,9 +145,9 @@ def assert_read_only(batch):
 
 
 class TestSymbolBatch:
-    @given(case=encodings(max_k=40), discipline=st.sampled_from(["fifo", "lifo", "random"]))
+    @given(case=encodings(max_k=40))
     @settings(max_examples=100, deadline=None)
-    def test_batch_decodes_like_its_symbols(self, case, discipline):
+    def test_batch_decodes_like_its_symbols(self, case):
         dist, n, seed = case
         block = make_block(dist.k, seed=seed % 1000)
         batch = encode_symbols(block, dist, n, np.random.default_rng(seed))
@@ -161,7 +159,7 @@ class TestSymbolBatch:
         for view in (batch, batch[1:], SymbolBatch.concat([batch, batch[:2]])):
             assert_read_only(view)
         a, b = (
-            decode_with_doping(block, given, np.random.default_rng(seed), discipline)
+            decode_with_doping(block, given, np.random.default_rng(seed))
             for given in (batch, symbols)
         )
         assert a.k_s == b.k_s == n
@@ -243,8 +241,7 @@ class TestPeeling:
         block = make_block(6)
         state = init_decoder(6, [symbol_for(block, 1), symbol_for(block, 1, 2, 3)])
         assert process_ripple_symbol(state) == 0
-        degrees = [len(nbrs) for nbrs, _ in state.iter_outputs()]
-        assert degrees == [2]
+        assert state._count == [0, 2]  # {1} is spent, {1,2,3} keeps 2 and 3
 
     def test_hand_peeled_three_symbol_chain(self):
         # {1}, {1,2}, {2,3}: decoding 1 releases 2, decoding 2 releases 3
@@ -358,15 +355,15 @@ class SetDecoder:
     Each output keeps a residual neighbour set and a residual payload (its
     payload with every decoded neighbour XORed out), each source a set of
     its outputs, and the ripple (source, payload) pairs.  An output that
-    releases is spent.  With ``ordered`` a decoded source's outputs are
-    visited in ascending order, as ``DecoderState`` visits them; without,
-    in Python's set order.  That order decides the ripple's order, and so
-    the random discipline's picks and any state taken between stalls, but
-    never a stall state: that is the peeling closure of what was decoded.
+    releases is spent, and the ripple is first in, first out.  With
+    ``ordered`` a decoded source's outputs are visited in ascending order,
+    as ``DecoderState`` visits them; without, in Python's set order.  That
+    order decides the ripple's order, and so any state taken between stalls,
+    but never a stall state: that is the peeling closure of what was decoded.
     """
 
-    def __init__(self, k, symbols, discipline, ordered):
-        self.discipline, self.ordered = discipline, ordered
+    def __init__(self, k, symbols, ordered):
+        self.ordered = ordered
         self.undecoded = set(range(1, k + 1))
         self.decoded = {}
         self.ripple = deque()
@@ -407,16 +404,8 @@ class SetDecoder:
                 self._release(oid)
         self.trajectory.append(len(self.ripple))
 
-    def step(self, rng):
-        if self.discipline == "fifo":
-            src, payload = self.ripple.popleft()
-        elif self.discipline == "lifo":
-            src, payload = self.ripple.pop()
-        else:
-            pick = int(rng.integers(len(self.ripple)))
-            self.ripple.rotate(-pick)
-            src, payload = self.ripple.popleft()
-            self.ripple.rotate(pick)
+    def step(self):
+        src, payload = self.ripple.popleft()
         self.members.discard(src)
         self.absorb(src, payload)
 
@@ -450,15 +439,15 @@ def scan_dope_degree_two(state, oracle, rng):
     return src
 
 
-def reference_decode(block, symbols, seed, discipline, ordered):
+def reference_decode(block, symbols, seed, ordered):
     """Doped decode by ``SetDecoder`` and the scan; also returns the
     degree-two outputs at every doping."""
     rng = np.random.default_rng(seed)
-    ref = SetDecoder(block.k, symbols, discipline, ordered)
+    ref = SetDecoder(block.k, symbols, ordered)
     buckets = []
     while ref.undecoded:
         if ref.ripple:
-            ref.step(rng)
+            ref.step()
         else:
             buckets.append(ref.degree_two())
             scan_dope_degree_two(ref, block.packet, rng)
@@ -466,9 +455,8 @@ def reference_decode(block, symbols, seed, discipline, ordered):
 
 
 class TestDegreeTwoBucket:
-    @pytest.mark.parametrize("discipline", ["fifo", "lifo", "random"])
     @pytest.mark.parametrize("dist_name", ["is", "rs"])
-    def test_draws_match_scan_oracle(self, dist_name, discipline):
+    def test_draws_match_scan_oracle(self, dist_name):
         k = 150
         dist = ideal_soliton(k) if dist_name == "is" else robust_soliton(k, 0.1, 0.5)
         levels = Counter()
@@ -477,11 +465,9 @@ class TestDegreeTwoBucket:
             k_s = k if seed % 2 else round(0.8 * k)
             block = make_block(k, seed=seed)
             symbols = encode_symbols(block, dist, k_s, np.random.default_rng(seed))
-            report = decode_with_doping(
-                block, symbols, np.random.default_rng(500 + seed), discipline
-            )
+            report = decode_with_doping(block, symbols, np.random.default_rng(500 + seed))
             rng = np.random.default_rng(500 + seed)
-            state = init_decoder(k, symbols, block.payload_len, discipline)
+            state = init_decoder(k, symbols, block.payload_len)
             buckets = []
             while not state.finished:
                 if state.ripple:
@@ -495,13 +481,9 @@ class TestDegreeTwoBucket:
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
             # in ascending visiting order the reference peels step for step
-            # alike; in set order (fifo and lifo only: the random picks
-            # follow the ripple's order) it stalls in the same states
-            orders = [True] if discipline == "random" else [True, False]
-            for ordered in orders:
-                ref, ref_buckets = reference_decode(
-                    block, symbols, 500 + seed, discipline, ordered
-                )
+            # alike; in set order it stalls in the same states
+            for ordered in (True, False):
+                ref, ref_buckets = reference_decode(block, symbols, 500 + seed, ordered)
                 assert report.doped_indices == tuple(ref.doped)
                 assert report.dope_levels == tuple(ref.dope_levels)
                 assert report.defected_total == ref.defected_total
@@ -520,32 +502,40 @@ class TestDegreeTwoBucket:
 
 @st.composite
 def decodes(draw):
-    """A small encoding with repeated symbols, a discipline, a seed and a
-    step count to stop at midway."""
+    """A small encoding with repeated symbols, a seed and a step count to
+    stop at midway."""
     dist, n, seed = draw(encodings())
     repeats = draw(st.integers(min_value=0, max_value=n))
-    discipline = draw(st.sampled_from(["fifo", "lifo", "random"]))
-    return dist, n, repeats, discipline, seed, draw(st.integers(0, 2 * dist.k))
+    return dist, n, repeats, seed, draw(st.integers(0, 2 * dist.k))
+
+
+def assert_peeling_invariant(state, block, symbols):
+    """Each output's residual count is the number of its undecoded
+    neighbours, and every payload decoded so far is bit-exact."""
+    undecoded = set(state.undecoded)
+    assert state._count == [len(undecoded.intersection(sym.neighbors)) for sym in symbols]
+    assert state.decoded == {
+        i: int.from_bytes(block.packet(i), "big") for i in state.decoded
+    }
+    assert set(state.decoded) == set(range(1, state.k + 1)) - undecoded
 
 
 class TestDecoderInvariants:
     @given(case=decodes())
     @settings(max_examples=150, deadline=None)
     def test_replay_and_counters(self, case):
-        dist, n, repeats, discipline, seed, midway = case
+        dist, n, repeats, seed, midway = case
         k = dist.k
         block = make_block(k, seed=seed % 1000)
         rng = np.random.default_rng(seed)
         symbols = encode_symbols(block, dist, n, rng)
         symbols = SymbolBatch.concat([symbols, symbols[:repeats]])
-        state = init_decoder(k, symbols, block.payload_len, discipline)
+        state = init_decoder(k, symbols, block.payload_len)
         steps = 0
         while not state.finished:
             if steps == midway:
-                # residual payloads replayed midway equal the residual XORs
-                for nbrs, payload in state.iter_outputs():
-                    assert len(nbrs) >= 2
-                    assert payload == int.from_bytes(block.xor_of(sorted(nbrs)), "big")
+                # replayed midway; the rest is replayed incrementally below
+                assert_peeling_invariant(state, block, symbols)
             if state.ripple:
                 process_ripple_symbol(state, rng)
             else:
@@ -624,11 +614,9 @@ class TestDecodeWithDoping:
                 process_ripple_symbol(state)
             else:
                 dope_degree_two(state, block.packet, rng)
-        groups: dict[frozenset, set[int]] = {}
-        for nbrs, payload in state.iter_outputs():
-            groups.setdefault(nbrs, set()).add(payload)
-        for payloads in groups.values():
-            assert len(payloads) == 1  # equal neighbor sets, equal residuals
+        # a duplicate row keeps its twin's residual count
+        assert_peeling_invariant(state, block, symbols)
+        assert state._count[-20:] == state._count[:20]
 
     def test_is_beats_rs_mean(self):
         k, trials = 300, 60
@@ -668,26 +656,9 @@ class TestDecodeWithDoping:
         assert tv < 0.05
 
 
-class TestRippleDisciplines:
-    @pytest.mark.parametrize("discipline", ["fifo", "lifo", "random"])
-    def test_all_disciplines_recover(self, discipline):
-        k = 100
-        block = make_block(k, seed=13)
-        rng = np.random.default_rng(14)
-        symbols = encode_symbols(block, ideal_soliton(k), k + 20, rng)
-        report = decode_with_doping(block, symbols, rng, ripple_discipline=discipline)
-        assert report.success
-        assert all(report.recovered[i] == block.packet(i) for i in range(1, k + 1))
-
-    def test_random_discipline_needs_rng(self):
-        block = make_block(4)
-        state = init_decoder(4, [symbol_for(block, 1)], ripple_discipline="random")
-        with pytest.raises(InvalidParameterError):
-            process_ripple_symbol(state, rng=None)
-
-    def test_unknown_discipline_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            DecoderState(4, 4, ripple_discipline="sorted")
+def unreleased(state):
+    """Residual degrees of the outputs not yet released (count two or more)."""
+    return [c for c in state._count if c >= 2]
 
 
 class TestUnreleasedHistogram:
@@ -700,10 +671,7 @@ class TestUnreleasedHistogram:
             block = make_block(k, seed=300 + seed)
             rng = np.random.default_rng(400 + seed)
             state = init_decoder(k, encode_symbols(block, ideal_soliton(k), k, rng), 8)
-            hist = unreleased_degree_histogram(state)
-            n = sum(1 for _ in state.iter_outputs())
-            for d, p in hist.items():
-                pooled[d] += p * n
+            pooled.update(unreleased(state))
         total = sum(pooled.values())
         start = ideal_soliton(k).pmf.copy()
         start[1] = 0.0
@@ -716,9 +684,9 @@ class TestUnreleasedHistogram:
     def test_single_output(self):
         block = make_block(5)
         state = init_decoder(5, [symbol_for(block, 1, 2, 3)])
-        assert unreleased_degree_histogram(state) == {3: 1.0}
+        assert unreleased(state) == [3]
 
     def test_empty_when_nothing_unreleased(self):
         block = make_block(3)
         state = init_decoder(3, [symbol_for(block, 2)])
-        assert unreleased_degree_histogram(state) == {}
+        assert unreleased(state) == []

@@ -1,5 +1,4 @@
 import gc
-import io
 import weakref
 
 import numpy as np
@@ -32,9 +31,9 @@ def slot_row(net, gap, index):
     return tuple(plan.slots[plan.slot_ptr[index]:plan.slot_ptr[index + 1]].tolist())
 
 
-def stored_symbols(net, store):
+def stored_symbols(net):
     """Every stored symbol, squad by squad."""
-    return [sym for gap in range(1, net.k + 1) for sym in store.squad_symbols(gap)]
+    return [sym for gap in range(1, net.k + 1) for sym in net.squad(gap).symbols]
 
 
 class TestConfig:
@@ -82,9 +81,9 @@ class TestBuild:
 
     def test_node_bounds_checked(self):
         net = build(k=5, h=2)
-        store = listen(net)
+        listen(net)
         with pytest.raises(IndexError):
-            store.squad_symbols(1)[2]
+            net.squad(1).symbols[2]
         with pytest.raises(InvalidParameterError):
             net.squad(6)
 
@@ -115,6 +114,36 @@ class TestDegreeOneDissemination:
         sources = {t.neighbors[0] for t in heard}
         assert sources == set(range(1, 10))
         assert len(heard) == 18  # both relays transmit all nine packets
+
+    @pytest.mark.parametrize("k", [5, 7, 10])
+    def test_verify_reads_the_neighbours_transmissions(self, k, monkeypatch):
+        net = build(k=k, h=1)
+        sched = nw.disseminate_degree_one(net)
+        assert sched.verify()
+        honest = nw.TransmissionSchedule.relay_transmissions
+
+        def drop_one(self, relay):
+            # relay 2 no longer forwards source 1 to relay 3
+            sent = honest(self, relay)
+            return [t for t in sent if relay != 2 or t.neighbors != (1,)]
+
+        monkeypatch.setattr(nw.TransmissionSchedule, "relay_transmissions", drop_one)
+        assert not sched.verify()
+
+    def test_verify_rejects_a_wrong_payload(self, monkeypatch):
+        net = build(k=7, h=1)
+        sched = nw.disseminate_degree_one(net)
+        honest = nw.TransmissionSchedule.relay_transmissions
+
+        def corrupt(self, relay):
+            sent = honest(self, relay)
+            if relay == 5:
+                sent[-1] = nw.Transmission(
+                    sent[-1].round, relay, sent[-1].neighbors, bytes(len(sent[-1].payload)))
+            return sent
+
+        monkeypatch.setattr(nw.TransmissionSchedule, "relay_transmissions", corrupt)
+        assert not sched.verify()
 
 
 class TestDegreeTwoDissemination:
@@ -148,23 +177,15 @@ class TestDegreeTwoDissemination:
             for t in sched.relay_transmissions(relay):
                 assert t.payload == net.block.xor_of(t.neighbors)
 
-    def test_dump_format(self):
-        net = build(k=5, h=1)
-        buf = io.StringIO()
-        nw.disseminate_degree_two(net).dump(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert len(lines) == 5 * 2
-        assert lines[0].startswith("relay=1 round=1 sources=1")
-
 
 class TestStorageListen:
     def test_coupon_nodes_store_single_packets(self):
         net = build(k=50, h=10, storage="coupon")
-        store = nw.storage_listen(net, nw.disseminate_degree_one(net))
+        nw.storage_listen(net, nw.disseminate_degree_one(net))
         seen = set()
         for gap in range(1, 51):
             for idx in range(net.squad_size(gap)):
-                sym = store.squad_symbols(gap)[idx]
+                sym = net.squad(gap).symbols[idx]
                 assert sym.degree == 1
                 assert sym.payload == net.block.packet(sym.neighbors[0])
                 seen.add(sym.neighbors[0])
@@ -174,16 +195,16 @@ class TestStorageListen:
         # a coupon node stores one source packet, never an overheard slot
         net = build(k=21, h=5, storage="coupon", dissemination="degree_two_combining",
                     storage_combine_input="degree_two_inputs")
-        store = nw.storage_listen(net, nw.disseminate_degree_two(net))
-        for sym in stored_symbols(net, store):
+        nw.storage_listen(net, nw.disseminate_degree_two(net))
+        for sym in stored_symbols(net):
             assert sym.degree == 1
             assert sym.payload == net.block.packet(sym.neighbors[0])
 
     def test_degree_one_inputs_use_planned_sources(self):
         net = build(k=12, h=2)
-        store = nw.storage_listen(net, nw.disseminate_degree_one(net))
+        nw.storage_listen(net, nw.disseminate_degree_one(net))
         replan_node(net, 3, 0, (2, 5, 9))
-        sym = store.squad_symbols(3)[0]
+        sym = net.squad(3).symbols[0]
         assert sym.neighbors == (2, 5, 9)
         assert sym.payload == net.block.xor_of((2, 5, 9))
 
@@ -193,11 +214,11 @@ class TestStorageListen:
             dissemination="degree_two_combining",
             storage_combine_input="degree_two_inputs",
         )
-        store = nw.storage_listen(net, nw.disseminate_degree_two(net))
-        heard = store.schedule.overheard(4)
+        nw.storage_listen(net, nw.disseminate_degree_two(net))
+        heard = net.schedule.overheard(4)
         replan_node(net, 4, 0, (1, 2))
         expected = set(heard[1].neighbors) ^ set(heard[2].neighbors)
-        sym = store.squad_symbols(4)[0]
+        sym = net.squad(4).symbols[0]
         assert set(sym.neighbors) == expected
         assert sym.payload == net.block.xor_of(sym.neighbors)
 
@@ -209,12 +230,12 @@ class TestStorageListen:
             dissemination="degree_two_combining",
             storage_combine_input="degree_two_inputs",
         )
-        store = nw.storage_listen(net, nw.disseminate_degree_two(net))
-        heard = store.schedule.overheard(4)
+        nw.storage_listen(net, nw.disseminate_degree_two(net))
+        heard = net.schedule.overheard(4)
         assert heard[2].neighbors == (2, 6)
         assert heard[6].neighbors == (4, 6)
         replan_node(net, 4, 1, (2, 6))
-        sym = store.squad_symbols(4)[1]
+        sym = net.squad(4).symbols[1]
         assert sym.neighbors == (2, 4)
         assert sym.payload == net.block.xor_of((2, 4))
 
@@ -225,8 +246,8 @@ class TestStorageListen:
             storage="is_combining",
             storage_combine_input="degree_two_inputs",
         )
-        store = nw.storage_listen(net, nw.disseminate_degree_two(net))
-        for sym in stored_symbols(net, store):
+        nw.storage_listen(net, nw.disseminate_degree_two(net))
+        for sym in stored_symbols(net):
             assert sym.degree >= 1
             assert sym.payload == net.block.xor_of(sym.neighbors)
 
@@ -261,16 +282,16 @@ def listen(net):
         if net.cfg.dissemination == "degree_one"
         else nw.disseminate_degree_two(net)
     )
-    return nw.storage_listen(net, schedule)
+    nw.storage_listen(net, schedule)
 
 
 class TestSquadPlans:
     @given(net=networks())
     @settings(max_examples=80, deadline=None)
     def test_stored_symbols_well_formed(self, net):
-        store = listen(net)
+        listen(net)
         for gap in range(1, net.k + 1):
-            symbols = store.squad_symbols(gap)
+            symbols = net.squad(gap).symbols
             assert len(symbols) == net.squad_size(gap)
             for idx in range(net.squad_size(gap)):
                 slots, sym = slot_row(net, gap, idx), symbols[idx]
@@ -286,9 +307,10 @@ class TestSquadPlans:
         twin = nw.Network(net.cfg, net.block, net.squad_sizes, net._node_key)
         gaps = list(range(1, net.k + 1))
         shuffled = list(np.random.default_rng(order_seed).permutation(gaps))
-        a, b = listen(net), listen(twin)
-        forward = {gap: a.squad_symbols(gap) for gap in gaps}
-        backward = {gap: b.squad_symbols(int(gap)) for gap in shuffled}
+        listen(net)
+        listen(twin)
+        forward = {gap: net.squad(gap).symbols for gap in gaps}
+        backward = {gap: twin.squad(int(gap)).symbols for gap in shuffled}
         assert forward == backward
         for gap in gaps:
             for idx in range(net.squad_size(gap)):
@@ -312,12 +334,12 @@ class TestSquadPlans:
     def test_empty_squad_has_no_symbols(self):
         cfg = NetworkConfig(k=40, h=1.0, squad_size_model="poisson", payload_len=4)
         net = nw.build_network(cfg, np.random.default_rng(3))
-        store = listen(net)
+        listen(net)
         empty = [g for g in range(1, 41) if net.squad_size(g) == 0]
         assert empty  # Poisson(1) leaves about 15 of 40 squads empty
-        assert all(store.squad_symbols(g) == [] for g in empty)
+        assert all(net.squad(g).symbols == [] for g in empty)
         with pytest.raises(IndexError):
-            store.squad_symbols(empty[0])[0]
+            net.squad(empty[0]).symbols[0]
 
 
 class TestCollect:
@@ -329,7 +351,7 @@ class TestCollect:
         gc.disable()
         try:
             del net
-            assert gone() is None  # no net <-> store cycle keeps it alive
+            assert gone() is None  # no reference cycle keeps it alive
         finally:
             gc.enable()
         assert len(symbols) == 10
@@ -389,11 +411,11 @@ class TestCollect:
     @given(net=networks(), collector=st.integers(min_value=1), share=st.floats(0, 1))
     @settings(max_examples=80, deadline=None)
     def test_batch_concatenates_drained_squads(self, net, collector, share):
-        store = listen(net)
+        listen(net)
         k_s = round(share * net.total_storage_nodes)
         symbols, rep = nw.collect(net, (collector - 1) % net.k + 1, k_s)
         assert all(net.squad_size(gap) > 0 for gap in rep.squads_drained)
-        drained = [sym for gap in rep.squads_drained for sym in store.squad_symbols(gap)]
+        drained = [sym for gap in rep.squads_drained for sym in net.squad(gap).symbols]
         assert len(symbols) == k_s and symbols == drained[:k_s]
         assert not symbols.payloads.flags.writeable
 
