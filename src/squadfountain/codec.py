@@ -209,8 +209,8 @@ def symbols_from_rows(
     """One coded symbol per CSR row ``neighbors[ptr[i]:ptr[i+1]]`` of sources.
 
     The batch is checked once, as arrays: every row non-empty, strictly
-    increasing and inside 1..k.  Every payload comes from one XOR reduction
-    over the block's packet matrix.
+    increasing and inside 1..k.  Every payload is one XOR reduction over the
+    packet matrix, read as the widest unsigned words dividing ``payload_len``.
     """
     if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != len(neighbors):
         raise InvalidParameterError("row pointers must run from 0 to the neighbor count")
@@ -222,7 +222,9 @@ def symbols_from_rows(
     step[ptr[1:-1] - 1] = 1  # a row may start below the previous row's end
     if np.any(step < 1):
         raise InvalidParameterError("neighbors must be sorted and distinct")
-    payloads = np.bitwise_xor.reduceat(block.matrix[neighbors - 1], ptr[:-1], axis=0)
+    word = next(w for w in (8, 4, 2, 1) if block.payload_len % w == 0)
+    words = block.matrix.view(f"u{word}")[neighbors - 1]
+    payloads = np.bitwise_xor.reduceat(words, ptr[:-1], axis=0).view(np.uint8)
     return SymbolBatch(ptr, neighbors, payloads)
 
 
@@ -271,9 +273,9 @@ class DecoderState:
 
     No payload is touched while peeling.  Payloads are replayed in decode
     order when first asked for: a released source's payload is its releasing
-    row's payload (turned into an int only then) XOR the replayed values of
-    that row's other neighbours, and a doped source's payload is the
-    oracle's packet.
+    row's payload (sliced from one bytes copy of the payload matrix and
+    turned into an int only then) XOR the replayed values of that row's
+    other neighbours, and a doped source's payload is the oracle's packet.
     """
 
     def __init__(self, k: int, payload_len: int, symbols: Sequence[CodedSymbol] = ()):
@@ -281,40 +283,48 @@ class DecoderState:
         self.payload_len = payload_len
         batch = SymbolBatch.of(symbols)
         n, flat = len(batch), batch.neighbors
+        if n and batch.payloads.shape[1] != payload_len:
+            raise MalformedInputError(f"symbol payloads are not {payload_len} bytes long")
         bad = (flat < 1) | (flat > k)
         if bad.any():
             row = batch[int(np.searchsorted(batch.ptr, bad.argmax(), "right")) - 1]
             raise MalformedInputError(f"symbol neighbors {row.neighbors} outside 1..{k}")
         lengths = np.diff(batch.ptr)
-        owner = np.repeat(np.arange(n), lengths)
-        self._ptr = batch.ptr.tolist()
-        self._nbrs = flat.tolist()
-        self._payloads = batch.payloads  # rows turned into ints when replayed
+        self._ptr = ptr = batch.ptr.tolist()
+        self._nbrs = nbrs = flat.tolist()
+        self._payloads = batch.payloads.tobytes()  # row oid at oid * payload_len
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
         # from one sort of (source, output) keys
         self._adj_ptr = _csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
-        self._adj = (np.sort(flat * n + owner) % n).tolist()
+        self._adj = (np.sort(flat * n + np.repeat(np.arange(n), lengths)) % n).tolist()
         self._count = lengths.tolist()
-        self._degree_two = set(np.flatnonzero(lengths == 2).tolist())
+        self._degree_two = bucket = set(np.flatnonzero(lengths == 2).tolist())
         self._flags = bytearray(k + 1)  # decoded sources
-        self._releaser = [-1] * (k + 1)  # releasing output of each source
+        self._releaser = releaser = [-1] * (k + 1)  # releasing output of each source
         self._order: list[int] = []  # decoded sources in decode order
         # payloads by source: doped ones when fetched, released ones when
         # replayed (0 before); _values holds the replayed prefix of _order
         self._vals = [0] * (k + 1)
         self._values: dict[int, int] = {}
-        self.ripple: deque[int] = deque()
+        self.ripple = ripple = deque[int]()
         self.doped: list[int] = []
         self.dope_levels: list[int] = []
-        self.defected_total = 0
-        # per-step counters; step 0 seeds the ripple
-        self._releases: list[int] = []
-        self._defected: list[int] = []
-        self._ripple_sizes: list[int] = []
-        self._dope_steps: list[int] = []
+        # step 0 seeds the ripple from the degree-one outputs; a repeat defects
         ones = np.flatnonzero(lengths == 1).tolist()
-        releases = sum(map(self._release, ones))
-        self._record(releases, len(ones) - releases)
+        for oid in ones:
+            src = nbrs[ptr[oid]]
+            if releaser[src] < 0:
+                releaser[src] = oid
+                ripple.append(src)
+        self.defected_total = len(ones) - len(ripple)
+        # per-step counters
+        self._releases, self._defected = [len(ripple)], [self.defected_total]
+        self._ripple_sizes, self._dope_steps = [len(ripple)], []
+        # what _drain reads, bound once: a one-step drain pays no look-ups
+        self._drain_state = (ripple, self._count, self._flags, releaser, ripple.popleft,
+                             ripple.append, self._order.append, bucket.add, bucket.discard,
+                             self._adj, self._adj_ptr, nbrs, ptr, self._releases.append,
+                             self._defected.append, self._ripple_sizes.append)
 
     # -- inspection ---------------------------------------------------------
 
@@ -346,14 +356,14 @@ class DecoderState:
     def _replay(self) -> list[int]:
         """Replay the sources decoded since the last call; returns the payloads
         by source, 0 for a source not decoded."""
-        values, vals = self._values, self._vals
-        nbrs, ptr = self._nbrs, self._ptr
+        values, vals, releaser = self._values, self._vals, self._releaser
+        nbrs, ptr, buf, width = self._nbrs, self._ptr, self._payloads, self.payload_len
         new = self._order[len(values):]
         for src in new:
-            oid = self._releaser[src]
+            oid = releaser[src]
             if oid < 0:  # doped
                 continue
-            value = int.from_bytes(self._payloads[oid], "big")
+            value = int.from_bytes(buf[oid * width:(oid + 1) * width], "big")
             for other in nbrs[ptr[oid]:ptr[oid + 1]]:
                 value ^= vals[other]  # src's own entry is still 0
             vals[src] = value
@@ -376,40 +386,42 @@ class DecoderState:
 
     # -- peeling ------------------------------------------------------------
 
-    def _release(self, oid: int) -> int:
-        """Put output oid's one undecoded source in the ripple; returns 1, or
-        0 when the source is there already (the output defects)."""
-        for src in self._nbrs[self._ptr[oid]:self._ptr[oid + 1]]:
-            if not self._flags[src]:
-                break
-        if self._releaser[src] >= 0:
-            return 0
-        self._releaser[src] = oid
-        self.ripple.append(src)
-        return 1
-
-    def _record(self, releases: int, defected: int) -> None:
-        self.defected_total += defected
-        self._releases.append(releases)
-        self._defected.append(defected)
-        self._ripple_sizes.append(len(self.ripple))
-
-    def _absorb(self, src: int) -> int:
-        """Record src as decoded and count down its outputs; returns releases."""
-        count, bucket = self._count, self._degree_two
-        self._flags[src] = 1
-        self._order.append(src)
-        releases = spent = 0
-        for oid in self._adj[self._adj_ptr[src]:self._adj_ptr[src + 1]]:
-            c = count[oid] - 1
-            count[oid] = c
-            if c == 2:
-                bucket.add(oid)
-            elif c == 1:
-                bucket.discard(oid)
-                releases += self._release(oid)
-                spent += 1
-        self._record(releases, spent - releases)
+    def _drain(self, steps: int = -1) -> int:
+        """Decode ripple sources oldest first, one step each, until the ripple
+        is empty or ``steps`` are taken (no limit when negative).  An output
+        brought to count one puts its one undecoded source in the ripple, or
+        defects when that source is there already.  Returns the last step's
+        releases."""
+        (ripple, count, flags, releaser, pop, push, decode, bucket_add, bucket_discard,
+         adj, adj_ptr, nbrs, ptr, log_releases, log_defected, log_size) = self._drain_state
+        defected = self.defected_total
+        releases = 0
+        while ripple and steps:
+            steps -= 1
+            src = pop()
+            flags[src] = 1
+            decode(src)
+            releases = spent = 0
+            for oid in adj[adj_ptr[src]:adj_ptr[src + 1]]:
+                c = count[oid] - 1
+                count[oid] = c
+                if c == 2:
+                    bucket_add(oid)
+                elif c == 1:
+                    bucket_discard(oid)
+                    spent += 1
+                    for last in nbrs[ptr[oid]:ptr[oid + 1]]:
+                        if not flags[last]:
+                            break
+                    if releaser[last] < 0:
+                        releaser[last] = oid
+                        push(last)
+                        releases += 1
+            defected += spent - releases
+            log_releases(releases)
+            log_defected(spent - releases)
+            log_size(len(ripple))
+        self.defected_total = defected
         return releases
 
 
@@ -431,7 +443,7 @@ def process_ripple_symbol(
     entries.  ``rng`` is unused: the ripple is first in, first out."""
     if not state.ripple:
         raise StalledDecoderError("ripple is empty; dope or stop")
-    return state._absorb(state.ripple.popleft())
+    return state._drain(1)
 
 
 def dope_degree_two(
@@ -447,8 +459,8 @@ def dope_degree_two(
     An input is thus weighted by how many of those outputs hold it, so a
     degree-two doping releases 1 + Poisson(lambda) outputs, as the ripple
     walk of ``analytics`` assumes.  With no outputs left the uncovered
-    symbols are polled uniformly.  The fetched packet is absorbed exactly
-    like a ripple symbol.
+    symbols are polled uniformly.  The fetched packet is pushed into the
+    empty ripple and decoded as one peeling step.
     """
     if state.ripple:
         raise InvalidParameterError("doping requires an empty ripple")
@@ -458,10 +470,10 @@ def dope_degree_two(
     if state._degree_two:
         lowest = 2
         holders = sorted(state._degree_two)
-    else:  # rare: rescan for the lowest residual degree above two
-        live = [oid for oid, c in enumerate(count) if c > 2]
-        lowest = min((count[oid] for oid in live), default=0)
-        holders = [oid for oid in live if count[oid] == lowest]
+    else:  # rare: scan for the lowest residual degree above two; k + 1 if none
+        counts = np.array(count)
+        lowest = int(counts.min(where=counts > 2, initial=state.k + 1))
+        holders = np.flatnonzero(counts == lowest).tolist()
     if holders:
         pair = int(rng.integers(len(holders) * lowest))
         oid = holders[pair // lowest]
@@ -482,7 +494,8 @@ def dope_degree_two(
     state.doped.append(src)
     state.dope_levels.append(level)
     state._dope_steps.append(len(state._releases))
-    state._absorb(src)
+    state.ripple.append(src)
+    state._drain(1)
     return src
 
 
@@ -520,11 +533,10 @@ def decode_with_doping(
     happened before the first stall).
     """
     state = init_decoder(block.k, symbols, block.payload_len)
+    state._drain()
     while not state.finished:
-        if state.ripple:
-            process_ripple_symbol(state, rng)
-        else:
-            dope_degree_two(state, block.packet, rng)
+        dope_degree_two(state, block.packet, rng)
+        state._drain()
     # step 0 seeds the ripple and every later step decodes one source
     stalls = [0] + [step - 1 for step in state._dope_steps]
     yields = tuple(b - a for a, b in zip(stalls, stalls[1:]))

@@ -292,3 +292,14 @@ class TestValidateCommand:
         text = out.read_text()
         assert "criterion,passed,measured,threshold" in text
         assert "dissemination,true" in text
+
+    def test_report_file_is_byte_identical_across_runs(self, tmp_path, capsys):
+        # wall time goes to stdout, never into the CSV
+        texts = []
+        for name in ("a.csv", "b.csv"):
+            code, text = run_to_file(tmp_path, name, [
+                "validate", "--seed", "1", "--criterion", "decoder_bitexact"])
+            assert code == 0 and "seconds" not in text
+            texts.append(text)
+        assert texts[0] == texts[1]
+        assert " seconds=" in capsys.readouterr().out

@@ -86,7 +86,9 @@ class TestEncoding:
 
 @st.composite
 def encodings(draw, max_k=24):
-    """A small block's distribution (IS, RS or a point mass), n and a seed."""
+    """A small block's distribution (IS, RS or a point mass), n, a payload
+    length (every word width the encoder XORs in, and odd lengths) and a
+    seed."""
     k = draw(st.integers(min_value=2, max_value=max_k))
     kind = draw(st.sampled_from(["is", "rs", "point"]))
     if kind == "is":
@@ -96,15 +98,16 @@ def encodings(draw, max_k=24):
     else:
         dist = DegreeDistribution.point_mass(k, draw(st.integers(1, k)))
     n = draw(st.integers(min_value=0, max_value=2 * k))
-    return dist, n, draw(st.integers(min_value=0, max_value=2**32 - 1))
+    payload_len = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 32, 33]))
+    return dist, n, payload_len, draw(st.integers(min_value=0, max_value=2**32 - 1))
 
 
 class TestBatchEncoder:
     @given(case=encodings())
     @settings(max_examples=100, deadline=None)
     def test_rows_payloads_and_degrees(self, case):
-        dist, n, seed = case
-        block = make_block(dist.k, seed=seed % 1000)
+        dist, n, payload_len, seed = case
+        block = make_block(dist.k, payload_len, seed=seed % 1000)
         symbols = encode_symbols(block, dist, n, np.random.default_rng(seed))
         assert len(symbols) == n
         for sym in symbols:
@@ -148,8 +151,8 @@ class TestSymbolBatch:
     @given(case=encodings(max_k=40))
     @settings(max_examples=100, deadline=None)
     def test_batch_decodes_like_its_symbols(self, case):
-        dist, n, seed = case
-        block = make_block(dist.k, seed=seed % 1000)
+        dist, n, payload_len, seed = case
+        block = make_block(dist.k, payload_len, seed=seed % 1000)
         batch = encode_symbols(block, dist, n, np.random.default_rng(seed))
         symbols = list(batch)
         assert SymbolBatch.of(symbols) == batch == symbols
@@ -166,6 +169,7 @@ class TestSymbolBatch:
         for name in ("k_d", "doped_indices", "dope_levels", "interdoping_yields",
                      "ripple_trajectory", "defected_total", "recovered"):
             assert getattr(a, name) == getattr(b, name), name
+        assert a.recovered == dict(enumerate(block.packets, start=1))
 
     def test_equality_is_by_symbols(self):
         block = make_block(6)
@@ -226,6 +230,13 @@ class TestInitDecoder:
         with pytest.raises(MalformedInputError):
             init_decoder(5, [sym])
 
+    @pytest.mark.parametrize("payload_len", [3, 5])
+    def test_payload_width_mismatch_rejected(self, payload_len):
+        # 4-byte payloads: a narrower or wider payload_len would replay
+        # the wrong bytes
+        block = make_block(5)
+        with pytest.raises(MalformedInputError):
+            init_decoder(5, [symbol_for(block, 1), symbol_for(block, 1, 2)], payload_len)
 
 class TestPeeling:
     def test_degree_two_peel_releases_partner(self):
@@ -478,8 +489,12 @@ class TestDegreeTwoBucket:
                     }
                     buckets.append(set(state._degree_two))
                     dope_degree_two(state, block.packet, rng)
+            # the drained decode and the step-by-step drive agree step for step
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
+            assert report.state.history == state.history
+            assert report.ripple_trajectory == tuple(state._ripple_sizes)
+            assert report.defected_total == state.defected_total
             # in ascending visiting order the reference peels step for step
             # alike; in set order it stalls in the same states
             for ordered in (True, False):
@@ -504,9 +519,9 @@ class TestDegreeTwoBucket:
 def decodes(draw):
     """A small encoding with repeated symbols, a seed and a step count to
     stop at midway."""
-    dist, n, seed = draw(encodings())
+    dist, n, payload_len, seed = draw(encodings())
     repeats = draw(st.integers(min_value=0, max_value=n))
-    return dist, n, repeats, seed, draw(st.integers(0, 2 * dist.k))
+    return dist, n, payload_len, repeats, seed, draw(st.integers(0, 2 * dist.k))
 
 
 def assert_peeling_invariant(state, block, symbols):
@@ -524,9 +539,9 @@ class TestDecoderInvariants:
     @given(case=decodes())
     @settings(max_examples=150, deadline=None)
     def test_replay_and_counters(self, case):
-        dist, n, repeats, seed, midway = case
+        dist, n, payload_len, repeats, seed, midway = case
         k = dist.k
-        block = make_block(k, seed=seed % 1000)
+        block = make_block(k, payload_len, seed=seed % 1000)
         rng = np.random.default_rng(seed)
         symbols = encode_symbols(block, dist, n, rng)
         symbols = SymbolBatch.concat([symbols, symbols[:repeats]])
@@ -670,7 +685,7 @@ class TestUnreleasedHistogram:
         for seed in range(10):
             block = make_block(k, seed=300 + seed)
             rng = np.random.default_rng(400 + seed)
-            state = init_decoder(k, encode_symbols(block, ideal_soliton(k), k, rng), 8)
+            state = init_decoder(k, encode_symbols(block, ideal_soliton(k), k, rng), 4)
             pooled.update(unreleased(state))
         total = sum(pooled.values())
         start = ideal_soliton(k).pmf.copy()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from squadfountain import network as nw
+from squadfountain.codec import dope_degree_two, init_decoder, process_ripple_symbol
 from squadfountain.errors import ExhaustedNetworkError, InvalidParameterError
 from squadfountain.network import NetworkConfig
 
@@ -482,6 +483,33 @@ class TestCollectionWithDoping:
         rep, _ = nw.simulate_collection_with_doping(net, 3, 60, np.random.default_rng(2))
         assert rep.success
         assert all(rep.recovered[i] == net.block.packet(i) for i in range(1, 61))
+
+    @pytest.mark.parametrize("mode, inputs, disseminate", [
+        ("degree_one", "degree_one_inputs", nw.disseminate_degree_one),
+        ("degree_two_combining", "degree_two_inputs", nw.disseminate_degree_two),
+    ], ids=["d1", "d2"])
+    def test_drained_decode_matches_step_by_step(self, mode, inputs, disseminate):
+        for seed in range(5):
+            net = build(k=200, h=20, seed=seed, dissemination=mode,
+                        storage_combine_input=inputs)
+            nw.storage_listen(net, disseminate(net))
+            report, _ = nw.simulate_collection_with_doping(
+                net, 1, 200, np.random.default_rng(seed)
+            )
+            # the drive that benchmarks/workloads.traced_decode makes
+            rng = np.random.default_rng(seed)
+            state = init_decoder(200, nw.collect(net, 1, 200)[0], net.block.payload_len)
+            while not state.finished:
+                if state.ripple:
+                    process_ripple_symbol(state, rng)
+                else:
+                    dope_degree_two(state, net.block.packet, rng)
+            assert report.state.history == state.history
+            assert report.ripple_trajectory == tuple(state._ripple_sizes)
+            assert report.defected_total == state.defected_total
+            assert report.doped_indices == tuple(state.doped)
+            assert report.dope_levels == tuple(state.dope_levels)
+            assert report.k_d > 0
 
 
 class TestMixingProperty:
