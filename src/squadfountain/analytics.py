@@ -17,8 +17,8 @@ This module provides
 
 * the degree evolution of unreleased output symbols under uniform peeling,
 * the interdoping-yield distribution, computed three independent ways
-  (closed form by the hitting-time theorem, absorbing Markov-chain matrix
-  powers, Monte Carlo walks) so each route can validate the others,
+  (closed form by the hitting-time theorem, Markov-chain matrix powers,
+  Monte Carlo walks counted per ripple size) so each validates the others,
 * expected-doping predictions (iterative schedule and the delta=0
   renewal shortcut), and
 * the expected number of source packets no collected symbol covers.
@@ -184,24 +184,37 @@ def trapping_probabilities(matrix: np.ndarray, u_max: int) -> np.ndarray:
 def simulate_walk_stopping_times(
     lam: float, n_walks: int, t_cap: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Monte Carlo stall times of the ripple walk, censored at t_cap.
+    """Monte Carlo stall times of n_walks ripple walks, censored at t_cap.
 
-    Start at two, add Poisson(lam)-1 per step, absorb at <= 0.  Walks still
-    alive at t_cap are reported as t_cap.
+    Each walk starts at two, adds Poisson(lam)-1 per step and stalls at zero;
+    walks alive at t_cap report t_cap.  The walks are i.i.d., so each step
+    splits the count of walks at every ripple size with one multinomial draw
+    over the Poisson(lam) pmf, cut where its omitted tail is below 1e-16 (the
+    multinomial gives that tail to the last cell).  Cost does not grow with
+    n_walks.  Returns n_walks int64 stall times in ascending order.
     """
+    if not isinstance(n_walks, (int, np.integer)) or n_walks < 0:
+        raise InvalidParameterError(f"n_walks must be an integer >= 0, got {n_walks}")
+    if not 0.0 < lam < math.inf:
+        raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
     if t_cap < 1:
         raise InvalidParameterError(f"t_cap must be >= 1, got {t_cap}")
-    times = np.full(n_walks, t_cap, dtype=np.int64)
-    ripple = np.full(n_walks, 2, dtype=np.int64)
-    alive = np.arange(n_walks)
+    cells = np.arange(int(lam + 40.0 * math.sqrt(lam) + 40.0))
+    cells = cells[: int(np.argmax(poisson.sf(cells, lam) < 1e-16)) + 1]
+    step_law = poisson.pmf(cells, lam)
+    stalls = np.zeros(t_cap + 1, dtype=np.int64)
+    sizes, counts = np.array([2]), np.array([n_walks], dtype=np.int64)
     for t in range(1, t_cap + 1):
-        ripple[alive] += rng.poisson(lam, size=len(alive)).astype(np.int64) - 1
-        dead = ripple[alive] <= 0
-        times[alive[dead]] = t
-        alive = alive[~dead]
-        if len(alive) == 0:
+        if not sizes.size:
             break
-    return times
+        moved = rng.multinomial(counts, step_law)
+        # float weights are exact below 2**53 walks
+        landed = np.bincount((sizes[:, None] - 1 + cells).ravel(), moved.ravel())
+        stalls[t] = landed[0]
+        sizes = np.flatnonzero(landed[1:]) + 1
+        counts = landed[sizes].astype(np.int64)
+    stalls[t_cap] += counts.sum()
+    return np.repeat(np.arange(t_cap + 1, dtype=np.int64), stalls)
 
 
 # ---------------------------------------------------------------------------

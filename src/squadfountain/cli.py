@@ -7,9 +7,9 @@ trials are independent regardless of execution order, and different seeds
 never share a trial.  CSVs carry '#'-prefixed metadata lines embedding the
 full effective configuration; those whose numbers depend on a random draw
 also carry ``stream_version``, which changes whenever the same seed would
-give different numbers.  Version 4 changed no draw: the decoder visits a
-decoded source's outputs in ascending order, which moves states taken
-between stalls (``degree_evolution``) but never a doping or a k_d.
+give different numbers.  Version 5 changes only the ripple-walk Monte
+Carlo (``validate``'s ``walk_mc``), which now draws per-size multinomial
+counts; every ``decode-sim`` data row is unchanged.
 """
 
 from __future__ import annotations
@@ -42,7 +42,8 @@ _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
 #    and validate criteria no longer share streams
 # 4: the decoder visits a decoded source's outputs in ascending order, not in
 #    Python's set order; ripple order and mid-peel states move, stalls do not
-STREAM_VERSION = 4
+# 5: ripple-walk Monte Carlo draws per-size multinomial counts
+STREAM_VERSION = 5
 # --mc-kd trials draw from streams of their own: this bit, the grid index
 # shifted past 32 bits, and the trial
 _MC_KD_STREAMS = 1 << 63

@@ -42,26 +42,23 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SourceBlock:
-    """k fixed-length source packets, indexed 1..k.
+    """k fixed-length source packets, indexed 1..k, held in one buffer.
 
-    ``matrix`` holds the same packets as a read-only k x payload_len uint8
-    array (row i - 1 is packet i), built once for vectorised XORs.
+    ``data`` is the k packets back to back; ``matrix`` views it as a
+    read-only k x payload_len uint8 array (row i - 1 is packet i) for
+    vectorised XORs, and ``packets`` splits it into k ``bytes`` when read.
     """
 
     k: int
     payload_len: int
-    packets: tuple[bytes, ...]
+    data: bytes
     matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.k < 1 or len(self.packets) != self.k:
-            raise InvalidParameterError("packets must hold exactly k entries")
-        if self.payload_len < 1 or any(
-            len(p) != self.payload_len for p in self.packets
-        ):
-            raise InvalidParameterError("all payloads must have length payload_len")
+        if min(self.k, self.payload_len) < 1 or len(self.data) != self.k * self.payload_len:
+            raise InvalidParameterError("data must hold k >= 1 payloads of payload_len >= 1 bytes")
         # a buffer over immutable bytes is read-only
-        matrix = np.frombuffer(b"".join(self.packets), dtype=np.uint8)
+        matrix = np.frombuffer(self.data, dtype=np.uint8)
         object.__setattr__(self, "matrix", matrix.reshape(self.k, self.payload_len))
 
     @classmethod
@@ -69,12 +66,16 @@ class SourceBlock:
         cls, k: int, payload_len: int, rng: np.random.Generator
     ) -> "SourceBlock":
         raw = rng.integers(0, 256, size=(k, payload_len), dtype=np.uint8)
-        return cls(k=k, payload_len=payload_len, packets=tuple(r.tobytes() for r in raw))
+        return cls(k=k, payload_len=payload_len, data=raw.tobytes())
+
+    @cached_property
+    def packets(self) -> tuple[bytes, ...]:
+        return tuple(self.packet(i) for i in range(1, self.k + 1))
 
     def packet(self, index: int) -> bytes:
         if not 1 <= index <= self.k:
             raise InvalidParameterError(f"source index {index} outside 1..{self.k}")
-        return self.packets[index - 1]
+        return self.data[(index - 1) * self.payload_len : index * self.payload_len]
 
     def xor_of(self, indices: Iterable[int]) -> bytes:
         acc = 0

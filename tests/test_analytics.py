@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import poisson
+from scipy.stats import chi2_contingency, poisson
 
 from squadfountain import analytics as an
 from squadfountain.errors import InvalidParameterError
@@ -176,15 +176,74 @@ class TestTransitionMatrixValidator:
         assert np.max(np.abs(by_matrix - by_closed_form)) < 1e-8
 
 
+def walk_by_walk_stopping_times(lam, n_walks, t_cap, rng):
+    """Reference sampler: every walk stepped on its own, one Poisson draw per
+    live walk per step, stall times in walk order."""
+    times = np.full(n_walks, t_cap, dtype=np.int64)
+    ripple = np.full(n_walks, 2, dtype=np.int64)
+    alive = np.arange(n_walks)
+    for t in range(1, t_cap + 1):
+        ripple[alive] += rng.poisson(lam, size=len(alive)).astype(np.int64) - 1
+        dead = ripple[alive] <= 0
+        times[alive[dead]] = t
+        alive = alive[~dead]
+        if len(alive) == 0:
+            break
+    return times
+
+
+WALK_ORACLE_SEED = 20260810
+
+
 class TestWalkSimulation:
-    def test_tv_against_recursion(self):
-        times = an.simulate_walk_stopping_times(1.0, 200_000, 51, np.random.default_rng(1))
-        pmf = an.interdoping_yield_pmf(1.0, 50)
+    @pytest.mark.parametrize("lam", [1.0, 1.05, 1.2])
+    def test_tv_against_recursion(self, lam):
+        times = an.simulate_walk_stopping_times(lam, 200_000, 51, np.random.default_rng(1))
+        pmf = an.interdoping_yield_pmf(lam, 50)
         emp = np.bincount(times, minlength=52) / len(times)
         tv = 0.5 * (
             np.abs(emp[2:51] - pmf.probs[2:51]).sum() + abs(emp[51] - pmf.tail)
         )
         assert tv < 0.02
+
+    @pytest.mark.parametrize("lam", [1.0, 1.2])
+    def test_same_law_as_walk_by_walk(self, lam):
+        # two-sample chi-square homogeneity of the stall-time histograms; cells
+        # holding fewer than 20 pooled walks are merged into one
+        n, t_cap = 50_000, 51
+        counted = an.simulate_walk_stopping_times(
+            lam, n, t_cap, np.random.default_rng([WALK_ORACLE_SEED, 0]))
+        walked = walk_by_walk_stopping_times(
+            lam, n, t_cap, np.random.default_rng([WALK_ORACLE_SEED, 1]))
+        hists = np.stack([np.bincount(x, minlength=t_cap + 1) for x in (counted, walked)])
+        pooled = hists.sum(axis=0)
+        big = pooled >= 20
+        table = np.column_stack([hists[:, big], hists[:, ~big].sum(axis=1)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert chi2_contingency(table).pvalue > 1e-3
+
+    @pytest.mark.parametrize("t_cap", [1, 2, 3, 51])
+    def test_shape_range_order_and_determinism(self, t_cap):
+        times = an.simulate_walk_stopping_times(1.05, 3_000, t_cap, np.random.default_rng(4))
+        again = an.simulate_walk_stopping_times(1.05, 3_000, t_cap, np.random.default_rng(4))
+        assert times.dtype == np.int64 and len(times) == 3_000
+        assert times.min() >= min(2, t_cap) and times.max() <= t_cap
+        assert np.all(np.diff(times) >= 0)
+        assert np.array_equal(times, again)
+        if t_cap == 1:
+            assert np.all(times == 1)
+
+    def test_no_walks(self):
+        times = an.simulate_walk_stopping_times(1.0, 0, 51, np.random.default_rng(5))
+        assert times.dtype == np.int64 and times.shape == (0,)
+
+    @pytest.mark.parametrize("lam, n_walks, t_cap", [
+        (1.0, -1, 51), (1.0, 2.5, 51), (0.0, 10, 51), (-1.0, 10, 51),
+        (math.nan, 10, 51), (math.inf, 10, 51), (1.0, 10, 0),
+    ])
+    def test_rejects_bad_args(self, lam, n_walks, t_cap):
+        with pytest.raises(InvalidParameterError):
+            an.simulate_walk_stopping_times(lam, n_walks, t_cap, np.random.default_rng(6))
 
     def test_expected_yield_against_walks(self):
         k = 1000

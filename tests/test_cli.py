@@ -53,7 +53,7 @@ class TestStreamVersion:
     ])
     def test_drawn_outputs_carry_version(self, tmp_path, argv):
         _, text = run_to_file(tmp_path, "v.csv", argv + ["--seed", "1"])
-        assert "# stream_version=4\n" in text
+        assert "# stream_version=5\n" in text
 
     def test_analytic_outputs_carry_none(self, tmp_path):
         _, text = run_to_file(tmp_path, "a.csv", ["analyze", "--k", "100", "--seed", "1"])
@@ -302,4 +302,9 @@ class TestValidateCommand:
             assert code == 0 and "seconds" not in text
             texts.append(text)
         assert texts[0] == texts[1]
+        assert " seconds=" in capsys.readouterr().out
+
+    def test_every_criterion_is_timed(self, capsys):
+        # yield_anchor keeps no timer of its own; run_criterion times it
+        assert main(["validate", "--criterion", "yield_anchor", "--seed", "1"]) == 0
         assert " seconds=" in capsys.readouterr().out

@@ -51,6 +51,21 @@ class _FixedPick:
         return min(self.position, n - 1)
 
 
+class TestSourceBlock:
+    def test_views_of_one_buffer(self):
+        raw = np.random.default_rng(7).integers(0, 256, size=(5, 3), dtype=np.uint8)
+        block = SourceBlock.random(5, 3, np.random.default_rng(7))
+        assert block.data == raw.tobytes()
+        assert np.array_equal(block.matrix, raw) and not block.matrix.flags.writeable
+        assert block.packets == tuple(r.tobytes() for r in raw)
+        assert [block.packet(i) for i in range(1, 6)] == list(block.packets)
+
+    @pytest.mark.parametrize("k, payload_len, size", [(0, 4, 0), (3, 0, 0), (3, 4, 11)])
+    def test_malformed_data_rejected(self, k, payload_len, size):
+        with pytest.raises(InvalidParameterError):
+            SourceBlock(k=k, payload_len=payload_len, data=bytes(size))
+
+
 class TestEncoding:
     def test_degree_one_copies_packet(self):
         block = make_block(10)
