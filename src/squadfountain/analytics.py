@@ -13,6 +13,13 @@ releases 1 + Poisson(lambda) symbols: exactly the ripple left after the
 first step of a walk started at two.  Hence P(Y=2) = e^{-2 lambda} and
 P(Y=3) = 2 lambda e^{-3 lambda}.
 
+Y is Borel-Tanner distributed (Haight & Breuer, Biometrika 1960), and its
+law at intensity lambda is an exponential tilt of the law at lambda = 1:
+
+    P_lambda(Y=t) = lambda^-2 * (lambda e^{1-lambda})^t * P_1(Y=t).
+
+So one lambda = 1 pmf serves every round of a doping schedule.
+
 This module provides
 
 * the degree evolution of unreleased output symbols under uniform peeling,
@@ -23,7 +30,9 @@ This module provides
   renewal shortcut), and
 * the expected number of source packets no collected symbol covers.
 
-All functions are pure and safe for concurrent use.
+Poisson masses are evaluated as scipy.stats does, from scipy.special, so
+importing the package does not load scipy.stats.  All functions are pure
+and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -32,12 +41,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import poisson
+from scipy.special import gammaln, pdtrc, xlogy
 
 from .degrees import DegreeDistribution
 from .errors import DivergedError, InvalidParameterError
 
 _MASS_TOL = 1e-9
+
+
+def _poisson_pmf(n, mu: float) -> np.ndarray:
+    """Poisson(mu) mass at n, evaluated as scipy.stats.poisson.pmf does; zero
+    for n < 0."""
+    n = np.asarray(n, dtype=float)
+    return np.where(n < 0, 0.0, np.exp(xlogy(n, mu) - gammaln(n + 1.0) - mu))
 
 
 def walk_intensity(k: int, delta: float, ell: float) -> float:
@@ -130,7 +146,7 @@ def interdoping_yield_pmf(lam: float, t_max: int) -> YieldPmf:
         raise InvalidParameterError(f"t_max must be >= 2, got {t_max}")
     t = np.arange(1, t_max + 1, dtype=float)
     probs = np.zeros(t_max + 1)
-    probs[1:] = 2.0 / t * poisson.pmf(t - 2.0, t * lam)
+    probs[1:] = 2.0 / t * _poisson_pmf(t - 2.0, t * lam)
     total = float(probs.sum())
     if total > 1.0 + _MASS_TOL:
         raise InvalidParameterError(f"yield masses sum to {total!r} > 1")
@@ -155,7 +171,7 @@ def ripple_transition_matrix(lam: float, k: int) -> np.ndarray:
         raise InvalidParameterError(f"lam must be positive, got {lam}")
     if k < 3:
         raise InvalidParameterError(f"k must be >= 3, got {k}")
-    eta = poisson.pmf(np.arange(k + 1), lam)
+    eta = _poisson_pmf(np.arange(k + 1), lam)
     P = np.zeros((k, k))
     P[0, 0] = 1.0
     for v in range(2, k + 1):
@@ -200,8 +216,8 @@ def simulate_walk_stopping_times(
     if t_cap < 1:
         raise InvalidParameterError(f"t_cap must be >= 1, got {t_cap}")
     cells = np.arange(int(lam + 40.0 * math.sqrt(lam) + 40.0))
-    cells = cells[: int(np.argmax(poisson.sf(cells, lam) < 1e-16)) + 1]
-    step_law = poisson.pmf(cells, lam)
+    cells = cells[: int(np.argmax(pdtrc(cells, lam) < 1e-16)) + 1]
+    step_law = _poisson_pmf(cells, lam)
     stalls = np.zeros(t_cap + 1, dtype=np.int64)
     sizes, counts = np.array([2]), np.array([n_walks], dtype=np.int64)
     for t in range(1, t_cap + 1):
@@ -222,16 +238,20 @@ def simulate_walk_stopping_times(
 # ---------------------------------------------------------------------------
 
 
+def _censored_mean(probs: np.ndarray, bound: float) -> float:
+    """E[min(Y, bound)] from P(Y=t) for t = 0..len(probs)-1, all t <= bound;
+    the mass not in probs sits at the bound."""
+    head = float(np.dot(np.arange(len(probs)), probs))
+    covered = float(probs.sum())
+    return head + (1.0 - covered) * bound
+
+
 def expected_yield(pmf: YieldPmf, k: int, l_i: float) -> float:
     """Censored mean of Y at horizon k - l_i; tail mass sits at the bound."""
     bound = k - l_i
     if bound <= 0:
         raise InvalidParameterError(f"horizon k-l_i={bound} must be positive")
-    top = min(pmf.t_max, int(bound))
-    t = np.arange(top + 1)
-    head = float(np.dot(t, pmf.probs[: top + 1]))
-    covered = float(pmf.probs[: top + 1].sum())
-    return head + (1.0 - covered) * bound
+    return _censored_mean(pmf.probs[: min(pmf.t_max, int(bound)) + 1], bound)
 
 
 @dataclass(frozen=True)
@@ -245,8 +265,8 @@ class UncoveredCount:
 def uncovered_count(k: int, delta: float) -> UncoveredCount:
     if k < 2:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
-    if delta < 0:
-        raise InvalidParameterError(f"delta must be >= 0, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise InvalidParameterError(f"delta must be finite and >= 0, got {delta}")
     draws = k * (1.0 + delta) * math.log(k)
     exact = k * (1.0 - 1.0 / k) ** draws
     approx = float(k) ** (-delta)  # k * exp(-(1+delta) ln k), exactly 1 at delta=0
@@ -285,14 +305,16 @@ def expected_dopings(k: int, delta: float) -> DopingPrediction:
     """Iterate the yield schedule until decoded mass reaches k - uncovered.
 
     Each round i holds the intensity fixed at 1 + delta*k/(k-l_i), takes the
-    censored expected yield at horizon k - l_i, and advances l by it.  The
+    censored expected yield at horizon k - l_i, and advances l by it.  Every
+    round's yield law is the lambda = 1 pmf tilted by
+    lambda^-2 * (lambda e^{1-lambda})^t, so that pmf is evaluated once.  The
     loop is guarded against non-termination at k iterations.
     """
     if k < 3:
         raise InvalidParameterError(f"k must be >= 3, got {k}")
-    if delta < 0:
-        raise InvalidParameterError(f"delta must be >= 0, got {delta}")
-    u = uncovered_count(k, delta).exact
+    u = uncovered_count(k, delta).exact  # rejects delta outside [0, inf)
+    base = interdoping_yield_pmf(1.0, k).probs
+    t = np.arange(k + 1)
     decoded = 0.0
     rounds: list[DopingRound] = []
     i = 0
@@ -305,7 +327,12 @@ def expected_dopings(k: int, delta: float) -> DopingPrediction:
         if remaining < 2.0:
             ey = remaining  # horizon too short for any finite yield mass
         else:
-            ey = expected_yield(interdoping_yield_pmf(lam, int(remaining)), k, decoded)
+            top = int(remaining) + 1
+            probs = base[:top]
+            if delta:  # at delta = 0 every round has lam = 1
+                eps = lam - 1.0
+                probs = probs * np.exp(t[:top] * (math.log1p(eps) - eps)) / lam**2
+            ey = _censored_mean(probs, remaining)
         rounds.append(
             DopingRound(index=i, decoded_before=decoded, lam=lam, expected_yield=ey)
         )

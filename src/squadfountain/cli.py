@@ -15,6 +15,7 @@ counts; every ``decode-sim`` data row is unchanged.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -85,10 +86,18 @@ def parse_delta_grid(spec: str) -> list[float]:
         a, b, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise ConfigError(f"bad delta grid {spec!r}, expected a:b:step") from exc
+    if not all(map(math.isfinite, (a, b, step))):
+        raise ConfigError(f"bad delta grid {spec!r}: values must be finite")
     if step <= 0 or b < a:
         raise ConfigError(f"bad delta grid {spec!r}: need step > 0 and b >= a")
     n = int((b - a) / step + 1e-9) + 1
     return [round(a + i * step, 12) for i in range(n)]
+
+
+def _finite_delta(delta: float) -> float:
+    if not math.isfinite(delta):
+        raise ConfigError(f"--delta must be finite, got {delta}")
+    return delta
 
 
 def load_config_file(path: str) -> dict[str, str]:
@@ -219,7 +228,8 @@ def _dist_for(name: str, k: int, rs_c: float, rs_delta: float):
 def cmd_decode_sim(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     k = args.k
-    k_s = args.ks if args.ks is not None else round(k * (1.0 + args.delta))
+    delta = _finite_delta(args.delta)
+    k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
     dists = [d.strip() for d in str(args.dist).split(",") if d.strip()]
     for d in dists:
         if d not in ("is", "rs"):
@@ -424,6 +434,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     k = args.k
     hop_model = _HOP_MODELS[args.hop_model]
+    _finite_delta(args.delta)
     h_values = [float(x) for x in str(args.h).split(",") if x]
     grid = parse_delta_grid(args.delta_grid)
     kd_table: dict[float, float] | None = None

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import pdtrc
 from scipy.stats import chi2_contingency, poisson
 
 from squadfountain import analytics as an
@@ -48,6 +53,23 @@ def recursion_yield_pmf(lam: float, t_max: int) -> np.ndarray:
             resid -= float(np.dot(probs[t - 1 : 0 : -1], echo_mass[: t - 1]))
         probs[t + 1] = max(0.0, eta0 * resid)
     return probs
+
+
+def per_round_schedule(k: int, delta: float) -> list[float]:
+    """Independent oracle: the doping schedule with one closed-form yield pmf
+    per round, evaluated at that round's intensity; returns the yields."""
+    u = an.uncovered_count(k, delta).exact
+    decoded, yields = 0.0, []
+    while decoded + u < k:
+        remaining = k - decoded
+        lam = an.walk_intensity(k, delta, decoded)
+        if remaining < 2.0:
+            ey = remaining
+        else:
+            ey = an.expected_yield(an.interdoping_yield_pmf(lam, int(remaining)), k, decoded)
+        yields.append(ey)
+        decoded += ey
+    return yields
 
 
 class TestDegreeEvolution:
@@ -148,6 +170,31 @@ class TestInterdopingYieldPmf:
                 an.interdoping_yield_pmf(lam, 50)
         with pytest.raises(InvalidParameterError):
             an.interdoping_yield_pmf(1.0, 1)
+
+
+class TestPoissonFromSpecial:
+    @pytest.mark.parametrize("mu", [0.5, 1.0, 1.05, 2.0, 7.3, 30.0, 1234.5])
+    def test_equal_to_scipy_stats(self, mu):
+        n = np.arange(-1, 300)
+        assert np.array_equal(an._poisson_pmf(n, mu), poisson.pmf(n, mu))
+        # the walk asks pdtrc for n >= 0 only: pdtrc(-1, mu) is NaN, not 1
+        assert np.array_equal(pdtrc(n[1:], mu), poisson.sf(n[1:], mu))
+
+    def test_yield_pmf_arguments(self):
+        t = np.arange(1, 2001, dtype=float)
+        for lam in (1.0, 1.2, 30.0):
+            assert np.array_equal(
+                an._poisson_pmf(t - 2.0, t * lam), poisson.pmf(t - 2.0, t * lam)
+            )
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = Path(an.__file__).resolve().parents[1]
+        code = "import sys, squadfountain; print('scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestTransitionMatrixValidator:
@@ -316,6 +363,35 @@ class TestExpectedDopings:
         assert pred.k_d == pytest.approx(pred.stall_dopings + pred.uncovered)
         assert pred.p_d == pytest.approx(100.0 * pred.k_d / 1000)
         assert len(pred.rounds) == pred.stall_dopings
+
+    @pytest.mark.parametrize("k", [3, 4, 5, 100, 1000, 5000])
+    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.06, 0.5, 20.0])
+    def test_matches_per_round_pmfs(self, k, delta):
+        pred = an.expected_dopings(k, delta)
+        want = per_round_schedule(k, delta)
+        assert pred.stall_dopings == len(want)
+        got = np.array([r.expected_yield for r in pred.rounds])
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-12
+        assert pred.k_d == pytest.approx(len(want) + pred.uncovered, rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [1.001, 1.05, 1.2, 2.0, 30.0])
+    def test_tilt_of_unit_intensity_law(self, lam):
+        t_max = 2000
+        t = np.arange(t_max + 1)
+        eps = lam - 1.0
+        base = an.interdoping_yield_pmf(1.0, t_max).probs
+        tilted = base * np.exp(t * (math.log1p(eps) - eps)) / lam**2
+        # both routes round exponents of size ~t, so agreement loosens with t
+        np.testing.assert_allclose(
+            tilted, an.interdoping_yield_pmf(lam, t_max).probs, rtol=1e-11, atol=0.0
+        )
+
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(InvalidParameterError):
+            an.expected_dopings(1000, delta)
+        with pytest.raises(InvalidParameterError):
+            an.uncovered_count(1000, delta)
 
     def test_wald_form(self):
         k = 500

@@ -2,7 +2,8 @@
 
 ``benchmarks/workloads.py`` is imported as it is.  Op 0 of each workload
 runs plain and traced; both must pass the workload's own check and give
-the same k_d, so a change the benchmark cannot consume fails here.
+the same k_d, so a change the benchmark cannot consume fails here.  Every
+op of the analytic cycle is checked against ``reference.json`` once.
 """
 
 import sys
@@ -23,3 +24,9 @@ def test_op_zero_plain_and_traced(name):
     plain, traced = wl.run(0), wl.run_traced(0, tr)
     assert wl.check(plain) and wl.check(traced)
     assert wl.kd(traced) == wl.kd(plain)
+
+
+def test_every_analytic_op_matches_reference():
+    wl = workloads.AnalyticSweep(1, Tracer())
+    failed = [wl.ops[i][1] for i in range(len(wl.ops)) if not wl.check(wl.run(i))]
+    assert not failed

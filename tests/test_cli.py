@@ -162,6 +162,28 @@ class TestAnalyze:
         assert float(rows[2]["prob"]) == pytest.approx(math.exp(-2), abs=1e-9)
 
 
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("spec", ["0:nan:0.01", "nan:0.1:0.01", "0:inf:0.01",
+                                      "0:0.1:inf", "-inf:0:0.01"])
+    def test_delta_grid_rejected(self, spec):
+        with pytest.raises(ConfigError, match="finite"):
+            parse_delta_grid(spec)
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--delta-grid", "0:nan:0.01"],
+        ["analyze", "--delta-grid", "0:inf:0.01"],
+        ["analyze", "--delta", "nan"],
+        ["analyze", "--delta", "inf"],
+        ["decode-sim", "--delta", "nan", "--k", "50", "--trials", "1"],
+        ["cost", "--strategies", "is_doping", "--delta", "nan"],
+        ["cost", "--delta-grid", "nan:0.1:0.01"],
+    ])
+    def test_clean_error(self, tmp_path, capsys, argv):
+        code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestDisseminate:
     def test_k7_degree_two(self, tmp_path):
         _, text = run_to_file(
