@@ -21,8 +21,8 @@ for k in (7, 15):
     d1 = disseminate_degree_one(net)
     d2 = disseminate_degree_two(net)
     print(f"k = {k}")
-    print(f"  plain forwarding : {len(d1.relay_transmissions(1)):3d} transmissions per relay")
-    print(f"  degree-two mode  : {len(d2.relay_transmissions(1)):3d} transmissions per relay"
+    print(f"  plain forwarding : {d1.per_relay:3d} transmissions per relay")
+    print(f"  degree-two mode  : {d2.per_relay:3d} transmissions per relay"
           f" in {d2.rounds} rounds")
     print(f"  both verified bit-exact at every relay: {d1.verify() and d2.verify()}")
     print()
@@ -30,9 +30,10 @@ for k in (7, 15):
 print("round-by-round view of relay 1 for k = 7 (degree-two mode):")
 cfg = NetworkConfig(k=7, h=1, dissemination="degree_two_combining", payload_len=8)
 net = build_network(cfg, np.random.default_rng(1))
-for t in disseminate_degree_two(net).relay_transmissions(1):
-    combo = " xor ".join(f"p{j}" for j in t.neighbors)
-    print(f"  round {t.round}: transmit {combo}")
+rounds, left, right, _ = disseminate_degree_two(net).transmissions([1])
+for r, a, b in zip(rounds, left[0], right[0]):
+    combo = " xor ".join(f"p{j}" for j in sorted({a, b}))
+    print(f"  round {r}: transmit {combo}")
 print()
 print("after round r each relay has recovered the packets r hops away on")
 print("both sides; the round-3 transmission p6 xor p3 hands its neighbors")

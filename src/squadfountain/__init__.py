@@ -60,7 +60,6 @@ from .network import (
     CollectionReport,
     Network,
     NetworkConfig,
-    Transmission,
     TransmissionSchedule,
     build_network,
     collect,

@@ -395,7 +395,7 @@ def cmd_disseminate(args: argparse.Namespace) -> int:
     rows = [
         {
             "relay": relay,
-            "transmissions": len(sched.relay_transmissions(relay)),
+            "transmissions": sched.per_relay,
             "rounds": sched.rounds,
             "verified": verified,
         }

@@ -65,6 +65,8 @@ class SourceBlock:
     def random(
         cls, k: int, payload_len: int, rng: np.random.Generator
     ) -> "SourceBlock":
+        if min(k, payload_len) < 1:
+            raise InvalidParameterError(f"need k, payload_len >= 1, got {k}, {payload_len}")
         raw = rng.integers(0, 256, size=(k, payload_len), dtype=np.uint8)
         return cls(k=k, payload_len=payload_len, data=raw.tobytes())
 
@@ -77,11 +79,13 @@ class SourceBlock:
             raise InvalidParameterError(f"source index {index} outside 1..{self.k}")
         return self.data[(index - 1) * self.payload_len : index * self.payload_len]
 
-    def xor_of(self, indices: Iterable[int]) -> bytes:
-        acc = 0
-        for i in indices:
-            acc ^= int.from_bytes(self.packet(i), "big")
-        return acc.to_bytes(self.payload_len, "big")
+    @cached_property
+    def words(self) -> np.ndarray:
+        """Read-only: the packets as the widest machine words dividing
+        payload_len, then a zero row (index k) for XORs with nothing."""
+        word = next(w for w in (8, 4, 2, 1) if self.payload_len % w == 0)
+        rows = np.frombuffer(self.data + bytes(self.payload_len), dtype=f"u{word}")
+        return rows.reshape(self.k + 1, -1)
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,7 @@ def symbols_from_rows(
 
     The batch is checked once, as arrays: every row non-empty, strictly
     increasing and inside 1..k.  Every payload is one XOR reduction over the
-    packet matrix, read as the widest unsigned words dividing ``payload_len``.
+    packets' machine words, ``block.words``.
     """
     if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != len(neighbors):
         raise InvalidParameterError("row pointers must run from 0 to the neighbor count")
@@ -223,8 +227,7 @@ def symbols_from_rows(
     step[ptr[1:-1] - 1] = 1  # a row may start below the previous row's end
     if np.any(step < 1):
         raise InvalidParameterError("neighbors must be sorted and distinct")
-    word = next(w for w in (8, 4, 2, 1) if block.payload_len % w == 0)
-    words = block.matrix.view(f"u{word}")[neighbors - 1]
+    words = block.words[neighbors - 1]
     payloads = np.bitwise_xor.reduceat(words, ptr[:-1], axis=0).view(np.uint8)
     return SymbolBatch(ptr, neighbors, payloads)
 

@@ -121,16 +121,22 @@ class SquadPlan:
     symbols: SymbolBatch
 
 
-@dataclass(frozen=True)
-class Transmission:
-    round: int
-    relay: int
-    neighbors: tuple[int, ...]
-    payload: bytes
+_VERIFY_CHUNK = 64  # relays per vectorised verify pass; bounds its memory
+
+
+def round_sources(k: int, relays, rounds) -> tuple[np.ndarray, np.ndarray]:
+    """The sources r-1 hops left and right of relay j, which its round-r
+    transmission covers (its own packet alone in round one); broadcasts."""
+    return (relays - rounds) % k + 1, (relays + rounds - 2) % k + 1
 
 
 class TransmissionSchedule:
-    """Per-relay transmissions for one dissemination mode, computed on demand."""
+    """Every relay's transmissions in one dissemination mode, as arrays on demand.
+
+    Plain forwarding sends the k packets singly: each round's left source,
+    then its right one, unless already sent.  Combining sends each round's
+    two sources as one XOR.
+    """
 
     def __init__(self, mode: str, block: SourceBlock):
         self.mode = mode
@@ -138,92 +144,84 @@ class TransmissionSchedule:
         self.k = block.k
         # every relay has received every packet after this many rounds
         self.rounds = combining_rounds(self.k)
+        self.per_relay = self.k if mode == "degree_one" else self.rounds
 
-    def relay_transmissions(self, relay: int) -> list[Transmission]:
-        k, block = self.k, self.block
-        out: list[Transmission] = []
+    def transmissions(self, relays) -> tuple[np.ndarray, ...]:
+        """``(round, left, right, payload)`` of n relays' transmissions in
+        order, shaped (per_relay,), (n, per_relay) per source (one source
+        named twice for a single packet) and (n, per_relay, payload_len)."""
+        t = np.arange(self.per_relay)
+        rnd = (t + 1) // 2 + 1 if self.mode == "degree_one" else t + 1
+        left, right = round_sources(self.k, np.asarray(relays, dtype=np.int64)[:, None], rnd)
         if self.mode == "degree_one":
-            out.append(Transmission(1, relay, (relay,), block.packet(relay)))
-            seen = {relay}
-            r = 2
-            while len(seen) < k:
-                for src in (_wrap(k, relay - r + 1), _wrap(k, relay + r - 1)):
-                    if src not in seen:
-                        seen.add(src)
-                        out.append(Transmission(r, relay, (src,), block.packet(src)))
-                r += 1
-            return out
-        out.append(Transmission(1, relay, (relay,), block.packet(relay)))
-        for r in range(2, self.rounds + 1):
-            left = _wrap(k, relay - r + 1)
-            right = _wrap(k, relay + r - 1)
-            nbrs = tuple(sorted({left, right}))
-            out.append(Transmission(r, relay, nbrs, block.xor_of(nbrs)))
-        return out
+            left = right = np.where(t % 2 == 1, left, right)
+        return rnd, left, right, self._xor(left, right).view(np.uint8)
 
-    def overheard(self, gap: int) -> list[Transmission]:
-        """Everything a shared node between relays gap and gap+1 hears."""
-        right = _wrap(self.k, gap + 1)
-        return self.relay_transmissions(gap) + self.relay_transmissions(right)
+    def _xor(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """The packets of left XOR those of right (left's alone where they
+        are equal), a machine word at a time."""
+        rows = self.block.words  # take() gathers rows several times faster than indexing
+        second = np.where(right == left, self.k, right - 1)  # row k is zero
+        return rows.take(left - 1, axis=0) ^ rows.take(second, axis=0)
 
     def verify(self) -> bool:
-        """True when every relay ends up holding all k packets bit-exact."""
-        if self.mode == "degree_one":
-            return all(self._collect_degree_one(i) for i in range(1, self.k + 1))
-        return all(self._online_decode(i) for i in range(1, self.k + 1))
-
-    def _collect_degree_one(self, relay: int) -> bool:
-        """Own packet, plus each neighbour's forwards of sources up to
-        ``rounds`` hops on its side; every one heard must be its packet."""
-        k, block = self.k, self.block
-        got = {relay}
-        for side in (-1, 1):
-            for t in self.relay_transmissions(_wrap(k, relay + side)):
-                if len(t.neighbors) != 1 or t.payload != block.packet(t.neighbors[0]):
-                    return False
-                if 1 <= side * (t.neighbors[0] - relay) % k <= self.rounds:
-                    got.add(t.neighbors[0])
-        return len(got) == k
-
-    def _online_decode(self, relay: int) -> bool:
-        """Replay the combining rounds with the rolling buffer discipline.
-
-        Rounds r >= 4 overwrite the packets recovered three rounds earlier,
-        so the live buffer never grows past eight packets; decoding each
-        incoming combination must find its matching packet still buffered.
-        """
-        k, block = self.k, self.block
-        buffer: dict[int, bytes] = {relay: block.packet(relay)}
-        recovered: dict[int, bytes] = dict(buffer)
-
-        def learn(src: int, payload: bytes) -> None:
-            buffer[src] = payload
-            recovered[src] = payload
-
-        learn(_wrap(k, relay - 1), block.packet(_wrap(k, relay - 1)))
-        learn(_wrap(k, relay + 1), block.packet(_wrap(k, relay + 1)))
-        for r in range(2, self.rounds + 1):
-            # the two round-r receptions pair one known with one new packet
-            for known, new in (
-                (_wrap(k, relay + r - 2), _wrap(k, relay - r)),
-                (_wrap(k, relay - r + 2), _wrap(k, relay + r)),
-            ):
-                combo = block.xor_of({known, new})
-                if known not in buffer:
-                    return False  # overwrite rule evicted a packet still needed
-                plain = bytes(a ^ b for a, b in zip(combo, buffer[known]))
-                if plain != block.packet(new):
-                    return False
-                learn(new, plain)
-            evict = r - 3  # drop the recoveries of round r-3 (own packet at r=4)
-            if evict >= 1:
-                for old in {_wrap(k, relay - evict + 1), _wrap(k, relay + evict - 1)}:
-                    buffer.pop(old, None)
-            if len(buffer) > 8:
+        """True when every relay ends up holding all k packets bit-exact from
+        what its two neighbours transmit: each heard payload must be the XOR
+        of the sources it names.  Relays are checked in fixed chunks."""
+        k = self.k
+        check = self._collects_all if self.mode == "degree_one" else self._decodes_online
+        for lo in range(1, k + 1, _VERIFY_CHUNK):
+            relays = np.arange(lo, min(lo + _VERIFY_CHUNK, k + 1))
+            # heard row c is the left neighbour of relays[c], row c+2 its right one
+            heard = self.transmissions(_wrap(k, np.arange(lo - 1, relays[-1] + 2)))
+            sent = heard[3].view(self.block.words.dtype)
+            if not np.array_equal(sent, self._xor(*heard[1:3])) or not check(relays, heard):
                 return False
-        return len(recovered) == k and all(
-            recovered[i] == block.packet(i) for i in recovered
-        )
+        return True
+
+    def _collects_all(self, relays: np.ndarray, heard: tuple[np.ndarray, ...]) -> bool:
+        """Plain forwarding: every heard transmission is one packet, and each
+        neighbour forwards the sources up to ``rounds`` hops out on its side,
+        which with the relay's own make all k."""
+        _, src, right, _ = heard
+        if np.any(src != right):
+            return False
+        k, i, owner = self.k, relays[:, None], np.arange(len(relays))[:, None]
+        got = np.zeros((len(relays), k + 1), dtype=bool)  # column 0 takes the far sources
+        got[owner[:, 0], relays] = True
+        for sent, hops in ((src[:-2], (i - src[:-2]) % k), (src[2:], (src[2:] - i) % k)):
+            got[owner, np.where((1 <= hops) & (hops <= self.rounds), sent, 0)] = True
+        return bool(got[:, 1:].all())
+
+    def _decodes_online(self, relays: np.ndarray, heard: tuple[np.ndarray, ...]) -> bool:
+        """Combining: replay every relay's online decoding, all rounds at once.
+
+        From its side-s neighbour (s = -1 left, +1 right) relay i hears in
+        round r a known packet r-2 hops out on the other side and a new one r
+        hops out on side s (round one: the neighbour's own packet alone).
+        XORing out the known packet gives the new one bit-exact, as each
+        payload is the XOR of the two.  The rolling buffer drops what was
+        recovered in round q after round q+4 (own packet: q = 0): the known
+        packet must still be there, and at most eight packets are ever live.
+        """
+        rnd, left, right, _ = heard
+        k, n = self.k, len(relays)
+        i, side, owner = relays[:, None], np.array([-1, 1])[:, None, None], np.arange(n)[:, None]
+        # the new packet lies on the sending neighbour's far side
+        new, known = np.stack([left[:-2], right[2:]]), np.stack([right[:-2], left[2:]])
+        expected = _wrap(k, i + side * rnd), _wrap(k, i - side * (rnd - 2))
+        if np.any(new != expected[0]) or np.any(known != expected[1]):
+            return False
+        recovered = np.full((n, k + 1), -1)  # the round each source was recovered in
+        recovered[owner[:, 0], relays] = 0
+        recovered[owner, new] = rnd
+        age = rnd - recovered[owner, known]
+        if np.any(recovered[:, 1:] < 0) or np.any(((age < 1) | (age > 4)) & (known != new)):
+            return False  # a packet never recovered, or a known one evicted or not yet there
+        width = len(rnd) + 4  # per relay, recoveries by round after three empty rounds
+        bins = owner * width + recovered[:, 1:] + 3
+        live = np.bincount(bins.ravel(), minlength=n * width).reshape(n, width).cumsum(axis=1)
+        return bool((live[:, 4:] - live[:, :-4]).max() <= 8)
 
 
 class Network:
@@ -294,9 +292,7 @@ class Network:
         k, rounds = self.k, combining_rounds(self.k)
         # slot s is round s % rounds + 1 of the left relay (s < rounds) or the right one
         relay = np.where(slots < rounds, gap, gap % k + 1)
-        r = slots % rounds + 1
-        left = (relay - r) % k + 1
-        right = (relay + r - 2) % k + 1
+        left, right = round_sources(k, relay, slots % rounds + 1)
         two = right != left  # round one carries the relay's own packet alone
         owner = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
         keys = np.concatenate([owner, owner[two]]) * (k + 1) + np.concatenate([left, right[two]])

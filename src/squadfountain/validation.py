@@ -293,8 +293,9 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
         if sched.rounds != combining_rounds(k) or not sched.verify():
             failures.append(k)
         if k == 7:
-            structure = [t.neighbors for t in sched.relay_transmissions(1)]
-            if structure != [(1,), (2, 7), (3, 6)]:
+            _, left, right, _ = sched.transmissions([1])
+            pairs = zip(left[0].tolist(), right[0].tolist())
+            if [tuple(sorted({a, b})) for a, b in pairs] != [(1,), (2, 7), (3, 6)]:
                 failures.append("round-structure")
     return CriterionResult(
         "dissemination",

@@ -177,6 +177,10 @@ class TestNonFiniteNumbers:
         ["decode-sim", "--delta", "nan", "--k", "50", "--trials", "1"],
         ["cost", "--strategies", "is_doping", "--delta", "nan"],
         ["cost", "--delta-grid", "nan:0.1:0.01"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--payload-len", "-3"],
+        ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
+         "--payload-len", "-3"],
+        ["disseminate", "--k", "7", "--payload-len", "-3"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])
@@ -209,6 +213,20 @@ class TestDisseminate:
             )
             _, rows = data_rows(text)
             assert all(r["verified"] == "true" for r in rows)
+
+    @pytest.mark.parametrize("k, mode, sent, rounds",
+                             [(7, "d1", 7, 3), (7, "d2", 3, 3), (8, "d1", 8, 4), (8, "d2", 4, 4)])
+    def test_csv_bytes(self, tmp_path, k, mode, sent, rounds):
+        _, text = run_to_file(
+            tmp_path, "g.csv",
+            ["disseminate", "--k", str(k), "--dissemination", mode, "--seed", "1"],
+        )
+        assert text == (
+            f"# command=disseminate\n# dissemination={mode}\n# k={k}\n# payload_len=32\n"
+            f"# rounds={rounds}\n# seed=1\n# stream_version=5\n# verified=true\n"
+            "relay,transmissions,rounds,verified\n"
+            + "".join(f"{relay},{sent},{rounds},true\n" for relay in range(1, k + 1))
+        )
 
 
 class TestCost:

@@ -37,6 +37,26 @@ def stored_symbols(net):
     return [sym for gap in range(1, net.k + 1) for sym in net.squad(gap).symbols]
 
 
+def xor_of(block, indices):
+    """The XOR of the given packets, one big integer at a time."""
+    acc = 0
+    for i in indices:
+        acc ^= int.from_bytes(block.packet(i), "big")
+    return acc.to_bytes(block.payload_len, "big")
+
+
+def covers(left, right):
+    """The sorted distinct sources one transmission covers."""
+    return tuple(sorted({int(left), int(right)}))
+
+
+def overheard(sched, gap):
+    """What a node between relays gap and gap+1 hears, left relay first, as
+    flat ``(round, left, right, payload)`` arrays."""
+    rnd, left, right, payload = sched.transmissions([gap, gap % sched.k + 1])
+    return np.tile(rnd, 2), left.ravel(), right.ravel(), payload.reshape(2 * len(rnd), -1)
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(InvalidParameterError):
@@ -94,9 +114,10 @@ class TestDegreeOneDissemination:
         net = build(k=3, h=1)
         sched = nw.disseminate_degree_one(net)
         for relay in (1, 2, 3):
-            tx = sched.relay_transmissions(relay)
-            assert len(tx) == 3
-            assert {t.neighbors[0] for t in tx} == {1, 2, 3}
+            _, left, right, _ = sched.transmissions([relay])
+            assert left.shape == (1, 3)
+            assert np.array_equal(left, right)
+            assert set(left[0].tolist()) == {1, 2, 3}
 
     def test_k7_ring_forwarding_coverage(self):
         net = build(k=7, h=1)
@@ -111,39 +132,42 @@ class TestDegreeOneDissemination:
     def test_shared_node_overhears_both_relays_fully(self):
         net = build(k=9, h=1)
         sched = nw.disseminate_degree_one(net)
-        heard = sched.overheard(1)  # squad between relays 1 and 2
-        sources = {t.neighbors[0] for t in heard}
-        assert sources == set(range(1, 10))
-        assert len(heard) == 18  # both relays transmit all nine packets
+        _, left, right, _ = overheard(sched, 1)  # squad between relays 1 and 2
+        assert np.array_equal(left, right)
+        assert set(left.tolist()) == set(range(1, 10))
+        assert len(left) == 18  # both relays transmit all nine packets
 
     @pytest.mark.parametrize("k", [5, 7, 10])
     def test_verify_reads_the_neighbours_transmissions(self, k, monkeypatch):
         net = build(k=k, h=1)
         sched = nw.disseminate_degree_one(net)
         assert sched.verify()
-        honest = nw.TransmissionSchedule.relay_transmissions
+        honest = nw.TransmissionSchedule.transmissions
 
-        def drop_one(self, relay):
-            # relay 2 no longer forwards source 1 to relay 3
-            sent = honest(self, relay)
-            return [t for t in sent if relay != 2 or t.neighbors != (1,)]
+        def drop_one(self, relays):
+            # relay 2 resends its own packet where it forwarded source 1 to relay 3
+            rnd, left, right, payload = honest(self, relays)
+            row, t = np.nonzero((np.asarray(relays)[:, None] == 2) & (left == 1))
+            left[row, t] = right[row, t] = 2
+            payload[row, t] = net.block.matrix[1]
+            return rnd, left, right, payload
 
-        monkeypatch.setattr(nw.TransmissionSchedule, "relay_transmissions", drop_one)
+        monkeypatch.setattr(nw.TransmissionSchedule, "transmissions", drop_one)
         assert not sched.verify()
 
-    def test_verify_rejects_a_wrong_payload(self, monkeypatch):
-        net = build(k=7, h=1)
-        sched = nw.disseminate_degree_one(net)
-        honest = nw.TransmissionSchedule.relay_transmissions
+    @pytest.mark.parametrize("mode", nw.DISSEMINATION_MODES)
+    def test_verify_rejects_a_wrong_payload(self, mode, monkeypatch):
+        sched = nw.TransmissionSchedule(mode, build(k=7, h=1).block)
+        assert sched.verify()
+        honest = nw.TransmissionSchedule.transmissions
 
-        def corrupt(self, relay):
-            sent = honest(self, relay)
-            if relay == 5:
-                sent[-1] = nw.Transmission(
-                    sent[-1].round, relay, sent[-1].neighbors, bytes(len(sent[-1].payload)))
-            return sent
+        def corrupt(self, relays):
+            # relay 5's last transmission goes out zeroed
+            rnd, left, right, payload = honest(self, relays)
+            payload[np.asarray(relays) == 5, -1] = 0
+            return rnd, left, right, payload
 
-        monkeypatch.setattr(nw.TransmissionSchedule, "relay_transmissions", corrupt)
+        monkeypatch.setattr(nw.TransmissionSchedule, "transmissions", corrupt)
         assert not sched.verify()
 
 
@@ -151,9 +175,26 @@ class TestDegreeTwoDissemination:
     def test_k7_round_structure(self):
         net = build(k=7, h=1)
         sched = nw.disseminate_degree_two(net)
-        tx = sched.relay_transmissions(1)
-        assert [t.neighbors for t in tx] == [(1,), (2, 7), (3, 6)]
+        rnd, left, right, _ = sched.transmissions([1])
+        assert [covers(a, b) for a, b in zip(left[0], right[0])] == [(1,), (2, 7), (3, 6)]
+        assert rnd.tolist() == [1, 2, 3]
         assert sched.rounds == 3
+
+    @pytest.mark.parametrize("k", [5, 7, 10])
+    def test_verify_reads_the_neighbours_combinations(self, k, monkeypatch):
+        sched = nw.disseminate_degree_two(build(k=k, h=1))
+        assert sched.verify()
+        honest = nw.TransmissionSchedule.transmissions
+
+        def repeat_own(self, relays):
+            # relay 2 resends its own packet in round two, payload and all
+            rnd, left, right, payload = honest(self, relays)
+            row = np.asarray(relays) == 2
+            left[row, 1], right[row, 1], payload[row, 1] = 2, 2, payload[row, 0]
+            return rnd, left, right, payload
+
+        monkeypatch.setattr(nw.TransmissionSchedule, "transmissions", repeat_own)
+        assert not sched.verify()
 
     def test_k5_two_rounds_bit_exact(self):
         net = build(k=5, h=1)
@@ -168,15 +209,16 @@ class TestDegreeTwoDissemination:
         d2 = nw.disseminate_degree_two(net)
         assert d1.verify() and d2.verify()
         assert d2.rounds == nw.combining_rounds(k)
-        assert len(d2.relay_transmissions(2)) == nw.combining_rounds(k)
-        assert len(d1.relay_transmissions(2)) == k
+        assert d2.transmissions([2])[1].shape == (1, nw.combining_rounds(k)) == (1, d2.per_relay)
+        assert d1.transmissions([2])[1].shape == (1, k) == (1, d1.per_relay)
 
     def test_payloads_match_neighbor_sets(self):
         net = build(k=9, h=1)
         sched = nw.disseminate_degree_two(net)
-        for relay in range(1, 10):
-            for t in sched.relay_transmissions(relay):
-                assert t.payload == net.block.xor_of(t.neighbors)
+        _, left, right, payload = sched.transmissions(range(1, 10))
+        for relay in range(9):
+            for a, b, sent in zip(left[relay], right[relay], payload[relay]):
+                assert sent.tobytes() == xor_of(net.block, covers(a, b))
 
 
 class TestStorageListen:
@@ -207,7 +249,7 @@ class TestStorageListen:
         replan_node(net, 3, 0, (2, 5, 9))
         sym = net.squad(3).symbols[0]
         assert sym.neighbors == (2, 5, 9)
-        assert sym.payload == net.block.xor_of((2, 5, 9))
+        assert sym.payload == xor_of(net.block, (2, 5, 9))
 
     def test_degree_two_inputs_track_symmetric_difference(self):
         net = build(
@@ -216,12 +258,12 @@ class TestStorageListen:
             storage_combine_input="degree_two_inputs",
         )
         nw.storage_listen(net, nw.disseminate_degree_two(net))
-        heard = net.schedule.overheard(4)
+        _, left, right, _ = overheard(net.schedule, 4)
         replan_node(net, 4, 0, (1, 2))
-        expected = set(heard[1].neighbors) ^ set(heard[2].neighbors)
+        expected = set(covers(left[1], right[1])) ^ set(covers(left[2], right[2]))
         sym = net.squad(4).symbols[0]
         assert set(sym.neighbors) == expected
-        assert sym.payload == net.block.xor_of(sym.neighbors)
+        assert sym.payload == xor_of(net.block, sym.neighbors)
 
     def test_shared_packet_cancels_out(self):
         # left relay round 3 carries {2,6}, right relay round 2 carries {4,6};
@@ -232,13 +274,13 @@ class TestStorageListen:
             storage_combine_input="degree_two_inputs",
         )
         nw.storage_listen(net, nw.disseminate_degree_two(net))
-        heard = net.schedule.overheard(4)
-        assert heard[2].neighbors == (2, 6)
-        assert heard[6].neighbors == (4, 6)
+        _, left, right, _ = overheard(net.schedule, 4)
+        assert covers(left[2], right[2]) == (2, 6)
+        assert covers(left[6], right[6]) == (4, 6)
         replan_node(net, 4, 1, (2, 6))
         sym = net.squad(4).symbols[1]
         assert sym.neighbors == (2, 4)
-        assert sym.payload == net.block.xor_of((2, 4))
+        assert sym.payload == xor_of(net.block, (2, 4))
 
     def test_all_planned_symbols_consistent(self):
         net = build(
@@ -250,7 +292,7 @@ class TestStorageListen:
         nw.storage_listen(net, nw.disseminate_degree_two(net))
         for sym in stored_symbols(net):
             assert sym.degree >= 1
-            assert sym.payload == net.block.xor_of(sym.neighbors)
+            assert sym.payload == xor_of(net.block, sym.neighbors)
 
 
 @st.composite
@@ -298,7 +340,7 @@ class TestSquadPlans:
                 slots, sym = slot_row(net, gap, idx), symbols[idx]
                 assert list(sym.neighbors) == sorted(set(sym.neighbors))
                 assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= net.k
-                assert sym.payload == net.block.xor_of(sym.neighbors)
+                assert sym.payload == xor_of(net.block, sym.neighbors)
                 assert 1 <= len(slots) <= net._slot_count
                 assert list(slots) == sorted(set(slots))
 
@@ -322,15 +364,29 @@ class TestSquadPlans:
         for k in range(3, 41):
             net = build(k=k, h=1, dissemination="degree_two_combining",
                         storage_combine_input="degree_two_inputs")
-            heard = nw.disseminate_degree_two(net).overheard(k // 2 + 1)
+            _, left, right, _ = overheard(nw.disseminate_degree_two(net), k // 2 + 1)
             basis: dict[int, int] = {}  # leading bit -> reduced row
-            for t in heard:
-                row = sum(1 << src for src in t.neighbors)
+            for a, b in zip(left, right):
+                row = sum(1 << src for src in covers(a, b))
                 while row and row.bit_length() in basis:
                     row ^= basis[row.bit_length()]
                 if row:
                     basis[row.bit_length()] = row
-            assert len(heard) == net._slot_count == len(basis), k
+            assert len(left) == net._slot_count == len(basis), k
+
+    @pytest.mark.parametrize("k", [3, 4, 7, 8, 11])
+    def test_slots_follow_the_overheard_transmissions(self, k):
+        # one round rule: a node planned on slot s stores overheard transmission s
+        net = build(k=k, h=1, dissemination="degree_two_combining",
+                    storage_combine_input="degree_two_inputs")
+        nw.storage_listen(net, nw.disseminate_degree_two(net))
+        slots = np.arange(net._slot_count)
+        for gap in range(1, k + 1):
+            _, left, right, payload = overheard(net.schedule, gap)
+            plan = net._plan_rows(gap, np.arange(len(slots) + 1), slots)
+            for s, sym in enumerate(plan.symbols):
+                assert sym.neighbors == covers(left[s], right[s]), (gap, s)
+                assert sym.payload == payload[s].tobytes()
 
     def test_empty_squad_has_no_symbols(self):
         cfg = NetworkConfig(k=40, h=1.0, squad_size_model="poisson", payload_len=4)
