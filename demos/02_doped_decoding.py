@@ -22,7 +22,6 @@ symbols = encode_symbols(block, ideal_soliton(K), K, rng)
 report = decode_with_doping(block, symbols, rng)
 
 print(f"k = {K} source packets, {report.k_s} symbols collected upfront")
-print(f"decode complete: {report.success}")
 print(f"dopings needed:  {report.k_d}  ({100 * report.k_d / K:.2f}% of k)")
 print(f"doped sources:   {report.doped_indices[:10]}{' ...' if report.k_d > 10 else ''}")
 print(f"dope step residual degrees (0 marks an uncovered poll): "

@@ -4,7 +4,6 @@ from .analytics import (
     DopingPrediction,
     UncoveredCount,
     YieldPmf,
-    degree_evolution_pmf,
     expected_dopings,
     expected_yield,
     interdoping_yield_pmf,

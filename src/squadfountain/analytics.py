@@ -68,21 +68,6 @@ def walk_intensity(k: int, delta: float, ell: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def degree_evolution_pmf(k: int, ell: int, d: int) -> float:
-    """Mass of degree d among output-symbol columns after ell uniform removals.
-
-    Closed form ((k-ell)/k) * rho(d) on 2 <= d <= k-ell, zero outside, where
-    rho is the Ideal Soliton; equals the step-by-step column recursion.
-    """
-    if not 0 <= ell <= k - 3:
-        raise InvalidParameterError(f"ell={ell} outside 0..k-3 for k={k}")
-    if d < 2:
-        raise InvalidParameterError("degree evolution is defined for d >= 2")
-    if d > k - ell:
-        return 0.0
-    return (k - ell) / k * (1.0 / (d * (d - 1.0)))
-
-
 def unreleased_degree_dist(k: int, ell: int) -> DegreeDistribution:
     """Degree law of still-unreleased output symbols at decode depth ell: the
     Ideal Soliton masses on the shrunken support {2..k-ell}, renormalized."""

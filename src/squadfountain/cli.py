@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, costs
-from .codec import decode_with_doping, encode_symbols, SourceBlock
+from .codec import decode_with_doping, encode_symbols, SourceBlock, trial_rng
 from .degrees import ideal_soliton, robust_soliton
 from .errors import ConfigError, InvalidParameterError
 from .network import (
@@ -72,13 +72,6 @@ def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[di
         with open(out_path, "w", newline="\n") as fp:
             fp.write(text)
     return text
-
-
-def trial_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox keyed by the pair (seed, stream): distinct pairs never share a key."""
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed {seed} outside 0..2**64-1")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
 
 
 def parse_delta_grid(spec: str) -> list[float]:
@@ -212,6 +205,12 @@ def _require_seed(args: argparse.Namespace) -> int:
     return seed
 
 
+def _require_trials(trials: int) -> int:
+    if trials < 1:
+        raise ConfigError(f"--trials must be at least 1, got {trials}")
+    return trials
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -227,6 +226,7 @@ def _dist_for(name: str, k: int, rs_c: float, rs_delta: float):
 
 def cmd_decode_sim(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
+    _require_trials(args.trials)
     k = args.k
     delta = _finite_delta(args.delta)
     k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
@@ -439,7 +439,7 @@ def cmd_cost(args: argparse.Namespace) -> int:
     grid = parse_delta_grid(args.delta_grid)
     kd_table: dict[float, float] | None = None
     if args.mc_kd:
-        kd_table = _mc_kd_table(k, grid, args.trials, seed)
+        kd_table = _mc_kd_table(k, grid, _require_trials(args.trials), seed)
     header = ["strategy", "k", "h", "delta", "k_s", "k_d", "c_T", "c_T_normalized"]
     rows = []
 

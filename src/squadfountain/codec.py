@@ -26,7 +26,7 @@ uncovered, symbols.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -40,26 +40,30 @@ from .errors import (
     StalledDecoderError,
 )
 
+
+def trial_rng(seed: int, stream: int) -> np.random.Generator:
+    """Philox keyed by the pair (seed, stream): distinct pairs never share a key."""
+    if not 0 <= seed < 2**64:
+        raise InvalidParameterError(f"seed {seed} outside 0..2**64-1")
+    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+
+
 @dataclass(frozen=True)
 class SourceBlock:
     """k fixed-length source packets, indexed 1..k, held in one buffer.
 
-    ``data`` is the k packets back to back; ``matrix`` views it as a
-    read-only k x payload_len uint8 array (row i - 1 is packet i) for
-    vectorised XORs, and ``packets`` splits it into k ``bytes`` when read.
+    ``data`` is the k packets back to back; ``words`` views it as read-only
+    machine words for vectorised XORs, and ``packets`` splits it into k
+    ``bytes`` when read.
     """
 
     k: int
     payload_len: int
     data: bytes
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if min(self.k, self.payload_len) < 1 or len(self.data) != self.k * self.payload_len:
             raise InvalidParameterError("data must hold k >= 1 payloads of payload_len >= 1 bytes")
-        # a buffer over immutable bytes is read-only
-        matrix = np.frombuffer(self.data, dtype=np.uint8)
-        object.__setattr__(self, "matrix", matrix.reshape(self.k, self.payload_len))
 
     @classmethod
     def random(
@@ -94,12 +98,6 @@ class CodedSymbol:
 
     neighbors: tuple[int, ...]
     payload: bytes
-
-    def __post_init__(self):
-        if len(self.neighbors) < 1:
-            raise InvalidParameterError("a coded symbol needs at least one neighbor")
-        if list(self.neighbors) != sorted(set(self.neighbors)):
-            raise InvalidParameterError("neighbors must be sorted and distinct")
 
     @property
     def degree(self) -> int:
@@ -141,18 +139,17 @@ def _distinct_rows(
     return _csr_ptr(sizes), keys % m
 
 
-class SymbolBatch(Sequence[CodedSymbol]):
+class SymbolBatch:
     """Coded symbols as read-only arrays: symbol i covers the sources
     ``neighbors[ptr[i]:ptr[i+1]]`` (sorted, distinct) and carries row i of
     the n x payload_len uint8 ``payloads``.  A ``CodedSymbol`` is built only
-    when indexed or iterated; a step-one slice is a batch of views.  A batch
-    equals a batch, list or tuple of the same symbols in order.
+    when indexed or iterated; a step-one slice is a batch of views.
     """
 
     __slots__ = ("ptr", "neighbors", "payloads")
 
     def __init__(self, ptr: np.ndarray, neighbors: np.ndarray, payloads: np.ndarray):
-        # unchecked: symbols_from_rows checks rows, and a CodedSymbol its own
+        # unchecked: symbols_from_rows checks rows, DecoderState range and width
         self.ptr, self.neighbors, self.payloads = arrays = (
             np.asarray(ptr, np.int64).view(), np.asarray(neighbors, np.int64).view(),
             np.asarray(payloads, np.uint8).view())
@@ -160,24 +157,10 @@ class SymbolBatch(Sequence[CodedSymbol]):
             arr.flags.writeable = False
 
     @classmethod
-    def of(cls, symbols: Iterable[CodedSymbol]) -> "SymbolBatch":
-        """``symbols`` as a batch, converted once; a batch is returned as is."""
-        if isinstance(symbols, SymbolBatch):
-            return symbols
-        symbols = list(symbols)
-        width = len(symbols[0].payload) if symbols else 0
-        if any(len(sym.payload) != width for sym in symbols):
-            raise MalformedInputError("symbol payloads differ in length")
-        payloads = np.frombuffer(b"".join(sym.payload for sym in symbols), np.uint8)
-        return cls(_csr_ptr(np.array([sym.degree for sym in symbols], np.int64)),
-                   np.array([s for sym in symbols for s in sym.neighbors], np.int64),
-                   payloads.reshape(len(symbols), width))
-
-    @classmethod
     def concat(cls, batches: Sequence["SymbolBatch"]) -> "SymbolBatch":
-        """The symbols of ``batches``, in order, as one batch."""
+        """The symbols of ``batches``, in order, as one batch (empty for none)."""
         if not batches:
-            return cls.of(())
+            return cls(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros((0, 0), np.uint8))
         lengths = np.concatenate([np.diff(b.ptr) for b in batches])
         return cls(_csr_ptr(lengths), np.concatenate([b.neighbors for b in batches]),
                    np.concatenate([b.payloads for b in batches]))
@@ -190,7 +173,7 @@ class SymbolBatch(Sequence[CodedSymbol]):
         if isinstance(rows, int):
             return next(iter(self[rows:rows + 1]))
         if rows.step != 1:
-            return SymbolBatch.of(map(self.__getitem__, rows))
+            raise ValueError("a symbol batch slices with step one only")
         lo, hi = rows.start, max(rows.start, rows.stop)
         ptr = self.ptr[lo:hi + 1]
         return SymbolBatch(ptr - ptr[0], self.neighbors[ptr[0]:ptr[-1]], self.payloads[lo:hi])
@@ -198,14 +181,7 @@ class SymbolBatch(Sequence[CodedSymbol]):
     def __iter__(self) -> Iterator[CodedSymbol]:
         nbrs, bounds = self.neighbors.tolist(), self.ptr.tolist()
         for lo, hi, payload in zip(bounds, bounds[1:], self.payloads):
-            sym = object.__new__(CodedSymbol)  # rows are checked as a batch
-            sym.__dict__.update(neighbors=tuple(nbrs[lo:hi]), payload=payload.tobytes())
-            yield sym
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (SymbolBatch, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
+            yield CodedSymbol(tuple(nbrs[lo:hi]), payload.tobytes())
 
 
 def symbols_from_rows(
@@ -227,7 +203,7 @@ def symbols_from_rows(
     step[ptr[1:-1] - 1] = 1  # a row may start below the previous row's end
     if np.any(step < 1):
         raise InvalidParameterError("neighbors must be sorted and distinct")
-    words = block.words[neighbors - 1]
+    words = block.words.take(neighbors - 1, axis=0)
     payloads = np.bitwise_xor.reduceat(words, ptr[:-1], axis=0).view(np.uint8)
     return SymbolBatch(ptr, neighbors, payloads)
 
@@ -265,8 +241,8 @@ class DecoderState:
     """Mutable peeling-decoder state on int arrays; single-threaded per trial.
 
     The collected rows are kept as CSR (row pointers into the flat, sorted
-    neighbours), taken straight from a ``SymbolBatch`` (a plain sequence of
-    symbols is converted once), beside the source-to-output adjacency.
+    neighbours), taken straight from a ``SymbolBatch``, beside the
+    source-to-output adjacency.
     Peeling touches only a residual count per output: when decoding a source
     brings an output's count to one, its row is rescanned for the one
     undecoded source, which joins the back of the ripple (a first-in-first-out
@@ -282,10 +258,9 @@ class DecoderState:
     other neighbours, and a doped source's payload is the oracle's packet.
     """
 
-    def __init__(self, k: int, payload_len: int, symbols: Sequence[CodedSymbol] = ()):
+    def __init__(self, k: int, payload_len: int, batch: SymbolBatch):
         self.k = k
         self.payload_len = payload_len
-        batch = SymbolBatch.of(symbols)
         n, flat = len(batch), batch.neighbors
         if n and batch.payloads.shape[1] != payload_len:
             raise MalformedInputError(f"symbol payloads are not {payload_len} bytes long")
@@ -335,10 +310,6 @@ class DecoderState:
     @property
     def decoded_count(self) -> int:
         return len(self._order)
-
-    @property
-    def ripple_size(self) -> int:
-        return len(self.ripple)
 
     @property
     def finished(self) -> bool:
@@ -429,15 +400,9 @@ class DecoderState:
         return releases
 
 
-def init_decoder(
-    k: int,
-    symbols: Sequence[CodedSymbol],
-    payload_len: int | None = None,
-) -> DecoderState:
+def init_decoder(k: int, batch: SymbolBatch, payload_len: int) -> DecoderState:
     """Build adjacency from the collected symbols and seed the ripple."""
-    if payload_len is None:
-        payload_len = len(symbols[0].payload) if symbols else 1
-    return DecoderState(k, payload_len, symbols)
+    return DecoderState(k, payload_len, batch)
 
 
 def process_ripple_symbol(
@@ -505,9 +470,9 @@ def dope_degree_two(
 
 @dataclass(frozen=True)
 class DecodeReport:
-    """Outcome of one doped decode run; ``recovered`` is replayed on first use."""
+    """Outcome of one doped decode run, which always recovers every source;
+    ``recovered`` is replayed on first use."""
 
-    success: bool
     k: int
     k_s: int
     k_d: int
@@ -526,7 +491,7 @@ class DecodeReport:
 
 def decode_with_doping(
     block: SourceBlock,
-    symbols: Sequence[CodedSymbol],
+    batch: SymbolBatch,
     rng: np.random.Generator,
 ) -> DecodeReport:
     """Run the full decode loop: dope from ``block.packet`` whenever the
@@ -536,7 +501,7 @@ def decode_with_doping(
     successive differences (the very first yield counts the decodes that
     happened before the first stall).
     """
-    state = init_decoder(block.k, symbols, block.payload_len)
+    state = init_decoder(block.k, batch, block.payload_len)
     state._drain()
     while not state.finished:
         dope_degree_two(state, block.packet, rng)
@@ -545,9 +510,8 @@ def decode_with_doping(
     stalls = [0] + [step - 1 for step in state._dope_steps]
     yields = tuple(b - a for a, b in zip(stalls, stalls[1:]))
     return DecodeReport(
-        success=state.finished,
         k=block.k,
-        k_s=len(symbols),
+        k_s=len(batch),
         k_d=len(state.doped),
         doped_indices=tuple(state.doped),
         dope_levels=tuple(state.dope_levels),

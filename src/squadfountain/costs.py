@@ -22,7 +22,6 @@ from . import analytics
 from .errors import InvalidParameterError
 
 HOP_MODELS = ("eq_costeq", "sec2")
-STRATEGIES = ("polling", "coupon", "rs_no_doping", "is_doping")
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .codec import (
     _distinct_rows,
     decode_with_doping,
     symbols_from_rows,
+    trial_rng,
 )
 from .degrees import DegreeDistribution, ideal_soliton, robust_soliton, sample_degrees
 from .errors import ExhaustedNetworkError, InvalidParameterError
@@ -269,7 +270,7 @@ class Network:
         return self._squads[gap]
 
     def _plan_squad(self, gap: int) -> SquadPlan:
-        rng = np.random.Generator(np.random.Philox(key=[self._node_key, gap]))
+        rng = trial_rng(self._node_key, gap)
         n = self.squad_size(gap)
         if self.cfg.storage == "coupon":
             return self._plan_rows(

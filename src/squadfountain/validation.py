@@ -17,7 +17,6 @@ import numpy as np
 
 from . import analytics, costs
 from .cli import main as cli_main
-from .cli import trial_rng
 from .codec import (
     SourceBlock,
     decode_with_doping,
@@ -25,6 +24,7 @@ from .codec import (
     encode_symbols,
     init_decoder,
     process_ripple_symbol,
+    trial_rng,
 )
 from .degrees import ideal_soliton, robust_soliton
 from .network import (
@@ -145,9 +145,7 @@ def criterion_decoder_bitexact(seed: int, tol: float) -> CriterionResult:
         rng = trial_rng(seed, BITEXACT_STREAMS ^ trial)
         block = SourceBlock.random(k, 32, rng)
         report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
-        if report.success and all(
-            report.recovered[i] == block.packet(i) for i in range(1, k + 1)
-        ):
+        if all(report.recovered[i] == block.packet(i) for i in range(1, k + 1)):
             exact += 1
     elapsed = time.perf_counter() - start
     passed = exact == trials and elapsed < 5.0 * tol

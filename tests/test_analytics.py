@@ -73,31 +73,35 @@ def per_round_schedule(k: int, delta: float) -> list[float]:
 
 
 class TestDegreeEvolution:
+    """The degree law of unreleased outputs against the column recursion."""
+
     def test_start_is_ideal_soliton(self):
+        # the Ideal Soliton masses on 2..50 sum to 1 - 1/50
+        res = an.unreleased_degree_dist(50, 0)
         for d in (2, 3, 10, 50):
-            assert an.degree_evolution_pmf(50, 0, d) == pytest.approx(
-                1.0 / (d * (d - 1)), abs=1e-15
-            )
+            assert res.pmf[d] == pytest.approx(1.0 / (d * (d - 1)) / (1 - 1 / 50), rel=1e-12)
 
     def test_halfway_value(self):
-        assert an.degree_evolution_pmf(1000, 500, 2) == pytest.approx(0.25, abs=1e-12)
+        res = an.unreleased_degree_dist(1000, 500)
+        assert res.pmf[2] == pytest.approx(0.5 / (1 - 1 / 500), rel=1e-12)
 
     @pytest.mark.parametrize("ell", [1, 10, 30, 47])
     def test_matches_recursion_iteration(self, ell):
+        # the column recursion shrinks every mass by the same factor, so its
+        # law normalized is the unreleased law at every degree
         k = 50
         oracle = iterate_column_degree_law(k, ell)
-        for d in range(2, k - ell + 1):
-            assert an.degree_evolution_pmf(k, ell, d) == pytest.approx(
-                oracle[d], abs=1e-12
-            )
-        for d in range(k - ell + 1, k + 1):
-            assert an.degree_evolution_pmf(k, ell, d) == 0.0
+        oracle /= oracle.sum()
+        res = an.unreleased_degree_dist(k, ell)
+        assert res.k == k - ell
+        for d in range(k + 1):
+            mass = res.pmf[d] if d <= res.k else 0.0
+            assert mass == pytest.approx(oracle[d], abs=1e-12)
 
     def test_domain_checks(self):
-        with pytest.raises(InvalidParameterError):
-            an.degree_evolution_pmf(50, 48, 2)
-        with pytest.raises(InvalidParameterError):
-            an.degree_evolution_pmf(50, 0, 1)
+        for ell in (-1, 48, 50):
+            with pytest.raises(InvalidParameterError):
+                an.unreleased_degree_dist(50, ell)
 
 
 class TestUnreleasedDegreeDist:

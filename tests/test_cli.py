@@ -133,6 +133,19 @@ class TestDecodeSim:
         assert sorted(kd[1]) != sorted(kd[2])  # not the same trials reordered
 
 
+class TestTrialCount:
+    @pytest.mark.parametrize("argv", [
+        ["decode-sim", "--k", "50", "--trials", "0"],
+        ["decode-sim", "--k", "50", "--trials", "-3"],
+        ["cost", "--k", "50", "--mc-kd", "--trials", "0"],
+        ["cost", "--k", "50", "--mc-kd", "--trials", "-1"],
+    ])
+    def test_below_one_rejected(self, tmp_path, capsys, argv):
+        code, text = run_to_file(tmp_path, "t.csv", argv + ["--seed", "1"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: --trials")
+
+
 class TestAnalyze:
     def test_delta_grid_decreasing(self, tmp_path):
         _, text = run_to_file(
