@@ -8,18 +8,13 @@ against a small rolling buffer.
 
 import numpy as np
 
-from squadfountain import (
-    NetworkConfig,
-    build_network,
-    disseminate_degree_one,
-    disseminate_degree_two,
-)
+from squadfountain import NetworkConfig, TransmissionSchedule, build_network
 
 for k in (7, 15):
     cfg = NetworkConfig(k=k, h=1, dissemination="degree_two_combining", payload_len=8)
     net = build_network(cfg, np.random.default_rng(k))
-    d1 = disseminate_degree_one(net)
-    d2 = disseminate_degree_two(net)
+    d1 = TransmissionSchedule("degree_one", net.block)
+    d2 = TransmissionSchedule("degree_two_combining", net.block)
     print(f"k = {k}")
     print(f"  plain forwarding : {d1.per_relay:3d} transmissions per relay")
     print(f"  degree-two mode  : {d2.per_relay:3d} transmissions per relay"
@@ -30,7 +25,7 @@ for k in (7, 15):
 print("round-by-round view of relay 1 for k = 7 (degree-two mode):")
 cfg = NetworkConfig(k=7, h=1, dissemination="degree_two_combining", payload_len=8)
 net = build_network(cfg, np.random.default_rng(1))
-rounds, left, right, _ = disseminate_degree_two(net).transmissions([1])
+rounds, left, right, _ = net.schedule.transmissions([1])
 for r, a, b in zip(rounds, left[0], right[0]):
     combo = " xor ".join(f"p{j}" for j in sorted({a, b}))
     print(f"  round {r}: transmit {combo}")

@@ -63,11 +63,8 @@ from .network import (
     build_network,
     collect,
     combining_rounds,
-    disseminate_degree_one,
-    disseminate_degree_two,
     ring_distance,
     simulate_collection_with_doping,
-    storage_listen,
 )
 
 __version__ = "0.1.0"

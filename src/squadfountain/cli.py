@@ -24,15 +24,8 @@ import numpy as np
 from . import analytics, costs
 from .codec import decode_with_doping, encode_symbols, SourceBlock, trial_rng
 from .degrees import ideal_soliton, robust_soliton
-from .errors import ConfigError, InvalidParameterError
-from .network import (
-    NetworkConfig,
-    build_network,
-    disseminate_degree_one,
-    disseminate_degree_two,
-    simulate_collection_with_doping,
-    storage_listen,
-)
+from .errors import ConfigError, ExhaustedNetworkError, InvalidParameterError
+from .network import NetworkConfig, build_network, simulate_collection_with_doping
 
 _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
 _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
@@ -253,12 +246,6 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
                     payload_len=args.payload_len,
                 )
                 net = build_network(cfg, rng)
-                sched = (
-                    disseminate_degree_one(net)
-                    if cfg.dissemination == "degree_one"
-                    else disseminate_degree_two(net)
-                )
-                storage_listen(net, sched)
                 report, _ = simulate_collection_with_doping(net, args.collector, k_s, rng)
             else:
                 block = SourceBlock.random(k, args.payload_len, rng)
@@ -384,12 +371,7 @@ def cmd_disseminate(args: argparse.Namespace) -> int:
         dissemination=_DISSEMINATION[args.dissemination],
         payload_len=args.payload_len,
     )
-    net = build_network(cfg, trial_rng(seed, 0))
-    sched = (
-        disseminate_degree_one(net)
-        if cfg.dissemination == "degree_one"
-        else disseminate_degree_two(net)
-    )
+    sched = build_network(cfg, trial_rng(seed, 0)).schedule
     verified = sched.verify()
     header = ["relay", "transmissions", "rounds", "verified"]
     rows = [
@@ -435,8 +417,15 @@ def cmd_cost(args: argparse.Namespace) -> int:
     k = args.k
     hop_model = _HOP_MODELS[args.hop_model]
     _finite_delta(args.delta)
-    h_values = [float(x) for x in str(args.h).split(",") if x]
+    try:
+        h_values = [float(x) for x in str(args.h).split(",") if x]
+    except ValueError as exc:
+        raise ConfigError(f"bad --h list {args.h!r}, expected numbers") from exc
     grid = parse_delta_grid(args.delta_grid)
+    names = [s.strip() for s in (args.strategies or "").split(",") if s.strip()]
+    if args.mc_kd and "is_doping" in names and args.delta not in grid:
+        # the table simulates the grid only; an analytic k_d must not pass for it
+        raise ConfigError(f"--mc-kd needs --delta on --delta-grid, got {args.delta}")
     kd_table: dict[float, float] | None = None
     if args.mc_kd:
         kd_table = _mc_kd_table(k, grid, _require_trials(args.trials), seed)
@@ -458,7 +447,6 @@ def cmd_cost(args: argparse.Namespace) -> int:
         )
 
     if args.strategies:
-        names = [s.strip() for s in args.strategies.split(",") if s.strip()]
         for h in h_values:
             for name in names:
                 override = kd_table.get(args.delta) if kd_table else None
@@ -504,6 +492,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     from . import validation
 
     seed = _require_seed(args)
+    if not 0 < args.tolerance_scale < math.inf:
+        raise ConfigError(f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
     names = list(validation.CRITERIA)
     if args.criterion:
         wanted = [c.strip() for c in args.criterion.split(",") if c.strip()]
@@ -558,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
             if isinstance(getattr(args, name, None), str):
                 setattr(args, name, getattr(args, name).lower() in ("1", "true", "yes"))
         return _COMMANDS[args.command](args)
-    except (ConfigError, InvalidParameterError) as exc:
+    except (ConfigError, InvalidParameterError, ExhaustedNetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

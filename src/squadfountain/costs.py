@@ -42,8 +42,8 @@ class CostPoint:
 
 def supersquad_squads(k_s: float, h: float) -> int:
     """Number of squads the collector drains: ceil(k_s/h); zero when k_s=0."""
-    if h < 1:
-        raise InvalidParameterError(f"h must be >= 1, got {h}")
+    if not 1 <= h < math.inf:
+        raise InvalidParameterError(f"h must be finite and >= 1, got {h}")
     if k_s <= 0:
         return 0
     return math.ceil(k_s / h)
@@ -80,6 +80,8 @@ def coupon_residual_uncovered(k: int, k_s: float) -> float:
 
 def rs_symbol_requirement(k: int, eps_rs: float = 0.5) -> float:
     """Symbols for stall-free decoding under the heavy-tailed-degree bound."""
+    if not 0.0 < eps_rs < 1.0:
+        raise InvalidParameterError(f"eps_rs must lie in (0,1), got {eps_rs}")
     return k + math.sqrt(k) * math.log(k / eps_rs) ** 2
 
 

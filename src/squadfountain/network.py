@@ -76,8 +76,8 @@ class NetworkConfig:
     def __post_init__(self):
         if self.k < 3:
             raise InvalidParameterError(f"k must be >= 3, got {self.k}")
-        if self.h < 1:
-            raise InvalidParameterError(f"h must be >= 1, got {self.h}")
+        if not 1 <= self.h < np.inf:
+            raise InvalidParameterError(f"h must be finite and >= 1, got {self.h}")
         if self.squad_size_model not in SQUAD_SIZE_MODELS:
             raise InvalidParameterError(f"unknown squad_size_model {self.squad_size_model!r}")
         if self.dissemination not in DISSEMINATION_MODES:
@@ -226,7 +226,8 @@ class TransmissionSchedule:
 
 
 class Network:
-    """Relays, squads, and lazily planned storage nodes."""
+    """Relays, the dissemination schedule its config names, squads, and
+    lazily planned storage nodes."""
 
     def __init__(
         self,
@@ -240,14 +241,14 @@ class Network:
         self.squad_sizes = squad_sizes
         self._node_key = node_key
         self._dist = cfg.degree_distribution()
+        self.schedule = TransmissionSchedule(cfg.dissemination, block)
         self._squads: dict[int, SquadPlan] = {}
         # degree-two inputs combine overheard transmissions; coupon nodes and
         # degree-one inputs hold source packets
         self._combines_slots = (
             cfg.storage != "coupon" and cfg.storage_combine_input == "degree_two_inputs"
         )
-        self._slot_count = 2 * combining_rounds(cfg.k) if self._combines_slots else cfg.k
-        self.schedule: TransmissionSchedule | None = None  # set by storage_listen
+        self._slot_count = 2 * self.schedule.rounds if self._combines_slots else cfg.k
 
     @property
     def k(self) -> int:
@@ -290,7 +291,7 @@ class Network:
         """
         if not self._combines_slots:
             return SquadPlan(ptr, slots, symbols_from_rows(self.block, ptr, slots))
-        k, rounds = self.k, combining_rounds(self.k)
+        k, rounds = self.k, self.schedule.rounds
         # slot s is round s % rounds + 1 of the left relay (s < rounds) or the right one
         relay = np.where(slots < rounds, gap, gap % k + 1)
         left, right = round_sources(k, relay, slots % rounds + 1)
@@ -314,6 +315,8 @@ def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:
     return Network(cfg, block, sizes, node_key)
 
 
+# The benchmark harness (benchmarks/workloads.py) still calls these three;
+# nothing in the package does, as every network owns its schedule.
 def disseminate_degree_one(net: Network) -> TransmissionSchedule:
     """Plain forwarding: every relay transmits each packet exactly once."""
     return TransmissionSchedule("degree_one", net.block)
@@ -325,13 +328,11 @@ def disseminate_degree_two(net: Network) -> TransmissionSchedule:
 
 
 def storage_listen(net: Network, schedule: TransmissionSchedule) -> None:
-    """Record the schedule the storage nodes overhear; ``collect`` needs one.
-    Squad plans make the nodes' symbols from the sources they cover."""
+    """Reject a schedule whose mode is not the network's; store nothing."""
     if net.cfg.dissemination != schedule.mode:
         raise InvalidParameterError(
             f"schedule mode {schedule.mode!r} does not match config"
         )
-    net.schedule = schedule
 
 
 @dataclass(frozen=True)
@@ -368,8 +369,6 @@ def collect(
     A symbol from the j-th squad drained (0-based) is charged j/2 + 1 hops,
     which makes a full supersquad average exactly (s-1)/4 + 1 per symbol.
     """
-    if net.schedule is None:
-        raise InvalidParameterError("run storage_listen before collecting")
     if not 1 <= collector_relay <= net.k:
         raise InvalidParameterError(f"collector relay {collector_relay} outside 1..{net.k}")
     if k_s < 0:

@@ -31,10 +31,7 @@ from .network import (
     NetworkConfig,
     build_network,
     combining_rounds,
-    disseminate_degree_one,
-    disseminate_degree_two,
     simulate_collection_with_doping,
-    storage_listen,
 )
 
 DEFAULT_SEED = 20260810
@@ -108,7 +105,6 @@ def network_doping_sample(seed: int, trials: int = 200) -> np.ndarray:
         for trial in range(trials):
             rng = trial_rng(seed, NETWORK_STREAMS ^ trial)
             net = build_network(cfg, rng)
-            storage_listen(net, disseminate_degree_one(net))
             report, _ = simulate_collection_with_doping(net, 1, 1000, rng)
             kd[trial] = report.k_d
         _CACHE[key] = kd
@@ -286,8 +282,7 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
     failures = []
     for k in (3, 5, 7, 9, 15):
         cfg = NetworkConfig(k=k, h=1, dissemination="degree_two_combining", payload_len=16)
-        net = build_network(cfg, trial_rng(seed, DISSEMINATION_STREAMS ^ k))
-        sched = disseminate_degree_two(net)
+        sched = build_network(cfg, trial_rng(seed, DISSEMINATION_STREAMS ^ k)).schedule
         if sched.rounds != combining_rounds(k) or not sched.verify():
             failures.append(k)
         if k == 7:

@@ -194,6 +194,19 @@ class TestNonFiniteNumbers:
         ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
          "--payload-len", "-3"],
         ["disseminate", "--k", "7", "--payload-len", "-3"],
+        ["decode-sim", "--network", "--k", "20", "--h", "2", "--ks", "100", "--trials", "1"],
+        ["decode-sim", "--network", "--k", "20", "--h", "nan", "--trials", "1"],
+        ["decode-sim", "--network", "--k", "20", "--h", "inf", "--trials", "1"],
+        ["cost", "--h", "nan"],
+        ["cost", "--h", "inf"],
+        ["cost", "--h", "abc"],
+        ["cost", "--strategies", "rs_no_doping", "--eps-rs", "0"],
+        ["cost", "--strategies", "rs_no_doping", "--eps-rs", "-1"],
+        ["cost", "--strategies", "is_doping", "--delta", "0.1", "--k", "200", "--h", "50",
+         "--mc-kd", "--trials", "3"],
+        ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "nan"],
+        ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "0"],
+        ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "-1"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])

@@ -17,6 +17,11 @@ class TestSupersquadSquads:
         with pytest.raises(InvalidParameterError):
             costs.supersquad_squads(10, 0.5)
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf])
+    def test_rejects_non_finite_h(self, h):
+        with pytest.raises(InvalidParameterError):
+            costs.supersquad_squads(10, h)
+
 
 class TestCollectionCost:
     def test_pure_polling(self):
@@ -54,6 +59,11 @@ class TestStrategyCost:
         point = costs.strategy_cost("rs_no_doping", 2000, 100)
         assert point.k_s == pytest.approx(2000 + math.sqrt(2000) * math.log(4000) ** 2)
         assert point.k_d == 0
+
+    @pytest.mark.parametrize("eps_rs", [0.0, -1.0, 1.0, math.nan])
+    def test_rs_requirement_needs_eps_in_unit_interval(self, eps_rs):
+        with pytest.raises(InvalidParameterError):
+            costs.rs_symbol_requirement(2000, eps_rs)
 
     def test_is_doping_override(self):
         point = costs.strategy_cost("is_doping", 2000, 100, delta=0.02, k_d_override=12.5)

@@ -68,6 +68,9 @@ class TestConfig:
             NetworkConfig(k=2, h=1)
         with pytest.raises(InvalidParameterError):
             NetworkConfig(k=10, h=0.5)
+        for h in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError):
+                NetworkConfig(k=10, h=h, squad_size_model="poisson")
         with pytest.raises(InvalidParameterError):
             NetworkConfig(k=10, h=2.5, squad_size_model="fixed")
         with pytest.raises(InvalidParameterError):
@@ -105,9 +108,14 @@ class TestBuild:
             assert slot_row(a, gap, idx) == slot_row(b, gap, idx)
         assert slot_row(a, 2, 1) == slot_row(a, 2, 1)
 
+    @pytest.mark.parametrize("mode", nw.DISSEMINATION_MODES)
+    def test_owns_the_schedule_its_config_names(self, mode):
+        net = build(k=9, h=1, dissemination=mode)
+        assert net.schedule.mode == net.cfg.dissemination == mode
+        assert net.schedule.block is net.block and net.schedule.verify()
+
     def test_node_bounds_checked(self):
         net = build(k=5, h=2)
-        listen(net)
         with pytest.raises(IndexError):
             net.squad(1).symbols[2]
         with pytest.raises(InvalidParameterError):
@@ -116,8 +124,7 @@ class TestBuild:
 
 class TestDegreeOneDissemination:
     def test_k3_full_circulation(self):
-        net = build(k=3, h=1)
-        sched = nw.disseminate_degree_one(net)
+        sched = build(k=3, h=1).schedule
         for relay in (1, 2, 3):
             _, left, right, _ = sched.transmissions([relay])
             assert left.shape == (1, 3)
@@ -125,8 +132,7 @@ class TestDegreeOneDissemination:
             assert set(left[0].tolist()) == {1, 2, 3}
 
     def test_k7_ring_forwarding_coverage(self):
-        net = build(k=7, h=1)
-        sched = nw.disseminate_degree_one(net)
+        sched = build(k=7, h=1).schedule
         # relay 1 hears neighbors' round-r forwards: distance r both ways
         received = set()
         for r in range(1, 4):
@@ -135,8 +141,7 @@ class TestDegreeOneDissemination:
         assert sched.rounds == 3 and sched.verify()
 
     def test_shared_node_overhears_both_relays_fully(self):
-        net = build(k=9, h=1)
-        sched = nw.disseminate_degree_one(net)
+        sched = build(k=9, h=1).schedule
         _, left, right, _ = overheard(sched, 1)  # squad between relays 1 and 2
         assert np.array_equal(left, right)
         assert set(left.tolist()) == set(range(1, 10))
@@ -145,7 +150,7 @@ class TestDegreeOneDissemination:
     @pytest.mark.parametrize("k", [5, 7, 10])
     def test_verify_reads_the_neighbours_transmissions(self, k, monkeypatch):
         net = build(k=k, h=1)
-        sched = nw.disseminate_degree_one(net)
+        sched = net.schedule
         assert sched.verify()
         honest = nw.TransmissionSchedule.transmissions
 
@@ -178,8 +183,7 @@ class TestDegreeOneDissemination:
 
 class TestDegreeTwoDissemination:
     def test_k7_round_structure(self):
-        net = build(k=7, h=1)
-        sched = nw.disseminate_degree_two(net)
+        sched = build(k=7, h=1, dissemination="degree_two_combining").schedule
         rnd, left, right, _ = sched.transmissions([1])
         assert [covers(a, b) for a, b in zip(left[0], right[0])] == [(1,), (2, 7), (3, 6)]
         assert rnd.tolist() == [1, 2, 3]
@@ -187,7 +191,7 @@ class TestDegreeTwoDissemination:
 
     @pytest.mark.parametrize("k", [5, 7, 10])
     def test_verify_reads_the_neighbours_combinations(self, k, monkeypatch):
-        sched = nw.disseminate_degree_two(build(k=k, h=1))
+        sched = build(k=k, h=1, dissemination="degree_two_combining").schedule
         assert sched.verify()
         honest = nw.TransmissionSchedule.transmissions
 
@@ -202,24 +206,23 @@ class TestDegreeTwoDissemination:
         assert not sched.verify()
 
     def test_k5_two_rounds_bit_exact(self):
-        net = build(k=5, h=1)
-        sched = nw.disseminate_degree_two(net)
+        sched = build(k=5, h=1, dissemination="degree_two_combining").schedule
         assert sched.rounds == 2
         assert sched.verify()
 
     @pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9, 12, 15, 16])
     def test_equivalence_and_round_counts(self, k):
         net = build(k=k, h=1, seed=k)
-        d1 = nw.disseminate_degree_one(net)
-        d2 = nw.disseminate_degree_two(net)
+        d1 = nw.TransmissionSchedule("degree_one", net.block)
+        d2 = nw.TransmissionSchedule("degree_two_combining", net.block)
         assert d1.verify() and d2.verify()
         assert d2.rounds == nw.combining_rounds(k)
         assert d2.transmissions([2])[1].shape == (1, nw.combining_rounds(k)) == (1, d2.per_relay)
         assert d1.transmissions([2])[1].shape == (1, k) == (1, d1.per_relay)
 
     def test_payloads_match_neighbor_sets(self):
-        net = build(k=9, h=1)
-        sched = nw.disseminate_degree_two(net)
+        net = build(k=9, h=1, dissemination="degree_two_combining")
+        sched = net.schedule
         _, left, right, payload = sched.transmissions(range(1, 10))
         for relay in range(9):
             for a, b, sent in zip(left[relay], right[relay], payload[relay]):
@@ -227,9 +230,16 @@ class TestDegreeTwoDissemination:
 
 
 class TestStorageListen:
+    @pytest.mark.parametrize("mode", nw.DISSEMINATION_MODES)
+    def test_rejects_a_schedule_of_the_other_mode(self, mode):
+        net = build(k=9, h=2, dissemination=mode)
+        other, = set(nw.DISSEMINATION_MODES) - {mode}
+        nw.storage_listen(net, nw.TransmissionSchedule(mode, net.block))
+        with pytest.raises(InvalidParameterError, match="does not match"):
+            nw.storage_listen(net, nw.TransmissionSchedule(other, net.block))
+
     def test_coupon_nodes_store_single_packets(self):
         net = build(k=50, h=10, storage="coupon")
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         seen = set()
         for gap in range(1, 51):
             for idx in range(net.squad_size(gap)):
@@ -243,14 +253,12 @@ class TestStorageListen:
         # a coupon node stores one source packet, never an overheard slot
         net = build(k=21, h=5, storage="coupon", dissemination="degree_two_combining",
                     storage_combine_input="degree_two_inputs")
-        nw.storage_listen(net, nw.disseminate_degree_two(net))
         for sym in stored_symbols(net):
             assert sym.degree == 1
             assert sym.payload == net.block.packet(sym.neighbors[0])
 
     def test_degree_one_inputs_use_planned_sources(self):
         net = build(k=12, h=2)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         replan_node(net, 3, 0, (2, 5, 9))
         sym = net.squad(3).symbols[0]
         assert sym.neighbors == (2, 5, 9)
@@ -262,7 +270,6 @@ class TestStorageListen:
             dissemination="degree_two_combining",
             storage_combine_input="degree_two_inputs",
         )
-        nw.storage_listen(net, nw.disseminate_degree_two(net))
         _, left, right, _ = overheard(net.schedule, 4)
         replan_node(net, 4, 0, (1, 2))
         expected = set(covers(left[1], right[1])) ^ set(covers(left[2], right[2]))
@@ -278,7 +285,6 @@ class TestStorageListen:
             dissemination="degree_two_combining",
             storage_combine_input="degree_two_inputs",
         )
-        nw.storage_listen(net, nw.disseminate_degree_two(net))
         _, left, right, _ = overheard(net.schedule, 4)
         assert covers(left[2], right[2]) == (2, 6)
         assert covers(left[6], right[6]) == (4, 6)
@@ -294,7 +300,6 @@ class TestStorageListen:
             storage="is_combining",
             storage_combine_input="degree_two_inputs",
         )
-        nw.storage_listen(net, nw.disseminate_degree_two(net))
         for sym in stored_symbols(net):
             assert sym.degree >= 1
             assert sym.payload == xor_of(net.block, sym.neighbors)
@@ -324,20 +329,10 @@ def networks(draw):
     )
 
 
-def listen(net):
-    schedule = (
-        nw.disseminate_degree_one(net)
-        if net.cfg.dissemination == "degree_one"
-        else nw.disseminate_degree_two(net)
-    )
-    nw.storage_listen(net, schedule)
-
-
 class TestSquadPlans:
     @given(net=networks())
     @settings(max_examples=80, deadline=None)
     def test_stored_symbols_well_formed(self, net):
-        listen(net)
         for gap in range(1, net.k + 1):
             symbols = net.squad(gap).symbols
             assert len(symbols) == net.squad_size(gap)
@@ -355,8 +350,6 @@ class TestSquadPlans:
         twin = nw.Network(net.cfg, net.block, net.squad_sizes, net._node_key)
         gaps = list(range(1, net.k + 1))
         shuffled = list(np.random.default_rng(order_seed).permutation(gaps))
-        listen(net)
-        listen(twin)
         forward = {gap: list(net.squad(gap).symbols) for gap in gaps}
         backward = {gap: list(twin.squad(int(gap)).symbols) for gap in shuffled}
         assert forward == backward
@@ -369,7 +362,7 @@ class TestSquadPlans:
         for k in range(3, 41):
             net = build(k=k, h=1, dissemination="degree_two_combining",
                         storage_combine_input="degree_two_inputs")
-            _, left, right, _ = overheard(nw.disseminate_degree_two(net), k // 2 + 1)
+            _, left, right, _ = overheard(net.schedule, k // 2 + 1)
             basis: dict[int, int] = {}  # leading bit -> reduced row
             for a, b in zip(left, right):
                 row = sum(1 << src for src in covers(a, b))
@@ -384,7 +377,6 @@ class TestSquadPlans:
         # one round rule: a node planned on slot s stores overheard transmission s
         net = build(k=k, h=1, dissemination="degree_two_combining",
                     storage_combine_input="degree_two_inputs")
-        nw.storage_listen(net, nw.disseminate_degree_two(net))
         slots = np.arange(net._slot_count)
         for gap in range(1, k + 1):
             _, left, right, payload = overheard(net.schedule, gap)
@@ -396,7 +388,6 @@ class TestSquadPlans:
     def test_empty_squad_has_no_symbols(self):
         cfg = NetworkConfig(k=40, h=1.0, squad_size_model="poisson", payload_len=4)
         net = nw.build_network(cfg, np.random.default_rng(3))
-        listen(net)
         empty = [g for g in range(1, 41) if net.squad_size(g) == 0]
         assert empty  # Poisson(1) leaves about 15 of 40 squads empty
         assert all(len(net.squad(g).symbols) == 0 for g in empty)
@@ -407,7 +398,6 @@ class TestSquadPlans:
 class TestCollect:
     def test_network_freed_without_cycle_collection(self):
         net = build(k=20, h=5)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         symbols, _ = nw.collect(net, 1, 10)
         gone = weakref.ref(net)
         gc.disable()
@@ -420,60 +410,62 @@ class TestCollect:
 
     def test_single_squad(self):
         net = build(k=20, h=5)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         symbols, rep = nw.collect(net, 4, 5)
         assert rep.s == 1
         assert rep.supersquad_hops == pytest.approx(5.0)  # all at one hop
 
     def test_ceiling_rule(self):
         net = build(k=30, h=4, seed=3)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         _, rep = nw.collect(net, 10, 9)
         assert rep.s == 3  # ceil(9/4)
 
     def test_full_supersquad_average_hops(self):
         # with s full squads the mean per-symbol cost is (s-1)/4 + 1
         net = build(k=30, h=4, seed=3)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         _, rep = nw.collect(net, 10, 20)
         assert rep.s == 5
         assert rep.supersquad_hops / 20 == pytest.approx((5 - 1) / 4 + 1)
 
     def test_thousand_symbols_from_five_squads(self):
         net = build(k=1000, h=200, seed=12)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         _, rep = nw.collect(net, 17, 1000)
         assert rep.s == 5
         assert len(rep.squads_drained) == 5
 
     def test_plans_only_the_drained_squads(self):
         net = build(k=1000, h=200, seed=12)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         _, rep = nw.collect(net, 17, 1000)
         assert rep.squads_drained == (17, 16, 18, 15, 19)
         assert sorted(net._squads) == sorted(rep.squads_drained)
 
-    def test_requires_listening_first(self):
-        net = build(k=10, h=2)
-        with pytest.raises(InvalidParameterError):
-            nw.collect(net, 1, 4)
+    @pytest.mark.parametrize("mode, inputs", [
+        ("degree_one", "degree_one_inputs"),
+        ("degree_two_combining", "degree_two_inputs"),
+    ], ids=["d1", "d2"])
+    def test_needs_no_listen_call(self, mode, inputs):
+        # a fresh network collects what a twin that listened first collects
+        fresh, heard = (build(k=20, h=5, seed=8, dissemination=mode,
+                              storage_combine_input=inputs) for _ in range(2))
+        nw.storage_listen(heard, nw.TransmissionSchedule(mode, heard.block))
+        (got, rep), (want, want_rep) = nw.collect(fresh, 3, 37), nw.collect(heard, 3, 37)
+        assert rep == want_rep and list(got) == list(want)
+        for a, b in ((got.ptr, want.ptr), (got.neighbors, want.neighbors),
+                     (got.payloads, want.payloads)):
+            assert np.array_equal(a, b)
 
     def test_negative_count_rejected(self):
         net = build(k=20, h=5)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         with pytest.raises(InvalidParameterError):
             nw.collect(net, 1, -1)
 
     def test_exhausted_network(self):
         net = build(k=6, h=1)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         with pytest.raises(ExhaustedNetworkError):
             nw.collect(net, 1, 7)
 
     @given(net=networks(), collector=st.integers(min_value=1), share=st.floats(0, 1))
     @settings(max_examples=80, deadline=None)
     def test_batch_concatenates_drained_squads(self, net, collector, share):
-        listen(net)
         k_s = round(share * net.total_storage_nodes)
         symbols, rep = nw.collect(net, (collector - 1) % net.k + 1, k_s)
         assert all(net.squad_size(gap) > 0 for gap in rep.squads_drained)
@@ -483,7 +475,6 @@ class TestCollect:
 
     def test_deterministic(self):
         net = build(k=16, h=3, seed=9)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         first, rep1 = nw.collect(net, 5, 10)
         second, rep2 = nw.collect(net, 5, 10)
         assert [s.neighbors for s in first] == [s.neighbors for s in second]
@@ -511,7 +502,6 @@ class TestCollectionWithDoping:
         kds = []
         for seed in range(20):
             net = build(k=k, h=50, seed=100 + seed, storage="coupon")
-            nw.storage_listen(net, nw.disseminate_degree_one(net))
             rep, _ = nw.simulate_collection_with_doping(
                 net, 1, k_s, np.random.default_rng(seed)
             )
@@ -520,14 +510,12 @@ class TestCollectionWithDoping:
 
     def test_no_symbols_means_pure_polling(self):
         net = build(k=12, h=2, seed=5)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         rep, crep = nw.simulate_collection_with_doping(net, 1, 0, np.random.default_rng(0))
         assert rep.k_d == 12
         assert crep.k_s == 0 and crep.s == 0
 
     def test_collecting_nothing_gives_the_empty_batch(self):
         net = build(k=12, h=2, seed=5)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         batch, _ = nw.collect(net, 1, 0)
         assert len(batch) == 0 and list(batch) == []
         for arr in (batch.ptr, batch.neighbors, batch.payloads):
@@ -538,7 +526,6 @@ class TestCollectionWithDoping:
 
     def test_doping_hops_are_ring_distances(self):
         net = build(k=40, h=4, seed=6)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         collector = 7
         rep, crep = nw.simulate_collection_with_doping(
             net, collector, 20, np.random.default_rng(1)
@@ -550,19 +537,17 @@ class TestCollectionWithDoping:
 
     def test_recovers_block_bit_exact(self):
         net = build(k=60, h=10, seed=7)
-        nw.storage_listen(net, nw.disseminate_degree_one(net))
         rep, _ = nw.simulate_collection_with_doping(net, 3, 60, np.random.default_rng(2))
         assert all(rep.recovered[i] == net.block.packet(i) for i in range(1, 61))
 
-    @pytest.mark.parametrize("mode, inputs, disseminate", [
-        ("degree_one", "degree_one_inputs", nw.disseminate_degree_one),
-        ("degree_two_combining", "degree_two_inputs", nw.disseminate_degree_two),
+    @pytest.mark.parametrize("mode, inputs", [
+        ("degree_one", "degree_one_inputs"),
+        ("degree_two_combining", "degree_two_inputs"),
     ], ids=["d1", "d2"])
-    def test_drained_decode_matches_step_by_step(self, mode, inputs, disseminate):
+    def test_drained_decode_matches_step_by_step(self, mode, inputs):
         for seed in range(5):
             net = build(k=200, h=20, seed=seed, dissemination=mode,
                         storage_combine_input=inputs)
-            nw.storage_listen(net, disseminate(net))
             report, _ = nw.simulate_collection_with_doping(
                 net, 1, 200, np.random.default_rng(seed)
             )
@@ -596,7 +581,6 @@ class TestMixingProperty:
                     dissemination="degree_two_combining",
                     storage_combine_input=inputs,
                 )
-                nw.storage_listen(net, nw.disseminate_degree_two(net))
                 rep, _ = nw.simulate_collection_with_doping(
                     net, 1, k, np.random.default_rng(800 + s)
                 )
