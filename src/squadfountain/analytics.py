@@ -149,33 +149,52 @@ def ripple_transition_matrix(lam: float, k: int) -> np.ndarray:
 
     State v corresponds to ripple size v-1; state 1 is the absorbing empty
     ripple.  From state v >= 2 the walk moves to v+b with probability
-    Poisson(lam) at 1+b, b = -1..k-v (mass beyond state k is truncated,
-    irrelevant for the short horizons this validator is used on).
+    Poisson(lam) at 1+b, b = -1..k-v; mass beyond state k is truncated.
+    The walk drops by at most one per step, so it is absorbed within u steps
+    only from states 1..u+1, and the truncation leaves the trapping masses
+    up to step k-1 exact.  Below row 0 the matrix is Toeplitz: a reversed
+    sliding window over the Poisson masses with k-2 zeros in front.
     """
-    if lam <= 0:
-        raise InvalidParameterError(f"lam must be positive, got {lam}")
+    if not 0.0 < lam < math.inf:
+        raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
     if k < 3:
         raise InvalidParameterError(f"k must be >= 3, got {k}")
     eta = _poisson_pmf(np.arange(k + 1), lam)
-    P = np.zeros((k, k))
+    padded = np.concatenate((np.zeros(k - 2), eta))  # P[r, c] = padded[k-1+c-r]
+    P = np.lib.stride_tricks.sliding_window_view(padded, k)[::-1].copy()
+    P[0] = 0.0
     P[0, 0] = 1.0
-    for v in range(2, k + 1):
-        row = v - 1
-        width = k - v + 2  # states v-1..k
-        P[row, row - 1 :] = eta[:width]
     return P
 
 
 def trapping_probabilities(matrix: np.ndarray, u_max: int) -> np.ndarray:
-    """P(absorbed exactly at step u), u = 1..u_max, from initial state 3."""
+    """P(absorbed exactly at step u), u = 1..u_max, from initial state 3.
+
+    When the walk drops by at most one state per step, it is absorbed within
+    u_max steps only from states 1..u_max+1, so only the leading
+    m = min(n, max(3, u_max+1)) states are propagated.  The matrix must be
+    square with at least 3 states, and every entry more than one below the
+    diagonal in its first u_max columns must be zero; otherwise the cut could
+    drop mass and InvalidParameterError is raised.
+    """
     if u_max < 1:
         raise InvalidParameterError(f"u_max must be >= 1, got {u_max}")
-    state = np.zeros(matrix.shape[0])
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or len(matrix) < 3:
+        raise InvalidParameterError(
+            f"matrix must be square with >= 3 states, got shape {matrix.shape}"
+        )
+    if np.any(np.tril(matrix[:, :u_max], -2)):
+        raise InvalidParameterError(
+            "matrix drops by more than one state in its first u_max columns"
+        )
+    m = max(3, u_max + 1)
+    block = matrix[:m, :m]
+    state = np.zeros(len(block))
     state[2] = 1.0  # ripple of size two
     out = np.empty(u_max)
     prev = 0.0
     for u in range(u_max):
-        state = state @ matrix
+        state = state @ block
         cur = float(state[0])
         out[u] = cur - prev
         prev = cur
@@ -286,19 +305,18 @@ class DopingPrediction:
     rounds: tuple[DopingRound, ...] = ()
 
 
-def expected_dopings(k: int, delta: float) -> DopingPrediction:
+def _schedule(k: int, delta: float, base: np.ndarray) -> DopingPrediction:
     """Iterate the yield schedule until decoded mass reaches k - uncovered.
 
     Each round i holds the intensity fixed at 1 + delta*k/(k-l_i), takes the
     censored expected yield at horizon k - l_i, and advances l by it.  Every
-    round's yield law is the lambda = 1 pmf tilted by
-    lambda^-2 * (lambda e^{1-lambda})^t, so that pmf is evaluated once.  The
-    loop is guarded against non-termination at k iterations.
+    round's yield law is the lambda = 1 pmf ``base`` (masses at t = 0..k at
+    least) tilted by lambda^-2 * (lambda e^{1-lambda})^t.  The loop is
+    guarded against non-termination at k iterations.
     """
     if k < 3:
         raise InvalidParameterError(f"k must be >= 3, got {k}")
     u = uncovered_count(k, delta).exact  # rejects delta outside [0, inf)
-    base = interdoping_yield_pmf(1.0, k).probs
     t = np.arange(k + 1)
     decoded = 0.0
     rounds: list[DopingRound] = []
@@ -332,6 +350,13 @@ def expected_dopings(k: int, delta: float) -> DopingPrediction:
         p_d=100.0 * k_d / k,
         rounds=tuple(rounds),
     )
+
+
+def expected_dopings(k: int, delta: float) -> DopingPrediction:
+    """The doping schedule at (k, delta), from one lambda = 1 yield pmf."""
+    if k < 3:  # before the pmf, whose own check would name t_max
+        raise InvalidParameterError(f"k must be >= 3, got {k}")
+    return _schedule(k, delta, interdoping_yield_pmf(1.0, k).probs)
 
 
 def wald_dopings(k: int) -> float:

@@ -397,10 +397,16 @@ def cmd_disseminate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mc_kd_table(k: int, grid: list[float], trials: int, seed: int) -> dict[float, float]:
+def _mc_kd_table(
+    k: int, grid: list[float], deltas: list[float], trials: int, seed: int
+) -> dict[float, float]:
+    """Monte Carlo k_d at each of ``deltas``, drawn from the streams of its
+    index in sorted(grid), as a table over the whole grid would draw it."""
     table: dict[float, float] = {}
     dist = ideal_soliton(k)
     for di, delta in enumerate(sorted(grid)):
+        if delta not in deltas:
+            continue
         k_s = round(k * (1.0 + delta))
         total = 0
         for trial in range(trials):
@@ -428,7 +434,10 @@ def cmd_cost(args: argparse.Namespace) -> int:
         raise ConfigError(f"--mc-kd needs --delta on --delta-grid, got {args.delta}")
     kd_table: dict[float, float] | None = None
     if args.mc_kd:
-        kd_table = _mc_kd_table(k, grid, _require_trials(args.trials), seed)
+        wanted = grid
+        if args.strategies:  # the strategy table reads is_doping's k_d at --delta only
+            wanted = [args.delta] if "is_doping" in names else []
+        kd_table = _mc_kd_table(k, grid, wanted, _require_trials(args.trials), seed)
     header = ["strategy", "k", "h", "delta", "k_s", "k_d", "c_T", "c_T_normalized"]
     rows = []
 

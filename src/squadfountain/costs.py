@@ -134,14 +134,18 @@ def minimize_cost(
     """Cheapest doped operating point over the surplus grid (ties: smallest).
 
     ``kd_by_delta`` supplies precomputed (or Monte Carlo) doping counts;
-    otherwise every grid point calls the analytic prediction.
+    otherwise the analytic prediction fills it, every grid point's schedule
+    tilting one lambda = 1 yield pmf.
     """
     grid = [float(d) for d in np.asarray(delta_grid, dtype=float)]
     if not grid:
         raise InvalidParameterError("delta_grid must be nonempty")
+    if kd_by_delta is None:
+        base = analytics.interdoping_yield_pmf(1.0, k).probs
+        kd_by_delta = {d: analytics._schedule(k, d, base).k_d for d in grid}
     best: tuple[float, CostPoint] | None = None
     for delta in sorted(grid):
-        override = kd_by_delta.get(delta) if kd_by_delta is not None else None
+        override = kd_by_delta.get(delta)
         point = strategy_cost(
             "is_doping", k, h, delta=delta, k_d_override=override, hop_model=hop_model
         )

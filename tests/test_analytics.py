@@ -201,7 +201,68 @@ class TestPoissonFromSpecial:
         assert out.stdout.strip() == "False"
 
 
+def row_loop_matrix(lam: float, k: int) -> np.ndarray:
+    """Oracle: the truncated transition matrix filled one row at a time."""
+    eta = poisson.pmf(np.arange(k + 1), lam)
+    P = np.zeros((k, k))
+    P[0, 0] = 1.0
+    for v in range(2, k + 1):
+        P[v - 1, v - 2 :] = eta[: k - v + 2]
+    return P
+
+
+def full_power_trapping(P: np.ndarray, u_max: int) -> np.ndarray:
+    """Oracle: absorption increments from products with the whole matrix."""
+    state = np.zeros(len(P))
+    state[2] = 1.0
+    absorbed = [0.0]
+    for _ in range(u_max):
+        state = state @ P
+        absorbed.append(state[0])
+    return np.diff(absorbed)
+
+
 class TestTransitionMatrixValidator:
+    @pytest.mark.parametrize("k", [3, 4, 60, 500])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.2])
+    def test_equals_row_loop(self, lam, k):
+        assert np.array_equal(an.ripple_transition_matrix(lam, k), row_loop_matrix(lam, k))
+
+    @pytest.mark.parametrize("k", [3, 4, 60, 500])
+    @pytest.mark.parametrize("lam", [1.0, 1.2])
+    def test_leading_block_matches_full_powers(self, lam, k):
+        P = an.ripple_transition_matrix(lam, k)
+        for u_max in sorted({1, 2, 49, 50, k - 1, k, 2 * k}):
+            by_block = an.trapping_probabilities(P, u_max)
+            assert by_block.shape == (u_max,)
+            assert np.max(np.abs(by_block - full_power_trapping(P, u_max))) <= 1e-15
+
+    def test_jump_beyond_the_leading_columns_allowed(self):
+        P = an.ripple_transition_matrix(1.0, 60)
+        P[55, 53], P[55, 54] = P[55, 54] / 2, P[55, 54] / 2  # stays stochastic
+        by_block = an.trapping_probabilities(P, 50)
+        assert np.max(np.abs(by_block - full_power_trapping(P, 50))) <= 1e-15
+
+    @pytest.mark.parametrize("row, col", [(2, 0), (5, 3), (59, 49)])
+    def test_jump_into_a_leading_column_rejected(self, row, col):
+        P = an.ripple_transition_matrix(1.0, 60)
+        P[row, col] = 1e-3
+        with pytest.raises(InvalidParameterError):
+            an.trapping_probabilities(P, 50)
+
+    @pytest.mark.parametrize("lam, k", [
+        (0.0, 10), (-1.0, 10), (math.nan, 10), (math.inf, 10), (1.0, 2),
+    ])
+    def test_matrix_rejects_bad_args(self, lam, k):
+        with pytest.raises(InvalidParameterError):
+            an.ripple_transition_matrix(lam, k)
+
+    @pytest.mark.parametrize("shape", [(60, 59), (59, 60), (60,), (2, 2)])
+    def test_malformed_shape_rejected(self, shape):
+        # all zero, so only the shape can be at fault
+        with pytest.raises(InvalidParameterError):
+            an.trapping_probabilities(np.zeros(shape), 5)
+
     def test_rows_are_stochastic_up_to_truncation(self):
         P = an.ripple_transition_matrix(1.1, 100)
         assert P[0, 0] == 1.0 and P[0, 1:].sum() == 0.0

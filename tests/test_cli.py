@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from squadfountain import analytics
+from squadfountain import analytics, cli
 from squadfountain.cli import main, parse_delta_grid, load_config_file
 from squadfountain.errors import ConfigError
 
@@ -283,6 +283,31 @@ class TestCost:
         _, rows = data_rows(text)
         assert len(rows) == 3
         assert all(r["strategy"] == "is_doping" for r in rows)
+
+    @pytest.mark.parametrize("strategies, rows, simulated", [
+        ("polling,is_doping",
+         "polling,200,50,,0,200,50,1\nis_doping,200,50,0.02,204,12,5.55,0.111\n", 3),
+        ("polling", "polling,200,50,,0,200,50,1\n", 0),
+    ], ids=["with_is_doping", "polling_only"])
+    def test_mc_kd_simulates_only_the_delta_it_reads(
+        self, tmp_path, monkeypatch, strategies, rows, simulated
+    ):
+        # expected bytes were written when every --delta-grid point was simulated
+        decodes = []
+        decode = cli.decode_with_doping
+        monkeypatch.setattr(cli, "decode_with_doping", lambda *a: decodes.append(a) or decode(*a))
+        _, text = run_to_file(
+            tmp_path, "mc.csv",
+            ["cost", "--strategies", strategies, "--mc-kd", "--trials", "3", "--k", "200",
+             "--h", "50", "--delta", "0.02", "--seed", "1"],
+        )
+        assert text == (
+            "# command=cost\n# delta_grid=0:0.06:0.01\n# eps_rs=0.5\n# h=50\n"
+            "# hop_model=costeq\n# k=200\n# mc_kd=true\n# seed=1\n"
+            f"# strategies={strategies}\n# stream_version=5\n# trials=3\n"
+            "strategy,k,h,delta,k_s,k_d,c_T,c_T_normalized\n" + rows
+        )
+        assert len(decodes) == simulated
 
 
 class TestConfigFile:

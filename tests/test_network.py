@@ -1,4 +1,5 @@
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -219,6 +220,10 @@ class TestDegreeTwoDissemination:
         assert d2.rounds == nw.combining_rounds(k)
         assert d2.transmissions([2])[1].shape == (1, nw.combining_rounds(k)) == (1, d2.per_relay)
         assert d1.transmissions([2])[1].shape == (1, k) == (1, d1.per_relay)
+
+    def test_combining_rounds_closed_form(self):
+        for k in range(3, 201):
+            assert nw.combining_rounds(k) == math.ceil((k - 1) / 2)
 
     def test_payloads_match_neighbor_sets(self):
         net = build(k=9, h=1, dissemination="degree_two_combining")
