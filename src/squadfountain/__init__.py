@@ -4,6 +4,7 @@ from .analytics import (
     DopingPrediction,
     UncoveredCount,
     YieldPmf,
+    doping_table,
     expected_dopings,
     expected_yield,
     interdoping_yield_pmf,
@@ -61,8 +62,10 @@ from .network import (
     NetworkConfig,
     TransmissionSchedule,
     build_network,
+    codec_dopings,
     collect,
     combining_rounds,
+    network_dopings,
     ring_distance,
     simulate_collection_with_doping,
 )

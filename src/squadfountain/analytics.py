@@ -26,8 +26,8 @@ This module provides
 * the interdoping-yield distribution, computed three independent ways
   (closed form by the hitting-time theorem, Markov-chain matrix powers,
   Monte Carlo walks counted per ripple size) so each validates the others,
-* expected-doping predictions (iterative schedule and the delta=0
-  renewal shortcut), and
+* expected-doping predictions (iterative schedule, tabled over a surplus
+  grid, and the delta=0 renewal shortcut), and
 * the expected number of source packets no collected symbol covers.
 
 Poisson masses are evaluated as scipy.stats does, from scipy.special, so
@@ -314,8 +314,6 @@ def _schedule(k: int, delta: float, base: np.ndarray) -> DopingPrediction:
     least) tilted by lambda^-2 * (lambda e^{1-lambda})^t.  The loop is
     guarded against non-termination at k iterations.
     """
-    if k < 3:
-        raise InvalidParameterError(f"k must be >= 3, got {k}")
     u = uncovered_count(k, delta).exact  # rejects delta outside [0, inf)
     t = np.arange(k + 1)
     decoded = 0.0
@@ -352,11 +350,18 @@ def _schedule(k: int, delta: float, base: np.ndarray) -> DopingPrediction:
     )
 
 
-def expected_dopings(k: int, delta: float) -> DopingPrediction:
-    """The doping schedule at (k, delta), from one lambda = 1 yield pmf."""
+def doping_table(k: int, deltas) -> dict[float, DopingPrediction]:
+    """The doping schedule at every surplus in ``deltas``, keyed by it; one
+    lambda = 1 yield pmf feeds them all."""
     if k < 3:  # before the pmf, whose own check would name t_max
         raise InvalidParameterError(f"k must be >= 3, got {k}")
-    return _schedule(k, delta, interdoping_yield_pmf(1.0, k).probs)
+    base = interdoping_yield_pmf(1.0, k).probs
+    return {delta: _schedule(k, delta, base) for delta in deltas}
+
+
+def expected_dopings(k: int, delta: float) -> DopingPrediction:
+    """The doping schedule at (k, delta)."""
+    return doping_table(k, [delta])[delta]
 
 
 def wald_dopings(k: int) -> float:

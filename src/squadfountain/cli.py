@@ -7,9 +7,11 @@ trials are independent regardless of execution order, and different seeds
 never share a trial.  CSVs carry '#'-prefixed metadata lines embedding the
 full effective configuration; those whose numbers depend on a random draw
 also carry ``stream_version``, which changes whenever the same seed would
-give different numbers.  Version 5 changes only the ripple-walk Monte
-Carlo (``validate``'s ``walk_mc``), which now draws per-size multinomial
-counts; every ``decode-sim`` data row is unchanged.
+give different numbers.  Version 6 keys Philox with two uint64 words, so
+seeds of 2**63 and more keep their low bits, and ``cost --mc-kd`` takes k_d
+at each surplus as the mean of decode-sim's IS codec trials 0..T-1 at
+k_s = round(k(1+delta)), payload 32; every other output at seeds below
+2**63 is unchanged.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import analytics, costs
-from .codec import decode_with_doping, encode_symbols, SourceBlock, trial_rng
+from .codec import trial_rng
 from .degrees import ideal_soliton, robust_soliton
 from .errors import ConfigError, ExhaustedNetworkError, InvalidParameterError
-from .network import NetworkConfig, build_network, simulate_collection_with_doping
+from .network import NetworkConfig, build_network, codec_dopings, network_dopings
 
 _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
 _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
@@ -37,10 +39,9 @@ _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
 # 4: the decoder visits a decoded source's outputs in ascending order, not in
 #    Python's set order; ripple order and mid-peel states move, stalls do not
 # 5: ripple-walk Monte Carlo draws per-size multinomial counts
-STREAM_VERSION = 5
-# --mc-kd trials draw from streams of their own: this bit, the grid index
-# shifted past 32 bits, and the trial
-_MC_KD_STREAMS = 1 << 63
+# 6: the Philox key is two uint64 words, so seeds of 2**63 and more keep
+#    their low bits; cost --mc-kd runs decode-sim's codec trials
+STREAM_VERSION = 6
 
 
 def _fmt(value) -> str:
@@ -224,35 +225,32 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
     delta = _finite_delta(args.delta)
     k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
     dists = [d.strip() for d in str(args.dist).split(",") if d.strip()]
+    if not dists:
+        raise ConfigError(f"--dist {args.dist!r} names no distribution")
     for d in dists:
         if d not in ("is", "rs"):
             raise ConfigError(f"unknown distribution {d!r}")
     header = ["strategy", "trial", "seed", "k", "k_s", "k_d", "p_d"]
     rows: list[dict] = []
+    trials = range(args.trials)
     for dist_name in dists:
-        kd_values = []
-        for trial in range(args.trials):
-            rng = trial_rng(seed, trial)
-            if args.network:
-                cfg = NetworkConfig(
-                    k=k,
-                    h=args.h,
-                    dissemination=_DISSEMINATION[args.dissemination],
-                    # the strategy picks the code unless nodes store coupons
-                    storage="coupon" if args.storage == "coupon" else _STORAGE[dist_name],
-                    storage_combine_input=args.storage_input,
-                    rs_c=args.rs_c,
-                    rs_delta=args.rs_delta,
-                    payload_len=args.payload_len,
-                )
-                net = build_network(cfg, rng)
-                report, _ = simulate_collection_with_doping(net, args.collector, k_s, rng)
-            else:
-                block = SourceBlock.random(k, args.payload_len, rng)
-                dist = _dist_for(dist_name, k, args.rs_c, args.rs_delta)
-                symbols = encode_symbols(block, dist, k_s, rng)
-                report = decode_with_doping(block, symbols, rng)
-            kd_values.append(report.k_d)
+        if args.network:
+            cfg = NetworkConfig(
+                k=k,
+                h=args.h,
+                dissemination=_DISSEMINATION[args.dissemination],
+                # the strategy picks the code unless nodes store coupons
+                storage="coupon" if args.storage == "coupon" else _STORAGE[dist_name],
+                storage_combine_input=args.storage_input,
+                rs_c=args.rs_c,
+                rs_delta=args.rs_delta,
+                payload_len=args.payload_len,
+            )
+            kd_values = network_dopings(seed, trials, cfg, args.collector, k_s)
+        else:
+            dist = _dist_for(dist_name, k, args.rs_c, args.rs_delta)
+            kd_values = codec_dopings(seed, trials, dist, k_s, args.payload_len)
+        for trial, k_d in enumerate(kd_values.tolist()):
             rows.append(
                 {
                     "strategy": dist_name,
@@ -260,8 +258,8 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
                     "seed": seed,
                     "k": k,
                     "k_s": k_s,
-                    "k_d": report.k_d,
-                    "p_d": 100.0 * report.k_d / k,
+                    "k_d": k_d,
+                    "p_d": 100.0 * k_d / k,
                 }
             )
         kd = np.asarray(kd_values, dtype=float)
@@ -340,8 +338,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         grid = [0.0]
     header = ["delta", "predicted_kd", "p_d", "stall_dopings", "uncovered"]
     rows = []
+    table = analytics.doping_table(args.k, grid)
     for delta in grid:
-        pred = analytics.expected_dopings(args.k, delta)
+        pred = table[delta]
         rows.append(
             {
                 "delta": delta,
@@ -397,27 +396,6 @@ def cmd_disseminate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _mc_kd_table(
-    k: int, grid: list[float], deltas: list[float], trials: int, seed: int
-) -> dict[float, float]:
-    """Monte Carlo k_d at each of ``deltas``, drawn from the streams of its
-    index in sorted(grid), as a table over the whole grid would draw it."""
-    table: dict[float, float] = {}
-    dist = ideal_soliton(k)
-    for di, delta in enumerate(sorted(grid)):
-        if delta not in deltas:
-            continue
-        k_s = round(k * (1.0 + delta))
-        total = 0
-        for trial in range(trials):
-            rng = trial_rng(seed, _MC_KD_STREAMS | di << 32 | trial)
-            block = SourceBlock.random(k, 8, rng)
-            report = decode_with_doping(block, encode_symbols(block, dist, k_s, rng), rng)
-            total += report.k_d
-        table[delta] = total / trials
-    return table
-
-
 def cmd_cost(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     k = args.k
@@ -427,58 +405,46 @@ def cmd_cost(args: argparse.Namespace) -> int:
         h_values = [float(x) for x in str(args.h).split(",") if x]
     except ValueError as exc:
         raise ConfigError(f"bad --h list {args.h!r}, expected numbers") from exc
+    if not h_values:
+        raise ConfigError(f"--h {args.h!r} names no squad size")
     grid = parse_delta_grid(args.delta_grid)
     names = [s.strip() for s in (args.strategies or "").split(",") if s.strip()]
-    if args.mc_kd and "is_doping" in names and args.delta not in grid:
-        # the table simulates the grid only; an analytic k_d must not pass for it
-        raise ConfigError(f"--mc-kd needs --delta on --delta-grid, got {args.delta}")
-    kd_table: dict[float, float] | None = None
+    if args.strategies and not names:
+        raise ConfigError(f"--strategies {args.strategies!r} names no strategy")
+    # a strategy table reads every strategy at --delta; a cost curve, is_doping on the grid
+    points = [(name, args.delta) for name in names] or [("is_doping", d) for d in grid]
+    deltas = list(dict.fromkeys(d for name, d in points if name == "is_doping"))
+    kd_table: dict[float, float] = {}
     if args.mc_kd:
-        wanted = grid
-        if args.strategies:  # the strategy table reads is_doping's k_d at --delta only
-            wanted = [args.delta] if "is_doping" in names else []
-        kd_table = _mc_kd_table(k, grid, wanted, _require_trials(args.trials), seed)
+        # decode-sim's mean over its IS codec trials at k_s = round(k(1+delta))
+        trials, dist = range(_require_trials(args.trials)), ideal_soliton(k)
+        kd_table = {
+            d: float(codec_dopings(seed, trials, dist, round(k * (1.0 + d)), 32).mean())
+            for d in deltas
+        }
+    elif deltas:
+        kd_table = {d: pred.k_d for d, pred in analytics.doping_table(k, deltas).items()}
     header = ["strategy", "k", "h", "delta", "k_s", "k_d", "c_T", "c_T_normalized"]
     rows = []
-
-    def emit(point: costs.CostPoint) -> None:
-        rows.append(
-            {
-                "strategy": point.strategy,
-                "k": point.k,
-                "h": point.h,
-                "delta": point.delta,
-                "k_s": point.k_s,
-                "k_d": point.k_d,
-                "c_T": point.c_T,
-                "c_T_normalized": point.normalized,
-            }
-        )
-
-    if args.strategies:
-        for h in h_values:
-            for name in names:
-                override = kd_table.get(args.delta) if kd_table else None
-                point = costs.strategy_cost(
-                    name, k, h, delta=args.delta, eps_rs=args.eps_rs,
-                    k_d_override=override if name == "is_doping" else None,
-                    hop_model=hop_model,
-                )
-                emit(point)
-    else:
-        for h in h_values:
-            for delta in grid:
-                override = kd_table.get(delta) if kd_table else None
-                emit(
-                    costs.strategy_cost(
-                        "is_doping",
-                        k,
-                        h,
-                        delta=delta,
-                        k_d_override=override,
-                        hop_model=hop_model,
-                    )
-                )
+    for h in h_values:
+        for name, delta in points:
+            point = costs.strategy_cost(
+                name, k, h, delta=delta, eps_rs=args.eps_rs,
+                k_d=kd_table[delta] if name == "is_doping" else None,
+                hop_model=hop_model,
+            )
+            rows.append(
+                {
+                    "strategy": point.strategy,
+                    "k": point.k,
+                    "h": point.h,
+                    "delta": point.delta,
+                    "k_s": point.k_s,
+                    "k_d": point.k_d,
+                    "c_T": point.c_T,
+                    "c_T_normalized": point.normalized,
+                }
+            )
     meta = {
         "command": "cost",
         "k": k,

@@ -42,10 +42,13 @@ from .errors import (
 
 
 def trial_rng(seed: int, stream: int) -> np.random.Generator:
-    """Philox keyed by the pair (seed, stream): distinct pairs never share a key."""
-    if not 0 <= seed < 2**64:
-        raise InvalidParameterError(f"seed {seed} outside 0..2**64-1")
-    return np.random.Generator(np.random.Philox(key=[seed, stream]))
+    """Philox keyed by the pair (seed, stream) as two uint64 words: distinct
+    pairs never share a key."""
+    for name, value in (("seed", seed), ("stream", stream)):
+        if not 0 <= value < 2**64:
+            raise InvalidParameterError(f"{name} {value} outside 0..2**64-1")
+    key = np.array([seed, stream], dtype=np.uint64)  # a list of ints >= 2**63 goes float
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

@@ -91,31 +91,27 @@ def strategy_cost(
     h: float,
     delta: float = 0.0,
     eps_rs: float = 0.5,
-    k_d_override: float | None = None,
+    k_d: float | None = None,
     hop_model: str = "eq_costeq",
 ) -> CostPoint:
     """(k_s, k_d) operating pair and cost for one collection strategy.
 
-    For 'is_doping' the doping count defaults to the analytic prediction;
-    pass k_d_override to use a Monte Carlo estimate instead.
+    'is_doping' takes its doping count ``k_d`` from the caller, analytic
+    (``analytics.doping_table``) or simulated; the other strategies fix their
+    own.
     """
+    delta_out = None
     if strategy == "polling":
         k_s, k_d = 0.0, float(k)
-        delta_out = None
     elif strategy == "coupon":
         k_s = coupon_requirement(k)
-        k_d = coupon_residual_uncovered(k, k_s) if k_d_override is None else k_d_override
-        delta_out = None
+        k_d = coupon_residual_uncovered(k, k_s)
     elif strategy == "rs_no_doping":
         k_s, k_d = rs_symbol_requirement(k, eps_rs), 0.0
-        delta_out = None
     elif strategy == "is_doping":
-        k_s = k * (1.0 + delta)
-        if k_d_override is None:
-            k_d = analytics.expected_dopings(k, delta).k_d
-        else:
-            k_d = k_d_override
-        delta_out = delta
+        if k_d is None:
+            raise InvalidParameterError("is_doping needs its doping count k_d")
+        k_s, delta_out = k * (1.0 + delta), delta
     else:
         raise InvalidParameterError(f"unknown strategy {strategy!r}")
     c_T = collection_cost(k, k_s, k_d, h, hop_model)
@@ -133,22 +129,21 @@ def minimize_cost(
 ) -> tuple[float, CostPoint]:
     """Cheapest doped operating point over the surplus grid (ties: smallest).
 
-    ``kd_by_delta`` supplies precomputed (or Monte Carlo) doping counts;
-    otherwise the analytic prediction fills it, every grid point's schedule
-    tilting one lambda = 1 yield pmf.
+    ``kd_by_delta`` supplies the doping count at every grid point (analytic or
+    Monte Carlo) and raises if it misses one; by default
+    ``analytics.doping_table`` fills it.
     """
-    grid = [float(d) for d in np.asarray(delta_grid, dtype=float)]
+    grid = sorted(float(d) for d in np.asarray(delta_grid, dtype=float))
     if not grid:
         raise InvalidParameterError("delta_grid must be nonempty")
     if kd_by_delta is None:
-        base = analytics.interdoping_yield_pmf(1.0, k).probs
-        kd_by_delta = {d: analytics._schedule(k, d, base).k_d for d in grid}
-    best: tuple[float, CostPoint] | None = None
-    for delta in sorted(grid):
-        override = kd_by_delta.get(delta)
-        point = strategy_cost(
-            "is_doping", k, h, delta=delta, k_d_override=override, hop_model=hop_model
-        )
-        if best is None or point.c_T < best[1].c_T:
-            best = (delta, point)
-    return best
+        kd_by_delta = {d: p.k_d for d, p in analytics.doping_table(k, grid).items()}
+    missing = [d for d in grid if d not in kd_by_delta]
+    if missing:
+        raise InvalidParameterError(f"kd_by_delta has no k_d at delta {missing}")
+    best = min(
+        (strategy_cost("is_doping", k, h, delta=d, k_d=kd_by_delta[d], hop_model=hop_model)
+         for d in grid),
+        key=lambda point: point.c_T,
+    )
+    return best.delta, best

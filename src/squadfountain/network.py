@@ -33,6 +33,7 @@ from .codec import (
     _csr_ptr,
     _distinct_rows,
     decode_with_doping,
+    encode_symbols,
     symbols_from_rows,
     trial_rng,
 )
@@ -416,3 +417,29 @@ def simulate_collection_with_doping(
     )
     creport = replace(creport, k_d=report.k_d, doped_hop_costs=doped_hops)
     return report, creport
+
+
+def codec_dopings(
+    seed: int, streams, dist: DegreeDistribution, k_s: int, payload_len: int
+) -> np.ndarray:
+    """k_d of one direct-encoding trial per stream: ``trial_rng(seed, stream)``
+    draws the block, then k_s symbols from ``dist``, then the dopings."""
+    kd = np.empty(len(streams), dtype=np.int64)
+    for i, stream in enumerate(streams):
+        rng = trial_rng(seed, stream)
+        block = SourceBlock.random(dist.k, payload_len, rng)
+        kd[i] = decode_with_doping(block, encode_symbols(block, dist, k_s, rng), rng).k_d
+    return kd
+
+
+def network_dopings(
+    seed: int, streams, cfg: NetworkConfig, collector_relay: int, k_s: int
+) -> np.ndarray:
+    """k_d of one network trial per stream: ``trial_rng(seed, stream)`` builds
+    the network, then draws the dopings of collecting k_s symbols."""
+    kd = np.empty(len(streams), dtype=np.int64)
+    for i, stream in enumerate(streams):
+        rng = trial_rng(seed, stream)
+        net = build_network(cfg, rng)
+        kd[i] = simulate_collection_with_doping(net, collector_relay, k_s, rng)[0].k_d
+    return kd

@@ -27,20 +27,17 @@ from .codec import (
     trial_rng,
 )
 from .degrees import ideal_soliton, robust_soliton
-from .network import (
-    NetworkConfig,
-    build_network,
-    simulate_collection_with_doping,
-)
+from .network import NetworkConfig, build_network, codec_dopings, network_dopings
 
 DEFAULT_SEED = 20260810
 
 # Every criterion draws from trial_rng streams of its own within a seed,
 # except determinism: its decode-sim run draws trials 0..4, which are network
 # streams, and it only checks that two runs are byte-identical.
-# Trial-indexed criteria use ``base ^ index`` with index below _STREAM_BLOCK,
-# so each base owns one block of streams; single-stream criteria share a
-# block at distinct offsets.
+# Trial-indexed criteria use ``base ^ index`` (equal to ``base + index``,
+# which the doping samples use) with index below _STREAM_BLOCK, so each base
+# owns one block of streams; single-stream criteria share a block at
+# distinct offsets.
 _STREAM_BLOCK = 0x10000
 NETWORK_STREAMS = 0x00000
 CODEC_STREAMS = 0x10000
@@ -98,15 +95,10 @@ def network_doping_sample(seed: int, trials: int = 200) -> np.ndarray:
     """k_d samples for k=1000, zero surplus, IS storage, plain dissemination."""
     key = ("network_doping", seed, trials)
     if key not in _CACHE:
-        kd = np.empty(trials, dtype=np.int64)
         cfg = NetworkConfig(k=1000, h=200, dissemination="degree_one",
                             storage="is_combining", payload_len=32)
-        for trial in range(trials):
-            rng = trial_rng(seed, NETWORK_STREAMS ^ trial)
-            net = build_network(cfg, rng)
-            report, _ = simulate_collection_with_doping(net, 1, 1000, rng)
-            kd[trial] = report.k_d
-        _CACHE[key] = kd
+        streams = range(NETWORK_STREAMS, NETWORK_STREAMS + trials)
+        _CACHE[key] = network_dopings(seed, streams, cfg, 1, 1000)
     return _CACHE[key]
 
 
@@ -114,15 +106,9 @@ def codec_doping_sample(dist_name: str, seed: int, trials: int = 200) -> np.ndar
     """k_d samples for k=1000, k_s=1000, direct encoding with IS or RS."""
     key = ("codec_doping", dist_name, seed, trials)
     if key not in _CACHE:
-        k = 1000
-        dist = ideal_soliton(k) if dist_name == "is" else robust_soliton(k, 0.1, 0.5)
-        kd = np.empty(trials, dtype=np.int64)
-        for trial in range(trials):
-            rng = trial_rng(seed, CODEC_STREAMS ^ trial)
-            block = SourceBlock.random(k, 32, rng)
-            report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
-            kd[trial] = report.k_d
-        _CACHE[key] = kd
+        dist = ideal_soliton(1000) if dist_name == "is" else robust_soliton(1000, 0.1, 0.5)
+        streams = range(CODEC_STREAMS, CODEC_STREAMS + trials)
+        _CACHE[key] = codec_dopings(seed, streams, dist, 1000, 32)
     return _CACHE[key]
 
 
@@ -347,7 +333,7 @@ def criterion_uncovered(seed: int, tol: float) -> CriterionResult:
 def criterion_cost_minima(seed: int, tol: float) -> CriterionResult:
     k = 2000
     grid = np.round(np.arange(0, 7) * 0.01, 2)
-    kd_by_delta = {float(d): analytics.expected_dopings(k, float(d)).k_d for d in grid}
+    kd_by_delta = {d: pred.k_d for d, pred in analytics.doping_table(k, grid.tolist()).items()}
     expected = {10.0: 0.01, 15.0: 0.03, 30.0: 0.04}
     measured: dict[str, object] = {}
     passed = True
@@ -370,14 +356,14 @@ def criterion_strategy_order(seed: int, tol: float) -> CriterionResult:
     kd0 = analytics.expected_dopings(k, 0.0).k_d
     ordering_ok = True
     for h in (20, 50, 100, 200, 500):
-        is_point = costs.strategy_cost("is_doping", k, h, delta=0.0, k_d_override=kd0)
+        is_point = costs.strategy_cost("is_doping", k, h, delta=0.0, k_d=kd0)
         rs_point = costs.strategy_cost("rs_no_doping", k, h)
         coupon_point = costs.strategy_cost("coupon", k, h)
         if not (is_point.normalized < rs_point.normalized < coupon_point.normalized):
             ordering_ok = False
     crossover_h = None
     for h in (1100, 1500, 2000, 3000, 5100, 6000, 10000, 20000):
-        is_point = costs.strategy_cost("is_doping", k, h, delta=0.0, k_d_override=kd0)
+        is_point = costs.strategy_cost("is_doping", k, h, delta=0.0, k_d=kd0)
         rs_point = costs.strategy_cost("rs_no_doping", k, h)
         if is_point.normalized >= rs_point.normalized:
             crossover_h = h

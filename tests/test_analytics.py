@@ -417,7 +417,8 @@ class TestExpectedDopings:
 
     def test_monotone_in_delta(self):
         k = 2000
-        values = [an.expected_dopings(k, round(0.01 * i, 2)).p_d for i in range(11)]
+        grid = [round(0.01 * i, 2) for i in range(11)]
+        values = [pred.p_d for pred in an.doping_table(k, grid).values()]
         inversions = [
             (a, b) for a, b in zip(values, values[1:]) if b > a + 0.05  # percent points
         ]
@@ -438,6 +439,18 @@ class TestExpectedDopings:
         got = np.array([r.expected_yield for r in pred.rounds])
         assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-12
         assert pred.k_d == pytest.approx(len(want) + pred.uncovered, rel=1e-12)
+
+    @pytest.mark.parametrize("k", [3, 100, 2000])
+    def test_table_matches_single_points(self, k):
+        grid = [0.0, 0.005, 0.01, 0.03, 0.06, 0.5]
+        table = an.doping_table(k, grid)
+        assert list(table) == grid
+        for delta in grid:
+            assert table[delta] == an.expected_dopings(k, delta)  # every field
+
+    def test_table_rejects_small_k(self):
+        with pytest.raises(InvalidParameterError, match="k must be >= 3"):
+            an.doping_table(2, [0.0])
 
     @pytest.mark.parametrize("lam", [1.001, 1.05, 1.2, 2.0, 30.0])
     def test_tilt_of_unit_intensity_law(self, lam):

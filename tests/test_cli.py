@@ -53,7 +53,7 @@ class TestStreamVersion:
     ])
     def test_drawn_outputs_carry_version(self, tmp_path, argv):
         _, text = run_to_file(tmp_path, "v.csv", argv + ["--seed", "1"])
-        assert "# stream_version=5\n" in text
+        assert "# stream_version=6\n" in text
 
     def test_analytic_outputs_carry_none(self, tmp_path):
         _, text = run_to_file(tmp_path, "a.csv", ["analyze", "--k", "100", "--seed", "1"])
@@ -114,6 +114,17 @@ class TestDecodeSim:
              *network],
         )
         assert code == 2 and text == ""
+
+    def test_seeds_above_2_63_keep_their_low_bits(self, tmp_path):
+        # a Philox key built from a list of ints >= 2**63 went float and lost them
+        rows = []
+        for seed in (2**63 + 1, 2**63 + 2):
+            _, text = run_to_file(
+                tmp_path, f"s{seed}.csv",
+                ["decode-sim", "--k", "50", "--trials", "2", "--seed", str(seed)],
+            )
+            rows.append([(r["trial"], r["k_d"]) for r in data_rows(text)[1]])
+        assert rows[0] != rows[1]
 
     @pytest.mark.parametrize("network", [[], ["--network", "--h", "15"]])
     def test_seeds_draw_different_trials(self, tmp_path, network):
@@ -202,8 +213,9 @@ class TestNonFiniteNumbers:
         ["cost", "--h", "abc"],
         ["cost", "--strategies", "rs_no_doping", "--eps-rs", "0"],
         ["cost", "--strategies", "rs_no_doping", "--eps-rs", "-1"],
-        ["cost", "--strategies", "is_doping", "--delta", "0.1", "--k", "200", "--h", "50",
-         "--mc-kd", "--trials", "3"],
+        ["cost", "--h", ","],
+        ["cost", "--strategies", ","],
+        ["decode-sim", "--k", "50", "--trials", "1", "--dist", ","],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "nan"],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "0"],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "-1"],
@@ -249,7 +261,7 @@ class TestDisseminate:
         )
         assert text == (
             f"# command=disseminate\n# dissemination={mode}\n# k={k}\n# payload_len=32\n"
-            f"# rounds={rounds}\n# seed=1\n# stream_version=5\n# verified=true\n"
+            f"# rounds={rounds}\n# seed=1\n# stream_version=6\n# verified=true\n"
             "relay,transmissions,rounds,verified\n"
             + "".join(f"{relay},{sent},{rounds},true\n" for relay in range(1, k + 1))
         )
@@ -286,16 +298,20 @@ class TestCost:
 
     @pytest.mark.parametrize("strategies, rows, simulated", [
         ("polling,is_doping",
-         "polling,200,50,,0,200,50,1\nis_doping,200,50,0.02,204,12,5.55,0.111\n", 3),
+         "polling,200,50,,0,200,50,1\nis_doping,200,50,0.02,204,8,4.55,0.091\n", 3),
         ("polling", "polling,200,50,,0,200,50,1\n", 0),
     ], ids=["with_is_doping", "polling_only"])
     def test_mc_kd_simulates_only_the_delta_it_reads(
         self, tmp_path, monkeypatch, strategies, rows, simulated
     ):
-        # expected bytes were written when every --delta-grid point was simulated
-        decodes = []
-        decode = cli.decode_with_doping
-        monkeypatch.setattr(cli, "decode_with_doping", lambda *a: decodes.append(a) or decode(*a))
+        trials = []
+        sample = cli.codec_dopings
+
+        def counted(seed, streams, *args):
+            trials.extend(streams)
+            return sample(seed, streams, *args)
+
+        monkeypatch.setattr(cli, "codec_dopings", counted)
         _, text = run_to_file(
             tmp_path, "mc.csv",
             ["cost", "--strategies", strategies, "--mc-kd", "--trials", "3", "--k", "200",
@@ -304,10 +320,34 @@ class TestCost:
         assert text == (
             "# command=cost\n# delta_grid=0:0.06:0.01\n# eps_rs=0.5\n# h=50\n"
             "# hop_model=costeq\n# k=200\n# mc_kd=true\n# seed=1\n"
-            f"# strategies={strategies}\n# stream_version=5\n# trials=3\n"
+            f"# strategies={strategies}\n# stream_version=6\n# trials=3\n"
             "strategy,k,h,delta,k_s,k_d,c_T,c_T_normalized\n" + rows
         )
-        assert len(decodes) == simulated
+        assert len(trials) == simulated
+
+    @pytest.mark.parametrize("delta, grids", [
+        ("0.02", ["0:0.06:0.01", "0.02:0.03:0.01"]),  # on the grid
+        ("0.015", ["0:0.06:0.01", "0.02:0.03:0.01"]),  # off it
+    ])
+    def test_mc_kd_is_decode_sim_mean(self, tmp_path, delta, grids):
+        # k_d at delta is decode-sim's mean over the same trials, whatever the grid
+        common = ["--k", "200", "--trials", "4", "--seed", "7"]
+        k_s = str(round(200 * (1.0 + float(delta))))
+        _, text = run_to_file(tmp_path, "ds.csv", ["decode-sim", "--ks", k_s, *common])
+        mean = [r["k_d"] for r in data_rows(text)[1] if r["trial"] == "mean"]
+        for grid in grids:
+            _, table = run_to_file(
+                tmp_path, "st.csv",
+                ["cost", "--strategies", "is_doping", "--delta", delta, "--h", "50",
+                 "--delta-grid", grid, "--mc-kd", *common],
+            )
+            assert [r["k_d"] for r in data_rows(table)[1]] == mean
+            if delta == "0.02":
+                _, curve = run_to_file(
+                    tmp_path, "cv.csv",
+                    ["cost", "--h", "50", "--delta-grid", grid, "--mc-kd", *common],
+                )
+                assert [r["k_d"] for r in data_rows(curve)[1] if r["delta"] == delta] == mean
 
 
 class TestConfigFile:

@@ -221,6 +221,25 @@ class TestGoldenStream:
         assert report.doped_indices[:5] == (145, 700, 735, 256, 783)
 
 
+class TestTrialRngKey:
+    @pytest.mark.parametrize("seed, stream", [
+        (1, 2**63), (1, 2**63 | 5), (1, 2**63 | 1 << 32 | 7), (5, 2**64 - 1),
+        (2**64 - 1, 0), (2**64 - 2, 2**63 + 3), (2**63 + 1, 1),
+    ])
+    def test_key_reads_back_unchanged(self, seed, stream):
+        key = cli.trial_rng(seed, stream).bit_generator.state["state"]["key"]
+        assert key.tolist() == [seed, stream]
+
+    def test_low_bits_above_2_63_draw_apart(self):
+        draws = {cli.trial_rng(1, 2**63 | t).integers(2**62) for t in range(4)}
+        assert len(draws) == 4
+
+    @pytest.mark.parametrize("seed, stream", [(-1, 0), (2**64, 0), (0, -1), (0, 2**64)])
+    def test_outside_two_words_rejected(self, seed, stream):
+        with pytest.raises(InvalidParameterError, match="outside 0..2\\*\\*64-1"):
+            cli.trial_rng(seed, stream)
+
+
 class TestInitDecoder:
     def test_degree_one_seeds_ripple(self):
         block = make_block(5)

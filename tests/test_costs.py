@@ -65,11 +65,15 @@ class TestStrategyCost:
         with pytest.raises(InvalidParameterError):
             costs.rs_symbol_requirement(2000, eps_rs)
 
-    def test_is_doping_override(self):
-        point = costs.strategy_cost("is_doping", 2000, 100, delta=0.02, k_d_override=12.5)
+    def test_is_doping_takes_caller_k_d(self):
+        point = costs.strategy_cost("is_doping", 2000, 100, delta=0.02, k_d=12.5)
         assert point.k_d == 12.5
         assert point.k_s == pytest.approx(2040)
         assert point.delta == 0.02
+
+    def test_is_doping_without_k_d_rejected(self):
+        with pytest.raises(InvalidParameterError, match="k_d"):
+            costs.strategy_cost("is_doping", 2000, 100, delta=0.02)
 
     def test_unknown_strategy(self):
         with pytest.raises(InvalidParameterError):
@@ -85,18 +89,24 @@ class TestMinimizeCost:
     def test_argmin_no_larger_than_grid(self):
         k, h = 2000, 15
         grid = [round(0.01 * i, 2) for i in range(7)]
-        kd = {d: analytics.expected_dopings(k, d).k_d for d in grid}
+        kd = {d: pred.k_d for d, pred in analytics.doping_table(k, grid).items()}
         best_delta, best = costs.minimize_cost(k, h, grid, kd_by_delta=kd)
         for d in grid:
-            point = costs.strategy_cost("is_doping", k, h, delta=d, k_d_override=kd[d])
+            point = costs.strategy_cost("is_doping", k, h, delta=d, k_d=kd[d])
             assert best.c_T <= point.c_T + 1e-12
+        assert costs.minimize_cost(k, h, grid) == (best_delta, best)  # default table
+
+    def test_partial_table_rejected(self):
+        # a missing grid point must not fall back to the analytic k_d
+        with pytest.raises(InvalidParameterError, match=r"\[0\.02\]"):
+            costs.minimize_cost(2000, 15, [0.01, 0.02], kd_by_delta={0.01: 8.0})
 
     def test_tie_prefers_smaller_delta(self):
         kd = {0.01: 8.0, 0.02: 8.0}
         delta, _ = costs.minimize_cost(4000, 4000, [0.02, 0.01], kd_by_delta=kd)
         assert delta in (0.01, 0.02)
-        cost1 = costs.strategy_cost("is_doping", 4000, 4000, delta=0.01, k_d_override=8.0).c_T
-        cost2 = costs.strategy_cost("is_doping", 4000, 4000, delta=0.02, k_d_override=8.0).c_T
+        cost1 = costs.strategy_cost("is_doping", 4000, 4000, delta=0.01, k_d=8.0).c_T
+        cost2 = costs.strategy_cost("is_doping", 4000, 4000, delta=0.02, k_d=8.0).c_T
         if cost1 == cost2:
             assert delta == 0.01
 
@@ -110,9 +120,9 @@ class TestStrategyOrdering:
         # the coded strategies undercut polling on moderate squads; coupon
         # needs h >= ~70 before it beats polling at k=2000
         k = 2000
-        kd0 = analytics.expected_dopings(k, 0.0).k_d
+        kd0 = analytics.doping_table(k, [0.0])[0.0].k_d
         for h in (20, 50, 100, 500):
-            is_point = costs.strategy_cost("is_doping", k, h, delta=0.0, k_d_override=kd0)
+            is_point = costs.strategy_cost("is_doping", k, h, delta=0.0, k_d=kd0)
             rs_point = costs.strategy_cost("rs_no_doping", k, h)
             assert is_point.normalized < 1.0
             assert rs_point.normalized < 1.0
