@@ -78,7 +78,22 @@ def parse_delta_grid(spec: str) -> list[float]:
     if step <= 0 or b < a:
         raise ConfigError(f"bad delta grid {spec!r}: need step > 0 and b >= a")
     n = int((b - a) / step + 1e-9) + 1
-    return [round(a + i * step, 12) for i in range(n)]
+    grid = [round(a + i * step, 12) for i in range(n)]
+    if len(set(grid)) < n:
+        raise ConfigError(f"bad delta grid {spec!r}: points repeat at 12 decimals")
+    return grid
+
+
+def _comma_list(flag: str, spec: str, known=None) -> list[str]:
+    """The stripped names of a comma list; none, or one outside ``known``,
+    is a ConfigError."""
+    names = [name.strip() for name in spec.split(",") if name.strip()]
+    if not names:
+        raise ConfigError(f"{flag} {spec!r} names nothing")
+    unknown = [name for name in names if known is not None and name not in known]
+    if unknown:
+        raise ConfigError(f"{flag}: unknown {', '.join(unknown)}")
+    return names
 
 
 def _finite_delta(delta: float) -> float:
@@ -170,8 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
 def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject config-file values as parser defaults for the chosen subcommand."""
+    """Inject config-file values as parser defaults for the chosen subcommand.
+
+    argparse converts a typed default but neither checks it against the
+    choices nor reads a flag's true/false; both are done here."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(argv[1:])
@@ -182,10 +203,17 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     subparser = sub_actions[0].choices.get(argv[0]) if argv else None
     if subparser is None:
         return argv
-    valid = {a.dest for a in subparser._actions}
+    actions = {a.dest: a for a in subparser._actions}
     for key, value in values.items():
-        if key not in valid:
+        action = actions.get(key)
+        if action is None:
             raise ConfigError(f"unknown config key {key!r}")
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config {key}={value!r} not one of {', '.join(action.choices)}")
+        if action.nargs == 0:
+            if value.lower() not in _BOOLS:
+                raise ConfigError(f"config {key}={value!r} is not a boolean")
+            values[key] = _BOOLS[value.lower()]
     subparser.set_defaults(**values)
     return argv
 
@@ -210,26 +238,13 @@ def _require_trials(trials: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _dist_for(name: str, k: int, rs_c: float, rs_delta: float):
-    if name == "is":
-        return ideal_soliton(k)
-    if name == "rs":
-        return robust_soliton(k, rs_c, rs_delta)
-    raise ConfigError(f"unknown distribution {name!r}")
-
-
 def cmd_decode_sim(args: argparse.Namespace) -> int:
     seed = _require_seed(args)
     _require_trials(args.trials)
     k = args.k
     delta = _finite_delta(args.delta)
     k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
-    dists = [d.strip() for d in str(args.dist).split(",") if d.strip()]
-    if not dists:
-        raise ConfigError(f"--dist {args.dist!r} names no distribution")
-    for d in dists:
-        if d not in ("is", "rs"):
-            raise ConfigError(f"unknown distribution {d!r}")
+    dists = _comma_list("--dist", args.dist, ("is", "rs"))
     header = ["strategy", "trial", "seed", "k", "k_s", "k_d", "p_d"]
     rows: list[dict] = []
     trials = range(args.trials)
@@ -248,7 +263,8 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
             )
             kd_values = network_dopings(seed, trials, cfg, args.collector, k_s)
         else:
-            dist = _dist_for(dist_name, k, args.rs_c, args.rs_delta)
+            dist = (ideal_soliton(k) if dist_name == "is"
+                    else robust_soliton(k, args.rs_c, args.rs_delta))
             kd_values = codec_dopings(seed, trials, dist, k_s, args.payload_len)
         for trial, k_d in enumerate(kd_values.tolist()):
             rows.append(
@@ -402,15 +418,11 @@ def cmd_cost(args: argparse.Namespace) -> int:
     hop_model = _HOP_MODELS[args.hop_model]
     _finite_delta(args.delta)
     try:
-        h_values = [float(x) for x in str(args.h).split(",") if x]
+        h_values = [float(x) for x in _comma_list("--h", args.h)]
     except ValueError as exc:
         raise ConfigError(f"bad --h list {args.h!r}, expected numbers") from exc
-    if not h_values:
-        raise ConfigError(f"--h {args.h!r} names no squad size")
     grid = parse_delta_grid(args.delta_grid)
-    names = [s.strip() for s in (args.strategies or "").split(",") if s.strip()]
-    if args.strategies and not names:
-        raise ConfigError(f"--strategies {args.strategies!r} names no strategy")
+    names = [] if args.strategies is None else _comma_list("--strategies", args.strategies)
     # a strategy table reads every strategy at --delta; a cost curve, is_doping on the grid
     points = [(name, args.delta) for name in names] or [("is_doping", d) for d in grid]
     deltas = list(dict.fromkeys(d for name, d in points if name == "is_doping"))
@@ -470,12 +482,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     if not 0 < args.tolerance_scale < math.inf:
         raise ConfigError(f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
     names = list(validation.CRITERIA)
-    if args.criterion:
-        wanted = [c.strip() for c in args.criterion.split(",") if c.strip()]
-        unknown = [c for c in wanted if c not in validation.CRITERIA]
-        if unknown:
-            raise ConfigError(f"unknown criteria: {', '.join(unknown)}")
-        names = wanted
+    if args.criterion is not None:
+        names = _comma_list("--criterion", args.criterion, validation.CRITERIA)
     results = []
     for name in names:
         res = validation.run_criterion(name, seed=seed, tol_scale=args.tolerance_scale)
@@ -518,10 +526,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        # argparse converts config-file strings for typed options, not for flags
-        for name in ("network", "mc_kd"):
-            if isinstance(getattr(args, name, None), str):
-                setattr(args, name, getattr(args, name).lower() in ("1", "true", "yes"))
         return _COMMANDS[args.command](args)
     except (ConfigError, InvalidParameterError, ExhaustedNetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -29,6 +29,7 @@ from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -231,13 +232,10 @@ def encode_symbols(
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One decoder step: kind is 'init', 'decode' or 'dope'."""
+    """One decoder step: kind is 'init', 'decode' or 'dope'; its ripple releases."""
 
     kind: str
     releases: int
-    defected: int
-    ripple_size: int
-    dope_level: int | None = None  # residual degree doped into; 0 = uncovered poll
 
 
 class DecoderState:
@@ -259,9 +257,13 @@ class DecoderState:
     row's payload (sliced from one bytes copy of the payload matrix and
     turned into an int only then) XOR the replayed values of that row's
     other neighbours, and a doped source's payload is the oracle's packet.
+
+    The step log is the releases of every step (step 0 seeds the ripple, each
+    later one decodes a source) and the steps that doped; ``history`` and a
+    report's ripple trajectory and interdoping yields derive from it.
     """
 
-    def __init__(self, k: int, payload_len: int, batch: SymbolBatch):
+    def __init__(self, k: int, batch: SymbolBatch, payload_len: int):
         self.k = k
         self.payload_len = payload_len
         n, flat = len(batch), batch.neighbors
@@ -299,14 +301,12 @@ class DecoderState:
                 releaser[src] = oid
                 ripple.append(src)
         self.defected_total = len(ones) - len(ripple)
-        # per-step counters
-        self._releases, self._defected = [len(ripple)], [self.defected_total]
-        self._ripple_sizes, self._dope_steps = [len(ripple)], []
+        # the step log
+        self._releases, self._dope_steps = [len(ripple)], []
         # what _drain reads, bound once: a one-step drain pays no look-ups
         self._drain_state = (ripple, self._count, self._flags, releaser, ripple.popleft,
                              ripple.append, self._order.append, bucket.add, bucket.discard,
-                             self._adj, self._adj_ptr, nbrs, ptr, self._releases.append,
-                             self._defected.append, self._ripple_sizes.append)
+                             self._adj, self._adj_ptr, nbrs, ptr, self._releases.append)
 
     # -- inspection ---------------------------------------------------------
 
@@ -350,14 +350,10 @@ class DecoderState:
 
     @property
     def history(self) -> list[StepRecord]:
-        """One record per step, built from the step counters when asked for."""
-        levels = dict(zip(self._dope_steps, self.dope_levels))
-        steps = zip(self._releases, self._defected, self._ripple_sizes)
-        return [
-            StepRecord("dope" if t in levels else "decode" if t else "init", *counts,
-                       levels.get(t))
-            for t, counts in enumerate(steps)
-        ]
+        """One record per step, built from the step log when asked for."""
+        dopes = set(self._dope_steps)
+        return [StepRecord("dope" if t in dopes else "decode" if t else "init", releases)
+                for t, releases in enumerate(self._releases)]
 
     def recovered_payload(self, index: int) -> bytes:
         return self.decoded[index].to_bytes(self.payload_len, "big")
@@ -371,7 +367,7 @@ class DecoderState:
         defects when that source is there already.  Returns the last step's
         releases."""
         (ripple, count, flags, releaser, pop, push, decode, bucket_add, bucket_discard,
-         adj, adj_ptr, nbrs, ptr, log_releases, log_defected, log_size) = self._drain_state
+         adj, adj_ptr, nbrs, ptr, log_releases) = self._drain_state
         defected = self.defected_total
         releases = 0
         while ripple and steps:
@@ -397,15 +393,11 @@ class DecoderState:
                         releases += 1
             defected += spent - releases
             log_releases(releases)
-            log_defected(spent - releases)
-            log_size(len(ripple))
         self.defected_total = defected
         return releases
 
 
-def init_decoder(k: int, batch: SymbolBatch, payload_len: int) -> DecoderState:
-    """Build adjacency from the collected symbols and seed the ripple."""
-    return DecoderState(k, payload_len, batch)
+init_decoder = DecoderState  # the constructor under its functional name
 
 
 def process_ripple_symbol(
@@ -474,15 +466,12 @@ def dope_degree_two(
 @dataclass(frozen=True)
 class DecodeReport:
     """Outcome of one doped decode run, which always recovers every source;
-    ``recovered`` is replayed on first use."""
+    ``recovered``, the ripple trajectory and the yields derive on first use."""
 
-    k: int
     k_s: int
     k_d: int
     doped_indices: tuple[int, ...]
     dope_levels: tuple[int, ...]  # residual degree doped into; 0 = uncovered poll
-    interdoping_yields: tuple[int, ...]
-    ripple_trajectory: tuple[int, ...]
     defected_total: int
     state: DecoderState = field(repr=False, compare=False)
 
@@ -491,6 +480,21 @@ class DecodeReport:
         values, size = self.state.decoded, self.state.payload_len
         return {i: values[i].to_bytes(size, "big") for i in sorted(values)}
 
+    @cached_property
+    def ripple_trajectory(self) -> tuple[int, ...]:
+        """Ripple size after each step: step 0 seeds it, a peel step moves it
+        by its releases minus one and a doping step by its releases."""
+        unpopped = {0, *self.state._dope_steps}
+        return tuple(accumulate(releases - (t not in unpopped)
+                                for t, releases in enumerate(self.state._releases)))
+
+    @cached_property
+    def interdoping_yields(self) -> tuple[int, ...]:
+        """Decodes between successive stalls; the first counts those before
+        the first stall.  A doping at step t stalls after t - 1 decodes."""
+        stalls = [0] + [step - 1 for step in self.state._dope_steps]
+        return tuple(b - a for a, b in zip(stalls, stalls[1:]))
+
 
 def decode_with_doping(
     block: SourceBlock,
@@ -498,28 +502,17 @@ def decode_with_doping(
     rng: np.random.Generator,
 ) -> DecodeReport:
     """Run the full decode loop: dope from ``block.packet`` whenever the
-    ripple is empty.
-
-    Stall times are logged at each doping; interdoping yields are their
-    successive differences (the very first yield counts the decodes that
-    happened before the first stall).
-    """
-    state = init_decoder(block.k, batch, block.payload_len)
+    ripple is empty."""
+    state = DecoderState(block.k, batch, block.payload_len)
     state._drain()
     while not state.finished:
         dope_degree_two(state, block.packet, rng)
         state._drain()
-    # step 0 seeds the ripple and every later step decodes one source
-    stalls = [0] + [step - 1 for step in state._dope_steps]
-    yields = tuple(b - a for a, b in zip(stalls, stalls[1:]))
     return DecodeReport(
-        k=block.k,
         k_s=len(batch),
         k_d=len(state.doped),
         doped_indices=tuple(state.doped),
         dope_levels=tuple(state.dope_levels),
-        interdoping_yields=yields,
-        ripple_trajectory=tuple(state._ripple_sizes),
         defected_total=state.defected_total,
         state=state,
     )

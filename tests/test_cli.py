@@ -216,6 +216,10 @@ class TestNonFiniteNumbers:
         ["cost", "--h", ","],
         ["cost", "--strategies", ","],
         ["decode-sim", "--k", "50", "--trials", "1", "--dist", ","],
+        ["cost", "--k", "100", "--h", "10", "--strategies", ""],
+        ["analyze", "--k", "100", "--delta-grid", "0:1e-12:1e-13"],
+        ["validate", "--criterion", ","],
+        ["validate", "--criterion", ""],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "nan"],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "0"],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "-1"],
@@ -363,14 +367,14 @@ class TestConfigFile:
         assert code == 0
         assert "# k=30" in out2.read_text()
 
-    @pytest.mark.parametrize("network", ["true", "false"])
+    @pytest.mark.parametrize("network", ["true", "false", "YES", "no", "1", "0"])
     def test_typed_values_and_flags_from_file(self, tmp_path, network):
         cfg = tmp_path / "typed.conf"
         cfg.write_text(f"k=30\nh=3\ndelta=0.1\ntrials=2\nseed=4\nnetwork={network}\n")
         by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
         assert main(["decode-sim", "--config", str(cfg), "--out", str(by_file)]) == 0
         flags = ["--k", "30", "--h", "3", "--delta", "0.1", "--trials", "2", "--seed", "4"]
-        flags += ["--network"] if network == "true" else []
+        flags += ["--network"] if network.lower() in ("true", "yes", "1") else []
         assert main(["decode-sim", *flags, "--out", str(by_flags)]) == 0
         assert by_file.read_text() == by_flags.read_text()
 
@@ -379,6 +383,22 @@ class TestConfigFile:
         cfg.write_text("k=40\nnot a pair\n")
         with pytest.raises(ConfigError, match="bad.conf:2"):
             load_config_file(str(cfg))
+
+    @pytest.mark.parametrize("command, line", [
+        ("decode-sim", "dissemination=d3\nnetwork=true"),
+        ("decode-sim", "storage=xyz"),
+        ("cost", "hop_model=foo"),
+        ("decode-sim", "network=maybe"),
+        ("cost", "mc_kd=2"),
+        ("cost", "strategies="),
+        ("validate", "criterion=,"),
+    ])
+    def test_bad_value_rejected(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.conf"
+        cfg.write_text(line + "\n")
+        code, text = run_to_file(tmp_path, "x.csv", [command, "--config", str(cfg), "--seed", "1"])
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "odd.conf"

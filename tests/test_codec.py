@@ -501,7 +501,7 @@ class TestDegreeTwoBucket:
             report = decode_with_doping(block, symbols, np.random.default_rng(500 + seed))
             rng = np.random.default_rng(500 + seed)
             state = init_decoder(k, symbols, block.payload_len)
-            buckets = []
+            buckets, sizes = [], [len(state.ripple)]
             while not state.finished:
                 if state.ripple:
                     process_ripple_symbol(state, rng)
@@ -511,11 +511,12 @@ class TestDegreeTwoBucket:
                     }
                     buckets.append(set(state._degree_two))
                     dope_degree_two(state, block.packet, rng)
+                sizes.append(len(state.ripple))
             # the drained decode and the step-by-step drive agree step for step
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
             assert report.state.history == state.history
-            assert report.ripple_trajectory == tuple(state._ripple_sizes)
+            assert report.ripple_trajectory == tuple(sizes)
             assert report.defected_total == state.defected_total
             # in ascending visiting order the reference peels step for step
             # alike; in set order it stalls in the same states

@@ -559,13 +559,15 @@ class TestCollectionWithDoping:
             # the drive that benchmarks/workloads.traced_decode makes
             rng = np.random.default_rng(seed)
             state = init_decoder(200, nw.collect(net, 1, 200)[0], net.block.payload_len)
+            sizes = [len(state.ripple)]
             while not state.finished:
                 if state.ripple:
                     process_ripple_symbol(state, rng)
                 else:
                     dope_degree_two(state, net.block.packet, rng)
+                sizes.append(len(state.ripple))
             assert report.state.history == state.history
-            assert report.ripple_trajectory == tuple(state._ripple_sizes)
+            assert report.ripple_trajectory == tuple(sizes)
             assert report.defected_total == state.defected_total
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
