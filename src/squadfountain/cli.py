@@ -21,8 +21,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analytics, costs
 from .codec import trial_rng
 from .degrees import ideal_soliton, robust_soliton
@@ -54,18 +52,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[dict]) -> str:
+def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[tuple]) -> None:
+    """Write ``#`` metadata lines sorted by key, the header, then each row's
+    values in header order."""
     lines = [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in header))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
         with open(out_path, "w", newline="\n") as fp:
             fp.write(text)
-    return text
+
+
+_MAX_GRID_POINTS = 100_000
 
 
 def parse_delta_grid(spec: str) -> list[float]:
@@ -77,7 +78,10 @@ def parse_delta_grid(spec: str) -> list[float]:
         raise ConfigError(f"bad delta grid {spec!r}: values must be finite")
     if step <= 0 or b < a:
         raise ConfigError(f"bad delta grid {spec!r}: need step > 0 and b >= a")
-    n = int((b - a) / step + 1e-9) + 1
+    span = (b - a) / step + 1e-9  # checked before int(), which fails on inf
+    if span >= _MAX_GRID_POINTS:
+        raise ConfigError(f"bad delta grid {spec!r}: more than {_MAX_GRID_POINTS} points")
+    n = int(span) + 1
     grid = [round(a + i * step, 12) for i in range(n)]
     if len(set(grid)) < n:
         raise ConfigError(f"bad delta grid {spec!r}: points repeat at 12 decimals")
@@ -132,6 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decode-sim", help="Monte Carlo doped decoding trials")
     common(p)
+    p.set_defaults(run=cmd_decode_sim)
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--ks", type=int, help="upfront symbols (default k*(1+delta))")
     p.add_argument("--delta", type=float, default=0.0)
@@ -153,6 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="analytic doping predictions and yield pmfs")
     common(p)
+    p.set_defaults(run=cmd_analyze)
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--delta", type=float)
     p.add_argument("--delta-grid", help="a:b:step")
@@ -161,12 +167,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("disseminate", help="ring dissemination round accounting")
     common(p)
+    p.set_defaults(run=cmd_disseminate)
     p.add_argument("--k", type=int, default=7)
     p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), default="d2")
     p.add_argument("--payload-len", type=int, default=32)
 
     p = sub.add_parser("cost", help="collection-cost curves and strategy tables")
     common(p)
+    p.set_defaults(run=cmd_cost)
     p.add_argument("--k", type=int, default=2000)
     p.add_argument("--h", default="10,15,30", help="comma list of squad sizes")
     p.add_argument("--delta-grid", default="0:0.06:0.01")
@@ -180,6 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the acceptance checks")
     common(p)
+    p.set_defaults(run=cmd_validate)
     p.add_argument("--criterion", help="comma list of criterion names (default all)")
     p.add_argument("--tolerance-scale", type=float, default=1.0)
     return parser
@@ -238,15 +247,22 @@ def _require_trials(trials: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_decode_sim(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+# A command returns its exit code and its table, (meta, header, rows) with
+# each row's values in header order; main adds command and seed to meta.
+Table = tuple[dict, list[str], list[tuple]]
+
+
+def cmd_decode_sim(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     _require_trials(args.trials)
     k = args.k
     delta = _finite_delta(args.delta)
     k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
     dists = _comma_list("--dist", args.dist, ("is", "rs"))
-    header = ["strategy", "trial", "seed", "k", "k_s", "k_d", "p_d"]
-    rows: list[dict] = []
+    coupon = args.network and args.storage == "coupon"
+    if coupon and len(dists) > 1:
+        raise ConfigError("--storage coupon stores single packets whatever the code; "
+                          f"give one --dist, not {args.dist!r}")
+    rows: list[tuple] = []
     trials = range(args.trials)
     for dist_name in dists:
         if args.network:
@@ -255,7 +271,7 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
                 h=args.h,
                 dissemination=_DISSEMINATION[args.dissemination],
                 # the strategy picks the code unless nodes store coupons
-                storage="coupon" if args.storage == "coupon" else _STORAGE[dist_name],
+                storage="coupon" if coupon else _STORAGE[dist_name],
                 storage_combine_input=args.storage_input,
                 rs_c=args.rs_c,
                 rs_delta=args.rs_delta,
@@ -266,44 +282,17 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
             dist = (ideal_soliton(k) if dist_name == "is"
                     else robust_soliton(k, args.rs_c, args.rs_delta))
             kd_values = codec_dopings(seed, trials, dist, k_s, args.payload_len)
-        for trial, k_d in enumerate(kd_values.tolist()):
-            rows.append(
-                {
-                    "strategy": dist_name,
-                    "trial": trial,
-                    "seed": seed,
-                    "k": k,
-                    "k_s": k_s,
-                    "k_d": k_d,
-                    "p_d": 100.0 * k_d / k,
-                }
-            )
-        kd = np.asarray(kd_values, dtype=float)
+        kd = kd_values.astype(float)
         pd = 100.0 * kd / k
-        rows.append(
-            {
-                "strategy": dist_name,
-                "trial": "mean",
-                "seed": None,
-                "k": k,
-                "k_s": k_s,
-                "k_d": float(kd.mean()),
-                "p_d": float(pd.mean()),
-            }
-        )
-        rows.append(
-            {
-                "strategy": dist_name,
-                "trial": "var",
-                "seed": None,
-                "k": k,
-                "k_s": k_s,
-                "k_d": float(kd.var()),
-                "p_d": float(pd.var()),
-            }
-        )
+        rows += [
+            (dist_name, trial, trial_seed, k, k_s, k_d, p_d)
+            for trial, trial_seed, k_d, p_d in (
+                *((t, seed, v, 100.0 * v / k) for t, v in enumerate(kd_values.tolist())),
+                ("mean", None, float(kd.mean()), float(pd.mean())),
+                ("var", None, float(kd.var()), float(pd.var())),
+            )
+        ]
     meta = {
-        "command": "decode-sim",
         "k": k,
         "ks": k_s,
         "delta": args.delta,
@@ -313,7 +302,6 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
         "trials": args.trials,
         "payload_len": args.payload_len,
         "network": args.network,
-        "seed": seed,
         "stream_version": STREAM_VERSION,
     }
     if args.network:
@@ -321,65 +309,45 @@ def cmd_decode_sim(args: argparse.Namespace) -> int:
             {
                 "h": args.h,
                 "dissemination": args.dissemination,
-                "storage": "coupon" if args.storage == "coupon" else ",".join(dists),
+                "storage": "coupon" if coupon else ",".join(dists),
                 "storage_input": args.storage_input,
                 "collector": args.collector,
             }
         )
-    write_csv(args.out, meta, header, rows)
-    return 0
+    return 0, (meta, ["strategy", "trial", "seed", "k", "k_s", "k_d", "p_d"], rows)
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+def cmd_analyze(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     if args.yield_lambda is not None:
         pmf = analytics.interdoping_yield_pmf(args.yield_lambda, args.t_max)
-        header = ["t", "prob"]
-        rows = [{"t": t, "prob": float(pmf.probs[t])} for t in range(pmf.t_max + 1)]
         meta = {
-            "command": "analyze",
             "mode": "yield_pmf",
             "yield_lambda": args.yield_lambda,
             "t_max": args.t_max,
             "tail": pmf.tail,
-            "seed": seed,
         }
-        write_csv(args.out, meta, header, rows)
-        return 0
+        rows = [(t, float(pmf.probs[t])) for t in range(pmf.t_max + 1)]
+        return 0, (meta, ["t", "prob"], rows)
     if args.delta_grid:
         grid = parse_delta_grid(args.delta_grid)
     elif args.delta is not None:
         grid = [args.delta]
     else:
         grid = [0.0]
-    header = ["delta", "predicted_kd", "p_d", "stall_dopings", "uncovered"]
-    rows = []
-    table = analytics.doping_table(args.k, grid)
-    for delta in grid:
-        pred = table[delta]
-        rows.append(
-            {
-                "delta": delta,
-                "predicted_kd": pred.k_d,
-                "p_d": pred.p_d,
-                "stall_dopings": pred.stall_dopings,
-                "uncovered": pred.uncovered,
-            }
-        )
+    rows = [
+        (delta, pred.k_d, pred.p_d, pred.stall_dopings, pred.uncovered)
+        for delta, pred in analytics.doping_table(args.k, grid).items()
+    ]
     meta = {
-        "command": "analyze",
         "mode": "expected_dopings",
         "k": args.k,
         "delta_grid": ",".join(_fmt(d) for d in grid),
         "kd_includes_uncovered": True,
-        "seed": seed,
     }
-    write_csv(args.out, meta, header, rows)
-    return 0
+    return 0, (meta, ["delta", "predicted_kd", "p_d", "stall_dopings", "uncovered"], rows)
 
 
-def cmd_disseminate(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+def cmd_disseminate(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     cfg = NetworkConfig(
         k=args.k,
         h=1,
@@ -388,32 +356,19 @@ def cmd_disseminate(args: argparse.Namespace) -> int:
     )
     sched = build_network(cfg, trial_rng(seed, 0)).schedule
     verified = sched.verify()
-    header = ["relay", "transmissions", "rounds", "verified"]
-    rows = [
-        {
-            "relay": relay,
-            "transmissions": sched.per_relay,
-            "rounds": sched.rounds,
-            "verified": verified,
-        }
-        for relay in range(1, args.k + 1)
-    ]
+    rows = [(relay, sched.per_relay, sched.rounds, verified) for relay in range(1, args.k + 1)]
     meta = {
-        "command": "disseminate",
         "k": args.k,
         "dissemination": args.dissemination,
         "payload_len": args.payload_len,
         "rounds": sched.rounds,
         "verified": verified,
-        "seed": seed,
         "stream_version": STREAM_VERSION,
     }
-    write_csv(args.out, meta, header, rows)
-    return 0
+    return 0, (meta, ["relay", "transmissions", "rounds", "verified"], rows)
 
 
-def cmd_cost(args: argparse.Namespace) -> int:
-    seed = _require_seed(args)
+def cmd_cost(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     k = args.k
     hop_model = _HOP_MODELS[args.hop_model]
     _finite_delta(args.delta)
@@ -436,7 +391,6 @@ def cmd_cost(args: argparse.Namespace) -> int:
         }
     elif deltas:
         kd_table = {d: pred.k_d for d, pred in analytics.doping_table(k, deltas).items()}
-    header = ["strategy", "k", "h", "delta", "k_s", "k_d", "c_T", "c_T_normalized"]
     rows = []
     for h in h_values:
         for name, delta in points:
@@ -445,20 +399,9 @@ def cmd_cost(args: argparse.Namespace) -> int:
                 k_d=kd_table[delta] if name == "is_doping" else None,
                 hop_model=hop_model,
             )
-            rows.append(
-                {
-                    "strategy": point.strategy,
-                    "k": point.k,
-                    "h": point.h,
-                    "delta": point.delta,
-                    "k_s": point.k_s,
-                    "k_d": point.k_d,
-                    "c_T": point.c_T,
-                    "c_T_normalized": point.normalized,
-                }
-            )
+            rows.append((point.strategy, point.k, point.h, point.delta, point.k_s,
+                         point.k_d, point.c_T, point.normalized))
     meta = {
-        "command": "cost",
         "k": k,
         "h": args.h,
         "delta_grid": args.delta_grid,
@@ -467,18 +410,16 @@ def cmd_cost(args: argparse.Namespace) -> int:
         "eps_rs": args.eps_rs,
         "mc_kd": args.mc_kd,
         "trials": args.trials,
-        "seed": seed,
     }
     if args.mc_kd:
         meta["stream_version"] = STREAM_VERSION
-    write_csv(args.out, meta, header, rows)
-    return 0
+    header = ["strategy", "k", "h", "delta", "k_s", "k_d", "c_T", "c_T_normalized"]
+    return 0, (meta, header, rows)
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
+def cmd_validate(args: argparse.Namespace, seed: int) -> tuple[int, Table | None]:
     from . import validation
 
-    seed = _require_seed(args)
     if not 0 < args.tolerance_scale < math.inf:
         raise ConfigError(f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
     names = list(validation.CRITERIA)
@@ -489,35 +430,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
         res = validation.run_criterion(name, seed=seed, tol_scale=args.tolerance_scale)
         print(res.summary_line())
         results.append(res)
-    if args.out:
-        header = ["criterion", "passed", "measured", "threshold"]
-        rows = [
-            {
-                "criterion": r.name,
-                "passed": r.passed,
-                "measured": r.measured_text(),
-                "threshold": r.threshold_desc,
-            }
-            for r in results
-        ]
-        meta = {
-            "command": "validate",
-            "criteria": ",".join(names),
-            "tolerance_scale": args.tolerance_scale,
-            "seed": seed,
-            "stream_version": STREAM_VERSION,
-        }
-        write_csv(args.out, meta, header, rows)
-    return 0 if all(r.passed for r in results) else 1
-
-
-_COMMANDS = {
-    "decode-sim": cmd_decode_sim,
-    "analyze": cmd_analyze,
-    "disseminate": cmd_disseminate,
-    "cost": cmd_cost,
-    "validate": cmd_validate,
-}
+    code = 0 if all(r.passed for r in results) else 1
+    if not args.out:
+        return code, None
+    rows = [(r.name, r.passed, r.measured_text(), r.threshold_desc) for r in results]
+    meta = {
+        "criteria": ",".join(names),
+        "tolerance_scale": args.tolerance_scale,
+        "stream_version": STREAM_VERSION,
+    }
+    return code, (meta, ["criterion", "passed", "measured", "threshold"], rows)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -526,10 +448,15 @@ def main(argv: list[str] | None = None) -> int:
     try:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        seed = _require_seed(args)
+        code, table = args.run(args, seed)
     except (ConfigError, InvalidParameterError, ExhaustedNetworkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if table is not None:
+        meta, header, rows = table
+        write_csv(args.out, {**meta, "command": args.command, "seed": seed}, header, rows)
+    return code
 
 
 if __name__ == "__main__":

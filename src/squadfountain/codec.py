@@ -108,13 +108,14 @@ class CodedSymbol:
         return len(self.neighbors)
 
 
-def _csr_ptr(lengths: np.ndarray) -> np.ndarray:
+def csr_ptr(lengths: np.ndarray) -> np.ndarray:
+    """Row pointers of a CSR layout whose rows have the given lengths."""
     ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=ptr[1:])
     return ptr
 
 
-def _distinct_rows(
+def distinct_rows(
     rng: np.random.Generator, sizes: np.ndarray, m: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
@@ -140,7 +141,7 @@ def _distinct_rows(
         parts.append(i * m + rng.permutation(m)[: sizes[i]])
     if len(parts) > 1:
         keys = np.sort(np.concatenate(parts))
-    return _csr_ptr(sizes), keys % m
+    return csr_ptr(sizes), keys % m
 
 
 class SymbolBatch:
@@ -166,7 +167,7 @@ class SymbolBatch:
         if not batches:
             return cls(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros((0, 0), np.uint8))
         lengths = np.concatenate([np.diff(b.ptr) for b in batches])
-        return cls(_csr_ptr(lengths), np.concatenate([b.neighbors for b in batches]),
+        return cls(csr_ptr(lengths), np.concatenate([b.neighbors for b in batches]),
                    np.concatenate([b.payloads for b in batches]))
 
     def __len__(self) -> int:
@@ -226,7 +227,7 @@ def encode_symbols(
         )
     if n < 0:
         raise InvalidParameterError(f"cannot encode {n} symbols")
-    ptr, rows = _distinct_rows(rng, sample_degrees(dist, rng, n), block.k)
+    ptr, rows = distinct_rows(rng, sample_degrees(dist, rng, n), block.k)
     return symbols_from_rows(block, ptr, rows + 1)
 
 
@@ -279,7 +280,7 @@ class DecoderState:
         self._payloads = batch.payloads.tobytes()  # row oid at oid * payload_len
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
         # from one sort of (source, output) keys
-        self._adj_ptr = _csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
+        self._adj_ptr = csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
         self._adj = (np.sort(flat * n + np.repeat(np.arange(n), lengths)) % n).tolist()
         self._count = lengths.tolist()
         self._degree_two = bucket = set(np.flatnonzero(lengths == 2).tolist())

@@ -30,9 +30,9 @@ from .codec import (
     DecodeReport,
     SourceBlock,
     SymbolBatch,
-    _csr_ptr,
-    _distinct_rows,
+    csr_ptr,
     decode_with_doping,
+    distinct_rows,
     encode_symbols,
     symbols_from_rows,
     trial_rng,
@@ -276,10 +276,10 @@ class Network:
         n = self.squad_size(gap)
         if self.cfg.storage == "coupon":
             return self._plan_rows(
-                gap, _csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
+                gap, csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
             )
         sizes = np.minimum(sample_degrees(self._dist, rng, n), self._slot_count)
-        ptr, slots = _distinct_rows(rng, sizes, self._slot_count)
+        ptr, slots = distinct_rows(rng, sizes, self._slot_count)
         return self._plan_rows(gap, ptr, slots if self._combines_slots else slots + 1)
 
     def _plan_rows(self, gap: int, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
@@ -301,7 +301,7 @@ class Network:
         keys = np.concatenate([owner, owner[two]]) * (k + 1) + np.concatenate([left, right[two]])
         heard, times = np.unique(keys, return_counts=True)
         odd = heard[times % 2 == 1]  # a source heard an even number of times cancels
-        nbr_ptr = _csr_ptr(np.bincount(odd // (k + 1), minlength=len(ptr) - 1))
+        nbr_ptr = csr_ptr(np.bincount(odd // (k + 1), minlength=len(ptr) - 1))
         return SquadPlan(ptr, slots, symbols_from_rows(self.block, nbr_ptr, odd % (k + 1)))
 
 

@@ -12,6 +12,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -60,7 +61,7 @@ STREAM_RANGES = {
     "uncovered": range(UNCOVERED_STREAM, UNCOVERED_STREAM + 1),
 }
 
-_CACHE: dict[tuple, object] = {}
+SAMPLE_TRIALS = 200  # trials in each shared doping sample
 
 
 @dataclass(frozen=True)
@@ -91,25 +92,21 @@ def _short(v) -> str:
 # ---------------------------------------------------------------------------
 
 
-def network_doping_sample(seed: int, trials: int = 200) -> np.ndarray:
+@cache
+def network_doping_sample(seed: int) -> np.ndarray:
     """k_d samples for k=1000, zero surplus, IS storage, plain dissemination."""
-    key = ("network_doping", seed, trials)
-    if key not in _CACHE:
-        cfg = NetworkConfig(k=1000, h=200, dissemination="degree_one",
-                            storage="is_combining", payload_len=32)
-        streams = range(NETWORK_STREAMS, NETWORK_STREAMS + trials)
-        _CACHE[key] = network_dopings(seed, streams, cfg, 1, 1000)
-    return _CACHE[key]
+    cfg = NetworkConfig(k=1000, h=200, dissemination="degree_one",
+                        storage="is_combining", payload_len=32)
+    streams = range(NETWORK_STREAMS, NETWORK_STREAMS + SAMPLE_TRIALS)
+    return network_dopings(seed, streams, cfg, 1, 1000)
 
 
-def codec_doping_sample(dist_name: str, seed: int, trials: int = 200) -> np.ndarray:
+@cache
+def codec_doping_sample(dist_name: str, seed: int) -> np.ndarray:
     """k_d samples for k=1000, k_s=1000, direct encoding with IS or RS."""
-    key = ("codec_doping", dist_name, seed, trials)
-    if key not in _CACHE:
-        dist = ideal_soliton(1000) if dist_name == "is" else robust_soliton(1000, 0.1, 0.5)
-        streams = range(CODEC_STREAMS, CODEC_STREAMS + trials)
-        _CACHE[key] = codec_dopings(seed, streams, dist, 1000, 32)
-    return _CACHE[key]
+    dist = ideal_soliton(1000) if dist_name == "is" else robust_soliton(1000, 0.1, 0.5)
+    streams = range(CODEC_STREAMS, CODEC_STREAMS + SAMPLE_TRIALS)
+    return codec_dopings(seed, streams, dist, 1000, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +308,7 @@ def criterion_uncovered(seed: int, tol: float) -> CriterionResult:
     approx_at_zero = analytics.uncovered_count(1000, 0.0).approx
     k, seeds = 1000, 500
     k_s = round(k * math.log(k))
-    formula = k * (1.0 - 1.0 / k) ** k_s
+    formula = costs.coupon_residual_uncovered(k, k_s)
     rng = trial_rng(seed, UNCOVERED_STREAM)
     uncovered = np.empty(seeds)
     for t in range(seeds):

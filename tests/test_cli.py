@@ -41,6 +41,30 @@ class TestCsvFormat:
         t2 = [r for r in rows if r["t"] == "2"][0]
         assert t2["prob"] == f"{math.exp(-2):.9g}"
 
+    @pytest.mark.parametrize("argv, meta", [
+        (["decode-sim", "--k", "40", "--trials", "2", "--dist", "is,rs"],
+         "command=decode-sim|delta=0|dist=is,rs|k=40|ks=40|network=false|payload_len=32|"
+         "rs_c=0.1|rs_delta=0.5|seed=3|stream_version=6|trials=2"),
+        (["decode-sim", "--network", "--k", "40", "--h", "10", "--trials", "2",
+          "--dissemination", "d2", "--storage-input", "degree_two_inputs"],
+         "collector=1|command=decode-sim|delta=0|dissemination=d2|dist=is|h=10|k=40|ks=40|"
+         "network=true|payload_len=32|rs_c=0.1|rs_delta=0.5|seed=3|storage=is|"
+         "storage_input=degree_two_inputs|stream_version=6|trials=2"),
+        (["analyze", "--k", "100", "--delta-grid", "0:0.02:0.01"],
+         "command=analyze|delta_grid=0,0.01,0.02|k=100|kd_includes_uncovered=true|"
+         "mode=expected_dopings|seed=3"),
+        (["analyze", "--yield-lambda", "1.05", "--t-max", "5"],
+         "command=analyze|mode=yield_pmf|seed=3|t_max=5|tail=0.670801457|yield_lambda=1.05"),
+        (["validate", "--criterion", "yield_anchor,dissemination", "--tolerance-scale", "2"],
+         "command=validate|criteria=yield_anchor,dissemination|seed=3|stream_version=6|"
+         "tolerance_scale=2"),
+    ], ids=["decode_sim", "decode_sim_network", "analyze_grid", "analyze_yield", "validate"])
+    def test_metadata_block(self, tmp_path, capsys, argv, meta):
+        _, text = run_to_file(tmp_path, "meta.csv", argv + ["--seed", "3"])
+        assert [l for l in text.splitlines() if l.startswith("#")] == [
+            f"# {item}" for item in meta.split("|")
+        ]
+
 
 class TestStreamVersion:
     @pytest.mark.parametrize("argv", [
@@ -193,6 +217,14 @@ class TestNonFiniteNumbers:
         with pytest.raises(ConfigError, match="finite"):
             parse_delta_grid(spec)
 
+    def test_delta_grid_point_bound(self):
+        # counted from (b - a) / step before any point is built; an infinite
+        # span is rejected, not passed to int()
+        assert len(parse_delta_grid("0:99999:1")) == 100_000
+        for spec in ("0:100000:1", "0:1:1e-9", "-1e308:1e308:1e-300"):
+            with pytest.raises(ConfigError, match="more than 100000 points"):
+                parse_delta_grid(spec)
+
     @pytest.mark.parametrize("argv", [
         ["analyze", "--delta-grid", "0:nan:0.01"],
         ["analyze", "--delta-grid", "0:inf:0.01"],
@@ -223,6 +255,10 @@ class TestNonFiniteNumbers:
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "nan"],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "0"],
         ["validate", "--criterion", "yield_anchor", "--tolerance-scale", "-1"],
+        ["analyze", "--k", "100", "--delta-grid", "0:1:1e-9"],
+        ["cost", "--k", "100", "--h", "10", "--delta-grid", "0:1:1e-9"],
+        ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
+         "--dist", "is,rs", "--storage", "coupon"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])

@@ -4,9 +4,10 @@ Stdlib ``ast`` scans, so no lint tool is needed:
 
 * every name a module imports is used in that module (``__init__.py`` is
   skipped, since its imports are the package's exports);
-* no module reads a private name of another package module through that
-  module, as in ``analytics._schedule``: what one module needs of another
-  is public API.
+* no module reads a private name of another package module, through that
+  module as in ``analytics._schedule`` or by importing it as in
+  ``from .codec import _csr_ptr``: what one module needs of another is
+  public API.
 """
 
 import ast
@@ -33,28 +34,42 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def private_module_reads(source: str) -> list[str]:
     """``module._name`` reads, where ``module`` names a package module bound by
     ``from . import module``, ``from squadfountain import module`` or
-    ``import squadfountain.module as alias``.  Dunders are not private."""
+    ``import squadfountain.module as alias``, and private names imported by
+    ``from .module import _name`` or ``from squadfountain.module import _name``.
+    Dunders are not private."""
     tree = ast.parse(source)
+    qualified = {f"squadfountain.{m}" for m in PACKAGE_MODULES}
     modules: set[str] = set()
+    imported: list[str] = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level, node.module) in (
             (1, None), (0, "squadfountain")
         ):
             modules.update(a.asname or a.name for a in node.names if a.name in PACKAGE_MODULES)
+        elif isinstance(node, ast.ImportFrom) and (
+            node.level == 1 and node.module in PACKAGE_MODULES
+            or node.level == 0 and node.module in qualified
+        ):
+            imported += [
+                f"{node.module.rpartition('.')[2]}.{a.name} (line {node.lineno})"
+                for a in node.names if is_private(a.name)
+            ]
         elif isinstance(node, ast.Import):
-            qualified = {f"squadfountain.{m}" for m in PACKAGE_MODULES}
             modules.update(a.asname for a in node.names if a.asname and a.name in qualified)
-    return [
+    return imported + [
         f"{node.value.id}.{node.attr} (line {node.lineno})"
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in modules
-        and node.attr.startswith("_")
-        and not node.attr.startswith("__")
+        and is_private(node.attr)
     ]
 
 
@@ -85,10 +100,17 @@ def test_scan_finds_a_private_read(binding):
     assert private_module_reads(source) == ["analytics._schedule (line 4)"]
 
 
+@pytest.mark.parametrize("module", [".codec", "squadfountain.codec"])
+def test_scan_finds_a_private_import(module):
+    source = f"from {module} import (\n    SourceBlock,\n    _csr_ptr as ptr,\n)\n"
+    assert private_module_reads(source) == ["codec._csr_ptr (line 1)"]
+
+
 def test_scan_passes_public_and_non_module_reads():
     source = (
         "import argparse\nfrom . import analytics\n"
         "analytics.doping_table(3, [0.0])\nanalytics.__name__\n"
         "argparse._SubParsersAction\nstate._drain()\n"
+        "from .codec import csr_ptr, __doc__\nfrom argparse import _SubParsersAction\n"
     )
     assert private_module_reads(source) == []
