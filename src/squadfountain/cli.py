@@ -318,6 +318,8 @@ def cmd_decode_sim(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
 
 
 def cmd_analyze(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
+    if args.delta_grid and args.delta is not None:
+        raise ConfigError("give --delta or --delta-grid, not both")
     if args.yield_lambda is not None:
         pmf = analytics.interdoping_yield_pmf(args.yield_lambda, args.t_max)
         meta = {

@@ -49,10 +49,16 @@ def supersquad_squads(k_s: float, h: float) -> int:
     return math.ceil(k_s / h)
 
 
+def _require_k(k: int) -> None:
+    if k < 1:
+        raise InvalidParameterError(f"k must be at least 1, got {k}")
+
+
 def collection_cost(
     k: int, k_s: float, k_d: float, h: float, hop_model: str = "eq_costeq"
 ) -> float:
-    if min(k, k_s, k_d, h) < 0:
+    _require_k(k)
+    if min(k_s, k_d, h) < 0:
         raise InvalidParameterError("cost inputs must be nonnegative")
     if hop_model not in HOP_MODELS:
         raise InvalidParameterError(f"unknown hop_model {hop_model!r}")
@@ -100,6 +106,7 @@ def strategy_cost(
     (``analytics.doping_table``) or simulated; the other strategies fix their
     own.
     """
+    _require_k(k)
     delta_out = None
     if strategy == "polling":
         k_s, k_d = 0.0, float(k)

@@ -20,6 +20,7 @@ asserted as stated rather than loosened.
 import pytest
 
 from squadfountain import validation
+from squadfountain.cli import main as cli_main
 
 SEED = validation.DEFAULT_SEED
 
@@ -36,3 +37,41 @@ def test_criteria_streams_disjoint():
     for i, a in enumerate(ranges):
         for b in ranges[i + 1:]:
             assert a.stop <= b.start or b.stop <= a.start, (a, b)
+
+
+def test_doping_prediction_bound_reads_draw_time(monkeypatch):
+    # the 2-minute bound is judged on the shared sample's draw, even when
+    # another criterion drew it first
+    sample, _ = validation.network_doping_sample(SEED)
+    results = {}
+    for draw_seconds in (121.0, 1.0):
+        monkeypatch.setattr(validation, "network_doping_sample",
+                            lambda seed, s=draw_seconds: (sample, s))
+        results[draw_seconds] = validation.run_criterion("doping_prediction", seed=SEED)
+    assert not results[121.0].passed
+    assert results[1.0].passed
+    assert results[121.0].measured == results[1.0].measured
+
+
+# measured column of `validate --seed 1 --out` for the criteria that draw
+# streams and run fast; a moved stream changes these
+SEED1_MEASURED = {
+    "decoder_bitexact": "bit_exact_trials=100/100",
+    "walk_mc": "tv_distance=0.00206339 walks=1000000",
+    "degree_evolution": "tv_distance=0.0208891 pooled_outputs=24879",
+    "dissemination": "failures=none",
+    "coupon_coverage": "sim_mean_nodes=3341.85 k_harmonic=3396.41 "
+                       "klogk_estimate=3107.3 rel_error=0.0160638",
+    "uncovered": "approx_at_delta0=1 formula=0.996306 sim_mean=1.024 z_score=0.627674",
+}
+
+
+def test_measured_values_pinned_at_seed_1(tmp_path):
+    out = tmp_path / "v.csv"
+    code = cli_main(["validate", "--seed", "1", "--criterion", ",".join(SEED1_MEASURED),
+                     "--out", str(out)])
+    assert code == 0
+    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    # criterion,passed,measured,threshold; no pinned measured text holds a comma
+    measured = {row.split(",")[0]: row.split(",")[2] for row in rows[1:]}
+    assert measured == SEED1_MEASURED

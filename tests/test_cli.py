@@ -259,6 +259,10 @@ class TestNonFiniteNumbers:
         ["cost", "--k", "100", "--h", "10", "--delta-grid", "0:1:1e-9"],
         ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
          "--dist", "is,rs", "--storage", "coupon"],
+        ["analyze", "--k", "100", "--delta", "0.5", "--delta-grid", "0:0.01:0.01"],
+        ["cost", "--k", "0", "--h", "10", "--strategies", "polling"],
+        ["cost", "--k", "0", "--h", "10", "--strategies", "coupon"],
+        ["cost", "--k", "0", "--h", "10", "--strategies", "rs_no_doping"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])

@@ -39,6 +39,11 @@ class TestCollectionCost:
         )
         assert gap == pytest.approx(k_s / (2 * k))
 
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_k_below_one_rejected(self, k):
+        with pytest.raises(InvalidParameterError, match="k must be at least 1"):
+            costs.collection_cost(k, 10.0, 1.0, 10)
+
     def test_nonincreasing_in_h(self):
         values = [costs.collection_cost(2000, 2400, 10, h) for h in (10, 20, 50, 100, 1000)]
         assert all(a >= b for a, b in zip(values, values[1:]))
@@ -78,6 +83,13 @@ class TestStrategyCost:
     def test_unknown_strategy(self):
         with pytest.raises(InvalidParameterError):
             costs.strategy_cost("gossip", 100, 10)
+
+    @pytest.mark.parametrize("strategy", ["polling", "coupon", "rs_no_doping", "is_doping"])
+    @pytest.mark.parametrize("k", [0, -5])
+    def test_k_below_one_rejected(self, strategy, k):
+        # checked before any strategy's formula, which would divide by k
+        with pytest.raises(InvalidParameterError, match="k must be at least 1"):
+            costs.strategy_cost(strategy, k, 10, k_d=1.0)
 
 
 class TestMinimizeCost:
