@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, pdtrc, xlogy
 
-from .degrees import DegreeDistribution
+from .degrees import DegreeDistribution, ideal_soliton
 from .errors import DivergedError, InvalidParameterError
 
 _MASS_TOL = 1e-9
@@ -73,10 +73,8 @@ def unreleased_degree_dist(k: int, ell: int) -> DegreeDistribution:
     Ideal Soliton masses on the shrunken support {2..k-ell}, renormalized."""
     if not 0 <= ell <= k - 3:
         raise InvalidParameterError(f"ell={ell} outside 0..k-3 for k={k}")
-    top = k - ell
-    raw = np.zeros(top + 1)
-    d = np.arange(2, top + 1, dtype=float)
-    raw[2:] = 1.0 / (d * (d - 1.0))
+    raw = ideal_soliton(k - ell).pmf.copy()
+    raw[1] = 0.0
     return DegreeDistribution.from_weights(raw)
 
 

@@ -4,19 +4,20 @@ Subcommands: decode-sim, analyze, disseminate, cost, validate.  Every run
 requires an explicit --seed; per-trial randomness comes from a counter-based
 Philox stream keyed by the pair (seed, trial), so reruns are byte-identical,
 trials are independent regardless of execution order, and different seeds
-never share a trial.  CSVs carry '#'-prefixed metadata lines embedding the
-full effective configuration; those whose numbers depend on a random draw
-also carry ``stream_version``, which changes whenever the same seed would
-give different numbers.  Version 6 keys Philox with two uint64 words, so
-seeds of 2**63 and more keep their low bits, and ``cost --mc-kd`` takes k_d
-at each surplus as the mean of decode-sim's IS codec trials 0..T-1 at
-k_s = round(k(1+delta)), payload 32; every other output at seeds below
-2**63 is unchanged.
+never share a trial.  The key=value pairs of a --config file are parsed as
+the flags --key=value ahead of the command line's own, so one parser checks
+both, and any bad argument is one ``error:`` line and exit status 2.  CSVs
+carry '#'-prefixed metadata lines embedding the full effective
+configuration; those whose numbers depend on a random draw also carry
+``stream_version``, which changes whenever the same seed would give
+different numbers.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -54,11 +55,12 @@ def _fmt(value) -> str:
 
 def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[tuple]) -> None:
     """Write ``#`` metadata lines sorted by key, the header, then each row's
-    values in header order."""
-    lines = [f"# {key}={_fmt(meta[key])}" for key in sorted(meta)]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    text = "\n".join(lines) + "\n"
+    values in header order; a field holding a comma is quoted."""
+    body = io.StringIO()
+    writer = csv.writer(body, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(map(_fmt, row) for row in rows)
+    text = "".join(f"# {key}={_fmt(meta[key])}\n" for key in sorted(meta)) + body.getvalue()
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -100,30 +102,67 @@ def _comma_list(flag: str, spec: str, known=None) -> list[str]:
     return names
 
 
-def _finite_delta(delta: float) -> float:
-    if not math.isfinite(delta):
-        raise ConfigError(f"--delta must be finite, got {delta}")
-    return delta
+def _unread(mode: str, args: argparse.Namespace, *dests: str) -> None:
+    """Reject the flags among ``dests`` that were given, as ``mode`` reads none."""
+    given = ["--" + dest.replace("_", "-") for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ConfigError(f"{mode} reads no {', '.join(given)}")
 
 
 def load_config_file(path: str) -> dict[str, str]:
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeError) as exc:
+        raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().replace("-", "_")
+        key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{path}:{lineno}: empty key")
-        values[key] = value.strip()
+        values[key] = value
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Flags are spelled in full, and a bad argument raises ConfigError, so
+    main reports it in one line whether a flag or a config pair gave it."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+def _typed(parse, what: str, ok=lambda value: True):
+    """An argparse type: ``parse(text)``, refused when that raises ValueError,
+    gives None or fails ``ok``."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+        return value
+
+    return convert
+
+
+_SWITCH = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_switch = _typed(lambda text: _SWITCH.get(text.lower()), "true/false, 1/0 or yes/no")
+_seed = _typed(int, "an integer in 0..2**64-1", lambda seed: 0 <= seed < 2**64)
+_finite = _typed(float, "a finite number", math.isfinite)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="squadfountain",
         description="Doped-fountain storage and collection experiments",
     )
@@ -131,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key=value file; flags override it")
-        p.add_argument("--seed", type=int, help="base RNG seed (required)")
+        p.add_argument("--seed", type=_seed, required=True, help="base RNG seed")
         p.add_argument("--out", help="output CSV path (default stdout)")
 
     p = sub.add_parser("decode-sim", help="Monte Carlo doped decoding trials")
@@ -139,31 +178,29 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_decode_sim)
     p.add_argument("--k", type=int, default=1000)
     p.add_argument("--ks", type=int, help="upfront symbols (default k*(1+delta))")
-    p.add_argument("--delta", type=float, default=0.0)
+    p.add_argument("--delta", type=_finite, help="surplus (default 0); not with --ks")
     p.add_argument("--dist", default="is", help="comma list out of {is,rs}")
     p.add_argument("--rs-c", type=float, default=0.1)
     p.add_argument("--rs-delta", type=float, default=0.5)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--payload-len", type=int, default=32)
-    p.add_argument("--network", action="store_true", help="full network path")
+    p.add_argument("--network", nargs="?", const=True, default=False, type=_switch,
+                   help="full network path")
     p.add_argument("--h", type=float, default=200.0)
     p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), default="d1")
     p.add_argument("--storage", choices=sorted(_STORAGE), default="is")
-    p.add_argument(
-        "--storage-input",
-        choices=["degree_one_inputs", "degree_two_inputs"],
-        default="degree_one_inputs",
-    )
+    p.add_argument("--storage-input", choices=["degree_one_inputs", "degree_two_inputs"],
+                   default="degree_one_inputs")
     p.add_argument("--collector", type=int, default=1)
 
     p = sub.add_parser("analyze", help="analytic doping predictions and yield pmfs")
     common(p)
     p.set_defaults(run=cmd_analyze)
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--delta", type=float)
+    p.add_argument("--k", type=int, help="default 1000; not with --yield-lambda")
+    p.add_argument("--delta", type=_finite)
     p.add_argument("--delta-grid", help="a:b:step")
     p.add_argument("--yield-lambda", type=float, help="dump P(Y=t) at this intensity")
-    p.add_argument("--t-max", type=int, default=50)
+    p.add_argument("--t-max", type=int, help="default 50; only with --yield-lambda")
 
     p = sub.add_parser("disseminate", help="ring dissemination round accounting")
     common(p)
@@ -177,13 +214,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_cost)
     p.add_argument("--k", type=int, default=2000)
     p.add_argument("--h", default="10,15,30", help="comma list of squad sizes")
-    p.add_argument("--delta-grid", default="0:0.06:0.01")
-    p.add_argument("--delta", type=float, default=0.0,
-                   help="surplus for the doped strategy in the strategy table")
+    p.add_argument("--delta-grid", help="a:b:step of the cost curve (default 0:0.06:0.01)")
+    p.add_argument("--delta", type=_finite,
+                   help="surplus for the doped strategy in the strategy table (default 0)")
     p.add_argument("--strategies", help="comma list; switches to strategy table")
     p.add_argument("--hop-model", choices=sorted(_HOP_MODELS), default="costeq")
     p.add_argument("--eps-rs", type=float, default=0.5)
-    p.add_argument("--mc-kd", action="store_true", help="simulate k_d instead of analytic")
+    p.add_argument("--mc-kd", nargs="?", const=True, default=False, type=_switch,
+                   help="simulate k_d instead of analytic")
     p.add_argument("--trials", type=int, default=50, help="trials per point for --mc-kd")
 
     p = sub.add_parser("validate", help="run the acceptance checks")
@@ -194,46 +232,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-
-
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """Inject config-file values as parser defaults for the chosen subcommand.
-
-    argparse converts a typed default but neither checks it against the
-    choices nor reads a flag's true/false; both are done here."""
-    pre = argparse.ArgumentParser(add_help=False)
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with each pair of the --config file as a ``--key=value`` flag
+    right after the subcommand, so the parser checks both sources alike and
+    flags given on the command line win."""
+    pre = _Parser(add_help=False)
     pre.add_argument("--config")
-    known, _ = pre.parse_known_args(argv[1:])
-    if not known.config:
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
         return argv
-    values = load_config_file(known.config)
-    sub_actions = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = sub_actions[0].choices.get(argv[0]) if argv else None
-    if subparser is None:
-        return argv
-    actions = {a.dest: a for a in subparser._actions}
-    for key, value in values.items():
-        action = actions.get(key)
-        if action is None:
-            raise ConfigError(f"unknown config key {key!r}")
-        if action.choices is not None and value not in action.choices:
-            raise ConfigError(f"config {key}={value!r} not one of {', '.join(action.choices)}")
-        if action.nargs == 0:
-            if value.lower() not in _BOOLS:
-                raise ConfigError(f"config {key}={value!r} is not a boolean")
-            values[key] = _BOOLS[value.lower()]
-    subparser.set_defaults(**values)
-    return argv
-
-
-def _require_seed(args: argparse.Namespace) -> int:
-    if args.seed is None:
-        raise ConfigError("--seed is required; runs must be reproducible")
-    seed = int(args.seed)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"--seed {seed} outside 0..2**64-1")
-    return seed
+    pairs = load_config_file(path).items()
+    return [*argv[:1], *(f"--{key.replace('_', '-')}={value}" for key, value in pairs), *argv[1:]]
 
 
 def _require_trials(trials: int) -> int:
@@ -252,10 +261,12 @@ def _require_trials(trials: int) -> int:
 Table = tuple[dict, list[str], list[tuple]]
 
 
-def cmd_decode_sim(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
+def cmd_decode_sim(args: argparse.Namespace) -> tuple[int, Table]:
     _require_trials(args.trials)
     k = args.k
-    delta = _finite_delta(args.delta)
+    if args.ks is not None:
+        _unread("decode-sim --ks", args, "delta")
+    delta = 0.0 if args.delta is None else args.delta
     k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
     dists = _comma_list("--dist", args.dist, ("is", "rs"))
     coupon = args.network and args.storage == "coupon"
@@ -277,17 +288,17 @@ def cmd_decode_sim(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
                 rs_delta=args.rs_delta,
                 payload_len=args.payload_len,
             )
-            kd_values = network_dopings(seed, trials, cfg, args.collector, k_s)
+            kd_values = network_dopings(args.seed, trials, cfg, args.collector, k_s)
         else:
             dist = (ideal_soliton(k) if dist_name == "is"
                     else robust_soliton(k, args.rs_c, args.rs_delta))
-            kd_values = codec_dopings(seed, trials, dist, k_s, args.payload_len)
+            kd_values = codec_dopings(args.seed, trials, dist, k_s, args.payload_len)
         kd = kd_values.astype(float)
         pd = 100.0 * kd / k
         rows += [
             (dist_name, trial, trial_seed, k, k_s, k_d, p_d)
             for trial, trial_seed, k_d, p_d in (
-                *((t, seed, v, 100.0 * v / k) for t, v in enumerate(kd_values.tolist())),
+                *((t, args.seed, v, 100.0 * v / k) for t, v in enumerate(kd_values.tolist())),
                 ("mean", None, float(kd.mean()), float(pd.mean())),
                 ("var", None, float(kd.var()), float(pd.var())),
             )
@@ -295,7 +306,7 @@ def cmd_decode_sim(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     meta = {
         "k": k,
         "ks": k_s,
-        "delta": args.delta,
+        "delta": delta,
         "dist": ",".join(dists),
         "rs_c": args.rs_c,
         "rs_delta": args.rs_delta,
@@ -305,58 +316,45 @@ def cmd_decode_sim(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
         "stream_version": STREAM_VERSION,
     }
     if args.network:
-        meta.update(
-            {
-                "h": args.h,
-                "dissemination": args.dissemination,
-                "storage": "coupon" if coupon else ",".join(dists),
-                "storage_input": args.storage_input,
-                "collector": args.collector,
-            }
-        )
+        meta |= {"h": args.h, "dissemination": args.dissemination,
+                 "storage": "coupon" if coupon else ",".join(dists),
+                 "storage_input": args.storage_input, "collector": args.collector}
     return 0, (meta, ["strategy", "trial", "seed", "k", "k_s", "k_d", "p_d"], rows)
 
 
-def cmd_analyze(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
-    if args.delta_grid and args.delta is not None:
-        raise ConfigError("give --delta or --delta-grid, not both")
+def cmd_analyze(args: argparse.Namespace) -> tuple[int, Table]:
     if args.yield_lambda is not None:
-        pmf = analytics.interdoping_yield_pmf(args.yield_lambda, args.t_max)
-        meta = {
-            "mode": "yield_pmf",
-            "yield_lambda": args.yield_lambda,
-            "t_max": args.t_max,
-            "tail": pmf.tail,
-        }
+        _unread("analyze --yield-lambda", args, "k", "delta", "delta_grid")
+        t_max = 50 if args.t_max is None else args.t_max
+        pmf = analytics.interdoping_yield_pmf(args.yield_lambda, t_max)
+        meta = {"mode": "yield_pmf", "yield_lambda": args.yield_lambda, "t_max": t_max,
+                "tail": pmf.tail}
         rows = [(t, float(pmf.probs[t])) for t in range(pmf.t_max + 1)]
         return 0, (meta, ["t", "prob"], rows)
-    if args.delta_grid:
+    _unread("analyze without --yield-lambda", args, "t_max")
+    if args.delta_grid is not None:
+        _unread("analyze --delta-grid", args, "delta")
         grid = parse_delta_grid(args.delta_grid)
-    elif args.delta is not None:
-        grid = [args.delta]
     else:
-        grid = [0.0]
+        grid = [0.0 if args.delta is None else args.delta]
+    k = 1000 if args.k is None else args.k
     rows = [
         (delta, pred.k_d, pred.p_d, pred.stall_dopings, pred.uncovered)
-        for delta, pred in analytics.doping_table(args.k, grid).items()
+        for delta, pred in analytics.doping_table(k, grid).items()
     ]
     meta = {
         "mode": "expected_dopings",
-        "k": args.k,
+        "k": k,
         "delta_grid": ",".join(_fmt(d) for d in grid),
         "kd_includes_uncovered": True,
     }
     return 0, (meta, ["delta", "predicted_kd", "p_d", "stall_dopings", "uncovered"], rows)
 
 
-def cmd_disseminate(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
-    cfg = NetworkConfig(
-        k=args.k,
-        h=1,
-        dissemination=_DISSEMINATION[args.dissemination],
-        payload_len=args.payload_len,
-    )
-    sched = build_network(cfg, trial_rng(seed, 0)).schedule
+def cmd_disseminate(args: argparse.Namespace) -> tuple[int, Table]:
+    cfg = NetworkConfig(k=args.k, h=1, dissemination=_DISSEMINATION[args.dissemination],
+                        payload_len=args.payload_len)
+    sched = build_network(cfg, trial_rng(args.seed, 0)).schedule
     verified = sched.verify()
     rows = [(relay, sched.per_relay, sched.rounds, verified) for relay in range(1, args.k + 1)]
     meta = {
@@ -370,25 +368,30 @@ def cmd_disseminate(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     return 0, (meta, ["relay", "transmissions", "rounds", "verified"], rows)
 
 
-def cmd_cost(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
+def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
     k = args.k
     hop_model = _HOP_MODELS[args.hop_model]
-    _finite_delta(args.delta)
     try:
         h_values = [float(x) for x in _comma_list("--h", args.h)]
     except ValueError as exc:
         raise ConfigError(f"bad --h list {args.h!r}, expected numbers") from exc
-    grid = parse_delta_grid(args.delta_grid)
-    names = [] if args.strategies is None else _comma_list("--strategies", args.strategies)
+    meta = {}
     # a strategy table reads every strategy at --delta; a cost curve, is_doping on the grid
-    points = [(name, args.delta) for name in names] or [("is_doping", d) for d in grid]
+    if args.strategies is not None:
+        _unread("cost --strategies", args, "delta_grid")
+        delta = 0.0 if args.delta is None else args.delta
+        points = [(name, delta) for name in _comma_list("--strategies", args.strategies)]
+    else:
+        _unread("a cost curve (no --strategies)", args, "delta")
+        meta["delta_grid"] = "0:0.06:0.01" if args.delta_grid is None else args.delta_grid
+        points = [("is_doping", d) for d in parse_delta_grid(meta["delta_grid"])]
     deltas = list(dict.fromkeys(d for name, d in points if name == "is_doping"))
     kd_table: dict[float, float] = {}
     if args.mc_kd:
         # decode-sim's mean over its IS codec trials at k_s = round(k(1+delta))
         trials, dist = range(_require_trials(args.trials)), ideal_soliton(k)
         kd_table = {
-            d: float(codec_dopings(seed, trials, dist, round(k * (1.0 + d)), 32).mean())
+            d: float(codec_dopings(args.seed, trials, dist, round(k * (1.0 + d)), 32).mean())
             for d in deltas
         }
     elif deltas:
@@ -403,10 +406,9 @@ def cmd_cost(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
             )
             rows.append((point.strategy, point.k, point.h, point.delta, point.k_s,
                          point.k_d, point.c_T, point.normalized))
-    meta = {
+    meta |= {
         "k": k,
         "h": args.h,
-        "delta_grid": args.delta_grid,
         "strategies": args.strategies,
         "hop_model": args.hop_model,
         "eps_rs": args.eps_rs,
@@ -419,7 +421,7 @@ def cmd_cost(args: argparse.Namespace, seed: int) -> tuple[int, Table]:
     return 0, (meta, header, rows)
 
 
-def cmd_validate(args: argparse.Namespace, seed: int) -> tuple[int, Table | None]:
+def cmd_validate(args: argparse.Namespace) -> tuple[int, Table | None]:
     from . import validation
 
     if not 0 < args.tolerance_scale < math.inf:
@@ -429,7 +431,7 @@ def cmd_validate(args: argparse.Namespace, seed: int) -> tuple[int, Table | None
         names = _comma_list("--criterion", args.criterion, validation.CRITERIA)
     results = []
     for name in names:
-        res = validation.run_criterion(name, seed=seed, tol_scale=args.tolerance_scale)
+        res = validation.run_criterion(name, seed=args.seed, tol_scale=args.tolerance_scale)
         print(res.summary_line())
         results.append(res)
     code = 0 if all(r.passed for r in results) else 1
@@ -446,18 +448,15 @@ def cmd_validate(args: argparse.Namespace, seed: int) -> tuple[int, Table | None
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
-        seed = _require_seed(args)
-        code, table = args.run(args, seed)
-    except (ConfigError, InvalidParameterError, ExhaustedNetworkError) as exc:
+        args = _build_parser().parse_args(_with_config(argv))
+        code, table = args.run(args)
+        if table is not None:
+            meta, header, rows = table
+            write_csv(args.out, {**meta, "command": args.command, "seed": args.seed}, header, rows)
+    except (ConfigError, InvalidParameterError, ExhaustedNetworkError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if table is not None:
-        meta, header, rows = table
-        write_csv(args.out, {**meta, "command": args.command, "seed": seed}, header, rows)
     return code
 
 

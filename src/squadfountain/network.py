@@ -278,9 +278,12 @@ class Network:
             return self._plan_rows(
                 gap, csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
             )
+        if not self._combines_slots:
+            symbols = encode_symbols(self.block, self._dist, n, rng)
+            return SquadPlan(symbols.ptr, symbols.neighbors, symbols)
         sizes = np.minimum(sample_degrees(self._dist, rng, n), self._slot_count)
         ptr, slots = distinct_rows(rng, sizes, self._slot_count)
-        return self._plan_rows(gap, ptr, slots if self._combines_slots else slots + 1)
+        return self._plan_rows(gap, ptr, slots)
 
     def _plan_rows(self, gap: int, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
         """Attach to each row of slots the symbol over the sources it covers.

@@ -365,4 +365,4 @@ def run_criterion(name: str, seed: int = DEFAULT_SEED, tol_scale: float = 1.0) -
     criterion, threshold = CRITERIA[name]
     start = time.perf_counter()
     passed, measured = criterion(seed, tol_scale)
-    return CriterionResult(name, passed, measured, threshold, time.perf_counter() - start)
+    return CriterionResult(name, bool(passed), measured, threshold, time.perf_counter() - start)

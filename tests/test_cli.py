@@ -1,10 +1,11 @@
+import csv
 import math
 
 from pathlib import Path
 
 import pytest
 
-from squadfountain import analytics, cli
+from squadfountain import analytics, cli, validation
 from squadfountain.cli import main, parse_delta_grid, load_config_file
 from squadfountain.errors import ConfigError
 
@@ -263,6 +264,17 @@ class TestNonFiniteNumbers:
         ["cost", "--k", "0", "--h", "10", "--strategies", "polling"],
         ["cost", "--k", "0", "--h", "10", "--strategies", "coupon"],
         ["cost", "--k", "0", "--h", "10", "--strategies", "rs_no_doping"],
+        # a flag the chosen mode never reads
+        ["analyze", "--yield-lambda", "1", "--delta", "0.5"],
+        ["analyze", "--yield-lambda", "1", "--delta-grid", "0:0.01:0.01"],
+        ["analyze", "--yield-lambda", "1", "--k", "100"],
+        ["analyze", "--k", "100", "--t-max", "10"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--ks", "52", "--delta", "0.04"],
+        ["cost", "--k", "100", "--h", "10", "--strategies", "polling",
+         "--delta-grid", "0:0.01:0.01"],
+        ["cost", "--k", "100", "--h", "10", "--delta", "0.02"],
+        ["analyze", "--k", "100", "--delta-grid", ""],
+        ["cost", "--k", "100", "--h", "10", "--delta-grid", ""],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])
@@ -362,7 +374,7 @@ class TestCost:
              "--h", "50", "--delta", "0.02", "--seed", "1"],
         )
         assert text == (
-            "# command=cost\n# delta_grid=0:0.06:0.01\n# eps_rs=0.5\n# h=50\n"
+            "# command=cost\n# eps_rs=0.5\n# h=50\n"
             "# hop_model=costeq\n# k=200\n# mc_kd=true\n# seed=1\n"
             f"# strategies={strategies}\n# stream_version=6\n# trials=3\n"
             "strategy,k,h,delta,k_s,k_d,c_T,c_T_normalized\n" + rows
@@ -374,19 +386,20 @@ class TestCost:
         ("0.015", ["0:0.06:0.01", "0.02:0.03:0.01"]),  # off it
     ])
     def test_mc_kd_is_decode_sim_mean(self, tmp_path, delta, grids):
-        # k_d at delta is decode-sim's mean over the same trials, whatever the grid
+        # k_d at delta is decode-sim's mean over the same trials, in a strategy
+        # table (which reads no grid) and on every curve whose grid holds delta
         common = ["--k", "200", "--trials", "4", "--seed", "7"]
         k_s = str(round(200 * (1.0 + float(delta))))
         _, text = run_to_file(tmp_path, "ds.csv", ["decode-sim", "--ks", k_s, *common])
         mean = [r["k_d"] for r in data_rows(text)[1] if r["trial"] == "mean"]
-        for grid in grids:
-            _, table = run_to_file(
-                tmp_path, "st.csv",
-                ["cost", "--strategies", "is_doping", "--delta", delta, "--h", "50",
-                 "--delta-grid", grid, "--mc-kd", *common],
-            )
-            assert [r["k_d"] for r in data_rows(table)[1]] == mean
-            if delta == "0.02":
+        _, table = run_to_file(
+            tmp_path, "st.csv",
+            ["cost", "--strategies", "is_doping", "--delta", delta, "--h", "50",
+             "--mc-kd", *common],
+        )
+        assert [r["k_d"] for r in data_rows(table)[1]] == mean
+        if delta == "0.02":  # on both grids; 0.015 is on neither
+            for grid in grids:
                 _, curve = run_to_file(
                     tmp_path, "cv.csv",
                     ["cost", "--h", "50", "--delta-grid", grid, "--mc-kd", *common],
@@ -450,6 +463,63 @@ class TestConfigFile:
         code = main(["decode-sim", "--k", "20", "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    def test_flags_after_the_file_win(self, tmp_path):
+        # pairs are parsed as flags ahead of the command line's own
+        cfg = tmp_path / "net.conf"
+        cfg.write_text("k=30\nh=5\ntrials=2\nseed=4\nnetwork=true\n")
+        by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+        argv = ["decode-sim", "--config", str(cfg), "--network", "no", "--seed", "5"]
+        assert main([*argv, "--out", str(by_file)]) == 0
+        flags = ["--k", "30", "--h", "5", "--trials", "2", "--seed", "5", "--network", "0"]
+        assert main(["decode-sim", *flags, "--out", str(by_flags)]) == 0
+        assert by_file.read_text() == by_flags.read_text()
+        assert "# network=false\n" in by_file.read_text()
+
+
+class TestBadArgument:
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, pairs", [
+        ("decode-sim", {"dissemination": "d3", "seed": "1"}),
+        ("decode-sim", {"seed": "abc"}),
+        ("decode-sim", {"warp": "9", "seed": "1"}),
+        ("analyze", {"delta_g": "0:0.01:0.01", "seed": "1"}),
+        ("decode-sim", {"network": "maybe", "seed": "1"}),
+        ("cost", {"mc_kd": "2", "seed": "1"}),
+        ("decode-sim", {"k": "20"}),
+    ], ids=["bad_choice", "seed_not_integer", "unknown_name", "abbreviation",
+            "network_word", "mc_kd_word", "no_seed"])
+    def test_one_error_line(self, tmp_path, capsys, source, command, pairs):
+        # either source goes through the one parser: exit 2, one line, no usage
+        if source == "flag":
+            argv = [command]
+            for key, value in pairs.items():
+                argv += [f"--{key.replace('_', '-')}", value]
+        else:
+            cfg = tmp_path / "run.conf"
+            cfg.write_text("".join(f"{key}={value}\n" for key, value in pairs.items()))
+            argv = [command, "--config", str(cfg)]
+        out = tmp_path / "x.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "usage" not in captured.err + captured.out and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["decode-sim", "--seed", "1", "--config", "{tmp}/absent.conf"],
+        ["disseminate", "--seed", "1", "--out", "{tmp}/absent/x.csv"],
+    ], ids=["config_file", "out_dir"])
+    def test_missing_path(self, tmp_path, capsys, argv):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["cost", "--help"]])
+    def test_help_still_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: ")
+
 
 class TestValidateCommand:
     def test_single_criterion_passes(self, capsys):
@@ -483,6 +553,23 @@ class TestValidateCommand:
         text = out.read_text()
         assert "criterion,passed,measured,threshold" in text
         assert "dissemination,true" in text
+
+    def test_report_parses_as_csv(self, tmp_path, capsys, monkeypatch):
+        # thresholds and a failure list hold commas; quoted, every row has four fields
+        names = ["yield_anchor", "degree_evolution", "recursion_matrix", "dissemination",
+                 "cost_minima", "strategy_order"]
+        _, threshold = validation.CRITERIA["dissemination"]
+        monkeypatch.setitem(validation.CRITERIA, "dissemination",
+                            (lambda seed, tol: (False, {"failures": [3, 5]}), threshold))
+        code, text = run_to_file(tmp_path, "r.csv",
+                                 ["validate", "--seed", "1", "--criterion", ",".join(names)])
+        assert code == 1
+        rows = list(csv.reader(l for l in text.splitlines() if not l.startswith("#")))
+        assert rows[0] == ["criterion", "passed", "measured", "threshold"]
+        assert [row[:2] for row in rows[1:]] == [
+            [name, "false" if name == "dissemination" else "true"] for name in names]
+        assert [row[3] for row in rows[1:]] == [validation.CRITERIA[n][1] for n in names]
+        assert rows[4][2] == "failures=[3, 5]"
 
     def test_report_file_is_byte_identical_across_runs(self, tmp_path, capsys):
         # wall time goes to stdout, never into the CSV
