@@ -30,9 +30,12 @@ This module provides
   grid, and the delta=0 renewal shortcut), and
 * the expected number of source packets no collected symbol covers.
 
-Poisson masses are evaluated as scipy.stats does, from scipy.special, so
-importing the package does not load scipy.stats.  All functions are pure
-and safe for concurrent use.
+Poisson masses and tails are evaluated as scipy.stats does, from
+scipy.special, which is imported by the two functions that need it.  So
+importing the package, and the Monte Carlo paths that never evaluate a
+Poisson mass, load no scipy at all; scipy.special loads when an analytic
+routine first asks for a mass or a tail, and scipy.stats never loads.  All
+functions are pure and safe for concurrent use.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, pdtrc, xlogy
 
 from .degrees import DegreeDistribution, ideal_soliton
 from .errors import DivergedError, InvalidParameterError
@@ -52,6 +54,8 @@ _MASS_TOL = 1e-9
 def _poisson_pmf(n, mu: float) -> np.ndarray:
     """Poisson(mu) mass at n, evaluated as scipy.stats.poisson.pmf does; zero
     for n < 0."""
+    from scipy.special import gammaln, xlogy
+
     n = np.asarray(n, dtype=float)
     return np.where(n < 0, 0.0, np.exp(xlogy(n, mu) - gammaln(n + 1.0) - mu))
 
@@ -217,6 +221,8 @@ def simulate_walk_stopping_times(
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
     if t_cap < 1:
         raise InvalidParameterError(f"t_cap must be >= 1, got {t_cap}")
+    from scipy.special import pdtrc
+
     cells = np.arange(int(lam + 40.0 * math.sqrt(lam) + 40.0))
     cells = cells[: int(np.argmax(pdtrc(cells, lam) < 1e-16)) + 1]
     step_law = _poisson_pmf(cells, lam)

@@ -241,8 +241,11 @@ def _with_config(argv: list[str]) -> list[str]:
     path = pre.parse_known_args(argv[1:])[0].config
     if path is None:
         return argv
-    pairs = load_config_file(path).items()
-    return [*argv[:1], *(f"--{key.replace('_', '-')}={value}" for key, value in pairs), *argv[1:]]
+    pairs = load_config_file(path)
+    if "config" in pairs:
+        raise ConfigError(f"{path}: a config file cannot name another (config={pairs['config']})")
+    return [*argv[:1], *(f"--{key.replace('_', '-')}={value}" for key, value in pairs.items()),
+            *argv[1:]]
 
 
 def _require_trials(trials: int) -> int:

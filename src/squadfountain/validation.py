@@ -76,6 +76,8 @@ class CriterionResult:
 
 
 def _short(v) -> str:
+    if isinstance(v, bool):
+        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)

@@ -17,6 +17,8 @@ doping_prediction needs.  The measured numbers are printed; the check is
 asserted as stated rather than loosened.
 """
 
+import csv
+
 import pytest
 
 from squadfountain import validation
@@ -63,6 +65,8 @@ SEED1_MEASURED = {
     "coupon_coverage": "sim_mean_nodes=3341.85 k_harmonic=3396.41 "
                        "klogk_estimate=3107.3 rel_error=0.0160638",
     "uncovered": "approx_at_delta0=1 formula=0.996306 sim_mean=1.024 z_score=0.627674",
+    # a Python bool is spelled as the passed column spells it
+    "strategy_order": "ordering_20_500=true is_ge_rs_at_h=1100 is_kd_delta0=28.9981",
 }
 
 
@@ -71,7 +75,8 @@ def test_measured_values_pinned_at_seed_1(tmp_path):
     code = cli_main(["validate", "--seed", "1", "--criterion", ",".join(SEED1_MEASURED),
                      "--out", str(out)])
     assert code == 0
-    rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
-    # criterion,passed,measured,threshold; no pinned measured text holds a comma
-    measured = {row.split(",")[0]: row.split(",")[2] for row in rows[1:]}
+    rows = list(csv.reader(line for line in out.read_text().splitlines()
+                           if not line.startswith("#")))
+    # criterion,passed,measured,threshold
+    measured = {row[0]: row[2] for row in rows[1:]}
     assert measured == SEED1_MEASURED

@@ -191,14 +191,42 @@ class TestPoissonFromSpecial:
                 an._poisson_pmf(t - 2.0, t * lam), poisson.pmf(t - 2.0, t * lam)
             )
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    @staticmethod
+    def fresh_interpreter(code: str) -> str:
         src = Path(an.__file__).resolve().parents[1]
-        code = "import sys, squadfountain; print('scipy.stats' in sys.modules)"
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert out.stdout.strip() == "False"
+        return out.stdout.strip()
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        code = "import sys, squadfountain; print('scipy.stats' in sys.modules)"
+        assert self.fresh_interpreter(code) == "False"
+
+    def test_monte_carlo_paths_load_no_scipy(self, tmp_path):
+        # decode-sim on both paths and disseminate never evaluate a Poisson mass
+        runs = [
+            ["decode-sim", "--seed", "1", "--k", "60", "--trials", "2"],
+            ["decode-sim", "--seed", "1", "--k", "60", "--trials", "2", "--network", "--h", "5"],
+            ["disseminate", "--seed", "1", "--k", "61"],
+        ]
+        runs = [[*argv, "--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(runs)]
+        code = (
+            "import sys, squadfountain\n"
+            "from squadfountain.cli import main\n"
+            f"print([main(argv) for argv in {runs!r}], 'scipy' in sys.modules)"
+        )
+        assert self.fresh_interpreter(code) == "[0, 0, 0] False"
+
+    def test_analytic_routines_load_scipy_special_only(self):
+        code = (
+            "import sys, numpy as np, squadfountain as sf\n"
+            "sf.expected_dopings(100, 0.0)\n"
+            "sf.simulate_walk_stopping_times(1.0, 10, 5, np.random.default_rng(1))\n"
+            "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
+        )
+        assert self.fresh_interpreter(code) == "True False"
 
 
 def row_loop_matrix(lam: float, k: int) -> np.ndarray:

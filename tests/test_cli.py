@@ -459,6 +459,19 @@ class TestConfigFile:
         code = main(["decode-sim", "--config", str(cfg), "--seed", "1"])
         assert code == 2
 
+    def test_nested_config_rejected(self, tmp_path, capsys):
+        # a file naming another would be overridden by the command line's
+        # own --config, so the nested file's pairs would never be read
+        nested = tmp_path / "nested.conf"
+        nested.write_text("warp=9\n")
+        outer = tmp_path / "outer.conf"
+        outer.write_text(f"k=20\nconfig={nested}\n")
+        out = tmp_path / "x.csv"
+        assert main(["decode-sim", "--config", str(outer), "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "outer.conf" in err
+        assert not out.exists()
+
     def test_missing_seed_fails(self, tmp_path):
         code = main(["decode-sim", "--k", "20", "--out", str(tmp_path / "x.csv")])
         assert code == 2
