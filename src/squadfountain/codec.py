@@ -12,8 +12,9 @@ releases that neighbor into the ripple, a first-in-first-out queue.  The
 queue's order never changes a stall: a stall state is the peeling closure
 of what has been decoded.  Peeling works on the collected rows as int
 arrays and per-output residual counts; payloads are replayed in decode
-order only when asked for, so a Monte Carlo run that needs only the doping
-count never XORs a payload.  When the ripple empties before all
+order only when asked for, from one conversion of every payload row to an
+int, so a Monte Carlo run that needs only the doping count never XORs a
+payload.  When the ripple empties before all
 sources are recovered, a doping step fetches one true source packet from an
 oracle.  It picks a remaining output of lowest residual degree uniformly
 (degree two first, then three, and so on) and then one of that output's
@@ -250,14 +251,15 @@ class DecoderState:
     undecoded source, which joins the back of the ripple (a first-in-first-out
     deque of source ids) unless it is there already, in which case the output
     is counted as defected.  A decoded source's outputs are visited in
-    ascending order, so the ripple's order follows from the rows alone.  The
-    ids of outputs at count two are kept in a bucket for doping.
+    ascending order, so the ripple's order follows from the rows alone.  A
+    byte per output flags those at count two; doping reads the flagged ids
+    in ascending order.
 
     No payload is touched while peeling.  Payloads are replayed in decode
     order when first asked for: a released source's payload is its releasing
-    row's payload (sliced from one bytes copy of the payload matrix and
-    turned into an int only then) XOR the replayed values of that row's
-    other neighbours, and a doped source's payload is the oracle's packet.
+    row's payload XOR the replayed values of that row's other neighbours,
+    and a doped source's payload is the oracle's packet.  The first replay
+    turns every payload row into an int in one pass.
 
     The step log is the releases of every step (step 0 seeds the ripple, each
     later one decodes a source) and the steps that doped; ``history`` and a
@@ -277,19 +279,22 @@ class DecoderState:
         lengths = np.diff(batch.ptr)
         self._ptr = ptr = batch.ptr.tolist()
         self._nbrs = nbrs = flat.tolist()
-        self._payloads = batch.payloads.tobytes()  # row oid at oid * payload_len
+        self._payloads = batch.payloads
+        self._payload_ints: list[int] = []  # row oid's payload as an int, from the first replay
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
         # from one sort of (source, output) keys
         self._adj_ptr = csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
         self._adj = (np.sort(flat * n + np.repeat(np.arange(n), lengths)) % n).tolist()
         self._count = lengths.tolist()
-        self._degree_two = bucket = set(np.flatnonzero(lengths == 2).tolist())
+        self._degree_two = two = bytearray((lengths == 2).tobytes())  # outputs at count two
         self._flags = bytearray(k + 1)  # decoded sources
         self._releaser = releaser = [-1] * (k + 1)  # releasing output of each source
         self._order: list[int] = []  # decoded sources in decode order
         # payloads by source: doped ones when fetched, released ones when
-        # replayed (0 before); _values holds the replayed prefix of _order
+        # replayed (0 before); the first _replayed of _order are replayed,
+        # and _values holds those that decoded has read, in decode order
         self._vals = [0] * (k + 1)
+        self._replayed = 0
         self._values: dict[int, int] = {}
         self.ripple = ripple = deque[int]()
         self.doped: list[int] = []
@@ -306,8 +311,8 @@ class DecoderState:
         self._releases, self._dope_steps = [len(ripple)], []
         # what _drain reads, bound once: a one-step drain pays no look-ups
         self._drain_state = (ripple, self._count, self._flags, releaser, ripple.popleft,
-                             ripple.append, self._order.append, bucket.add, bucket.discard,
-                             self._adj, self._adj_ptr, nbrs, ptr, self._releases.append)
+                             ripple.append, self._order.append, two, self._adj, self._adj_ptr,
+                             nbrs, ptr, self._releases.append)
 
     # -- inspection ---------------------------------------------------------
 
@@ -329,24 +334,29 @@ class DecoderState:
     def decoded(self) -> dict[int, int]:
         """Payloads of the decoded sources, as ints, in decode order (replayed
         when first asked for)."""
-        self._replay()
-        return self._values
+        vals, values = self._replay(), self._values
+        new = self._order[len(values):]
+        values.update(zip(new, map(vals.__getitem__, new)))
+        return values
 
     def _replay(self) -> list[int]:
         """Replay the sources decoded since the last call; returns the payloads
         by source, 0 for a source not decoded."""
-        values, vals, releaser = self._values, self._vals, self._releaser
-        nbrs, ptr, buf, width = self._nbrs, self._ptr, self._payloads, self.payload_len
-        new = self._order[len(values):]
+        vals, releaser = self._vals, self._releaser
+        nbrs, ptr, rows = self._nbrs, self._ptr, self._payload_ints
+        if not rows:
+            raw = np.frombuffer(self._payloads.tobytes(), f"V{self.payload_len}").tolist()
+            rows += map(int.from_bytes, raw, ["big"] * len(raw))
+        new = self._order[self._replayed:]
+        self._replayed += len(new)
         for src in new:
             oid = releaser[src]
             if oid < 0:  # doped
                 continue
-            value = int.from_bytes(buf[oid * width:(oid + 1) * width], "big")
+            value = rows[oid]
             for other in nbrs[ptr[oid]:ptr[oid + 1]]:
                 value ^= vals[other]  # src's own entry is still 0
             vals[src] = value
-        values.update(zip(new, map(vals.__getitem__, new)))
         return vals
 
     @property
@@ -367,7 +377,7 @@ class DecoderState:
         brought to count one puts its one undecoded source in the ripple, or
         defects when that source is there already.  Returns the last step's
         releases."""
-        (ripple, count, flags, releaser, pop, push, decode, bucket_add, bucket_discard,
+        (ripple, count, flags, releaser, pop, push, decode, two,
          adj, adj_ptr, nbrs, ptr, log_releases) = self._drain_state
         defected = self.defected_total
         releases = 0
@@ -381,9 +391,9 @@ class DecoderState:
                 c = count[oid] - 1
                 count[oid] = c
                 if c == 2:
-                    bucket_add(oid)
+                    two[oid] = 1
                 elif c == 1:
-                    bucket_discard(oid)
+                    two[oid] = 0
                     spent += 1
                     for last in nbrs[ptr[oid]:ptr[oid + 1]]:
                         if not flags[last]:
@@ -431,17 +441,15 @@ def dope_degree_two(
         raise InvalidParameterError("doping requires an empty ripple")
     if state.finished:
         raise InvalidParameterError("decoding already complete")
-    count = state._count
-    if state._degree_two:
-        lowest = 2
-        holders = sorted(state._degree_two)
-    else:  # rare: scan for the lowest residual degree above two; k + 1 if none
-        counts = np.array(count)
+    lowest = 2
+    holders = np.frombuffer(state._degree_two, np.bool_).nonzero()[0]  # ascending
+    if not holders.size:  # rare: scan for the lowest residual degree above two; k + 1 if none
+        counts = np.array(state._count)
         lowest = int(counts.min(where=counts > 2, initial=state.k + 1))
-        holders = np.flatnonzero(counts == lowest).tolist()
-    if holders:
-        pair = int(rng.integers(len(holders) * lowest))
-        oid = holders[pair // lowest]
+        holders = np.flatnonzero(counts == lowest)
+    if holders.size:
+        pair = int(rng.integers(holders.size * lowest))
+        oid = int(holders[pair // lowest])
         row = state._nbrs[state._ptr[oid]:state._ptr[oid + 1]]
         src = [s for s in row if not state._flags[s]][pair % lowest]
         level = lowest
@@ -455,6 +463,9 @@ def dope_degree_two(
         raise DopingUnavailableError(f"oracle failed for source {src}") from exc
     if packet is None:
         raise DopingUnavailableError(f"oracle returned nothing for source {src}")
+    if len(packet) != state.payload_len:
+        raise DopingUnavailableError(
+            f"oracle returned {len(packet)} bytes for source {src}, not {state.payload_len}")
     state._vals[src] = int.from_bytes(packet, "big")
     state.doped.append(src)
     state.dope_levels.append(level)
@@ -478,8 +489,8 @@ class DecodeReport:
 
     @cached_property
     def recovered(self) -> dict[int, bytes]:
-        values, size = self.state.decoded, self.state.payload_len
-        return {i: values[i].to_bytes(size, "big") for i in sorted(values)}
+        vals, size = self.state._replay(), self.state.payload_len
+        return {i: vals[i].to_bytes(size, "big") for i in range(1, self.state.k + 1)}
 
     @cached_property
     def ripple_trajectory(self) -> tuple[int, ...]:

@@ -29,6 +29,11 @@ from squadfountain.errors import (
     MalformedInputError,
     StalledDecoderError,
 )
+from squadfountain.network import (
+    NetworkConfig,
+    build_network,
+    simulate_collection_with_doping,
+)
 
 
 def make_block(k, payload_len=4, seed=0):
@@ -220,6 +225,28 @@ class TestGoldenStream:
         assert report.k_d == 13
         assert report.doped_indices[:5] == (145, 700, 735, 256, 783)
 
+    def test_first_rs_trial_pinned(self):
+        # trial 0 of decode-sim --seed 1 --k 1000 --dist rs
+        rng = cli.trial_rng(1, 0)
+        block = SourceBlock.random(1000, 32, rng)
+        report = decode_with_doping(
+            block, encode_symbols(block, robust_soliton(1000, 0.1, 0.5), 1000, rng), rng)
+        assert report.k_d == 89
+        assert report.doped_indices[:5] == (205, 272, 432, 384, 658)
+        assert Counter(report.dope_levels) == {2: 89}
+
+    def test_first_network_d2_trial_pinned(self):
+        # trial 0 of decode-sim --seed 1 --network --k 1000 --h 200
+        # --dissemination d2 --storage-input degree_two_inputs; its dopings
+        # reach the fallback to degree three
+        cfg = NetworkConfig(k=1000, h=200, dissemination="degree_two_combining",
+                            storage_combine_input="degree_two_inputs")
+        rng = cli.trial_rng(1, 0)
+        report, _ = simulate_collection_with_doping(build_network(cfg, rng), 1, 1000, rng)
+        assert report.k_d == 213
+        assert report.doped_indices[:5] == (727, 808, 242, 457, 660)
+        assert Counter(report.dope_levels) == {2: 204, 3: 9}
+
 
 class TestTrialRngKey:
     @pytest.mark.parametrize("seed, stream", [
@@ -380,6 +407,17 @@ class TestDoping:
         with pytest.raises(DopingUnavailableError):
             dope_degree_two(state, broken, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("width", [3, 5])
+    def test_packet_of_wrong_width_rejected(self, width):
+        # a short packet would be zero-padded into recovered, a long one
+        # would overflow only at replay
+        block = make_block(4)
+        state = init_decoder(4, batch_of(block, (1, 2)), 4)
+        with pytest.raises(DopingUnavailableError, match=f"{width} bytes"):
+            dope_degree_two(state, lambda s: block.packet(s).ljust(width, b"\0")[:width],
+                            np.random.default_rng(0))
+        assert state.doped == [] and not state.ripple
+
 
 class SetDecoder:
     """The set-based peeling decoder that ``DecoderState`` replaced, kept as
@@ -506,10 +544,9 @@ class TestDegreeTwoBucket:
                 if state.ripple:
                     process_ripple_symbol(state, rng)
                 else:
-                    assert state._degree_two == {
-                        oid for oid, c in enumerate(state._count) if c == 2
-                    }
-                    buckets.append(set(state._degree_two))
+                    flagged = set(np.flatnonzero(state._degree_two).tolist())
+                    assert flagged == {oid for oid, c in enumerate(state._count) if c == 2}
+                    buckets.append(flagged)
                     dope_degree_two(state, block.packet, rng)
                 sizes.append(len(state.ripple))
             # the drained decode and the step-by-step drive agree step for step

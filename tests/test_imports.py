@@ -7,7 +7,10 @@ Stdlib ``ast`` scans, so no lint tool is needed:
 * no module reads a private name of another package module, through that
   module as in ``analytics._schedule`` or by importing it as in
   ``from .codec import _csr_ptr``: what one module needs of another is
-  public API.
+  public API;
+* every module parses as Python 3.10, the oldest version ``pyproject.toml``
+  promises, and every ``from_bytes``/``to_bytes`` call names its byte
+  order, which only Python 3.11 defaults.
 """
 
 import ast
@@ -32,6 +35,20 @@ def unused_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name] = node.lineno
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def unnamed_byte_orders(source: str) -> list[str]:
+    """``from_bytes``/``to_bytes`` calls that pass no byte order, neither as
+    the second positional argument nor as ``byteorder=``."""
+    return [
+        f"{node.func.attr} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("from_bytes", "to_bytes")
+        and len(node.args) < 2
+        and all(kw.arg != "byteorder" for kw in node.keywords)
+    ]
 
 
 def is_private(name: str) -> bool:
@@ -114,3 +131,21 @@ def test_scan_passes_public_and_non_module_reads():
         "from .codec import csr_ptr, __doc__\nfrom argparse import _SubParsersAction\n"
     )
     assert private_module_reads(source) == []
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_runs_on_python_3_10(module):
+    source = module.read_text()
+    ast.parse(source, feature_version=(3, 10))
+    assert unnamed_byte_orders(source) == []
+
+
+def test_3_10_scans_find_newer_code():
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    source = "a = int.from_bytes(b)\nb = a.to_bytes(4)\nc = a.to_bytes(length=4)\n"
+    assert unnamed_byte_orders(source) == [
+        "from_bytes (line 1)", "to_bytes (line 2)", "to_bytes (line 3)"
+    ]
+    named = "int.from_bytes(b, 'big')\na.to_bytes(4, byteorder='little')\n"
+    assert unnamed_byte_orders(named) == []
