@@ -18,7 +18,8 @@ law at intensity lambda is an exponential tilt of the law at lambda = 1:
 
     P_lambda(Y=t) = lambda^-2 * (lambda e^{1-lambda})^t * P_1(Y=t).
 
-So one lambda = 1 pmf serves every round of a doping schedule.
+So one lambda = 1 pmf serves every round of every schedule in a table, and
+a round's censored mean yield is two tilt-weighted sums over its prefix.
 
 This module provides
 
@@ -309,17 +310,18 @@ class DopingPrediction:
     rounds: tuple[DopingRound, ...] = ()
 
 
-def _schedule(k: int, delta: float, base: np.ndarray) -> DopingPrediction:
+def _schedule(k: int, delta: float, t: np.ndarray, base: np.ndarray,
+              tp: np.ndarray) -> DopingPrediction:
     """Iterate the yield schedule until decoded mass reaches k - uncovered.
 
     Each round i holds the intensity fixed at 1 + delta*k/(k-l_i), takes the
     censored expected yield at horizon k - l_i, and advances l by it.  Every
-    round's yield law is the lambda = 1 pmf ``base`` (masses at t = 0..k at
-    least) tilted by lambda^-2 * (lambda e^{1-lambda})^t.  The loop is
+    round's yield law is the lambda = 1 pmf ``base`` over ``t`` = 0..k (at
+    least) tilted by lambda^-2 * (lambda e^{1-lambda})^t, so a round is two
+    reductions over prefixes of ``base`` and ``tp`` = t * base.  The loop is
     guarded against non-termination at k iterations.
     """
     u = uncovered_count(k, delta).exact  # rejects delta outside [0, inf)
-    t = np.arange(k + 1)
     decoded = 0.0
     rounds: list[DopingRound] = []
     i = 0
@@ -333,11 +335,14 @@ def _schedule(k: int, delta: float, base: np.ndarray) -> DopingPrediction:
             ey = remaining  # horizon too short for any finite yield mass
         else:
             top = int(remaining) + 1
-            probs = base[:top]
             if delta:  # at delta = 0 every round has lam = 1
                 eps = lam - 1.0
-                probs = probs * np.exp(t[:top] * (math.log1p(eps) - eps)) / lam**2
-            ey = _censored_mean(probs, remaining)
+                w = np.exp(t[:top] * (math.log1p(eps) - eps))
+                head = float(w @ tp[:top]) / lam**2
+                covered = float(w @ base[:top]) / lam**2
+            else:
+                head, covered = float(tp[:top].sum()), float(base[:top].sum())
+            ey = head + (1.0 - covered) * remaining  # as _censored_mean
         rounds.append(
             DopingRound(index=i, decoded_before=decoded, lam=lam, expected_yield=ey)
         )
@@ -356,11 +361,13 @@ def _schedule(k: int, delta: float, base: np.ndarray) -> DopingPrediction:
 
 def doping_table(k: int, deltas) -> dict[float, DopingPrediction]:
     """The doping schedule at every surplus in ``deltas``, keyed by it; one
-    lambda = 1 yield pmf feeds them all."""
+    lambda = 1 yield pmf, its support t and t * pmf feed them all."""
     if k < 3:  # before the pmf, whose own check would name t_max
         raise InvalidParameterError(f"k must be >= 3, got {k}")
+    t = np.arange(k + 1)
     base = interdoping_yield_pmf(1.0, k).probs
-    return {delta: _schedule(k, delta, base) for delta in deltas}
+    tp = t * base
+    return {delta: _schedule(k, delta, t, base, tp) for delta in deltas}
 
 
 def expected_dopings(k: int, delta: float) -> DopingPrediction:

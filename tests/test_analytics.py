@@ -12,6 +12,7 @@ from scipy.special import pdtrc
 from scipy.stats import chi2_contingency, poisson
 
 from squadfountain import analytics as an
+from squadfountain import cli, costs
 from squadfountain.errors import InvalidParameterError
 
 
@@ -458,8 +459,9 @@ class TestExpectedDopings:
         assert pred.p_d == pytest.approx(100.0 * pred.k_d / 1000)
         assert len(pred.rounds) == pred.stall_dopings
 
-    @pytest.mark.parametrize("k", [3, 4, 5, 100, 1000, 5000])
-    @pytest.mark.parametrize("delta", [0.0, 0.01, 0.06, 0.5, 20.0])
+    # at k=20000, delta=0.001 the oracle's own Poisson masses limit agreement to ~2e-12
+    @pytest.mark.parametrize("k", [3, 4, 5, 100, 1000, 5000, 10000])
+    @pytest.mark.parametrize("delta", [0.0, 0.001, 0.003, 0.01, 0.06, 0.5, 20.0])
     def test_matches_per_round_pmfs(self, k, delta):
         pred = an.expected_dopings(k, delta)
         want = per_round_schedule(k, delta)
@@ -475,6 +477,23 @@ class TestExpectedDopings:
         assert list(table) == grid
         for delta in grid:
             assert table[delta] == an.expected_dopings(k, delta)  # every field
+
+    def test_one_pmf_per_table(self, monkeypatch, tmp_path):
+        # every schedule of a table tilts one lambda = 1 pmf
+        grid = [0.0, 0.005, 0.01, 0.02, 0.03, 0.06, 0.5]
+        real, calls = an.interdoping_yield_pmf, []
+
+        def counted(lam, t_max):
+            calls.append((lam, t_max))
+            return real(lam, t_max)
+
+        monkeypatch.setattr(an, "interdoping_yield_pmf", counted)
+        an.doping_table(2000, grid)
+        costs.minimize_cost(2000, 15, grid)
+        out = str(tmp_path / "grid.csv")
+        assert cli.main(["analyze", "--k", "2000", "--delta-grid", "0:0.06:0.01",
+                         "--seed", "1", "--out", out]) == 0
+        assert calls == [(1.0, 2000)] * 3
 
     def test_table_rejects_small_k(self):
         with pytest.raises(InvalidParameterError, match="k must be >= 3"):

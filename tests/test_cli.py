@@ -1,5 +1,6 @@
 import csv
 import math
+import shlex
 
 from pathlib import Path
 
@@ -8,6 +9,13 @@ import pytest
 from squadfountain import analytics, cli, validation
 from squadfountain.cli import main, parse_delta_grid, load_config_file
 from squadfountain.errors import ConfigError
+
+
+README_COMMANDS = [
+    line.split("#")[0].strip()
+    for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("squadfountain ")
+]
 
 
 def run_to_file(tmp_path, name, argv):
@@ -532,6 +540,18 @@ class TestBadArgument:
             main(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: ")
+
+
+class TestReadmeExamples:
+    def test_readme_has_examples(self):
+        assert len(README_COMMANDS) >= 11
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_example_parses(self, line):
+        # parse only: the examples run at full size
+        argv = shlex.split(line)[1:]
+        args = cli._build_parser().parse_args(cli._with_config(argv))
+        assert args.command == argv[0]
 
 
 class TestValidateCommand:
