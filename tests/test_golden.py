@@ -32,6 +32,15 @@ GOLDEN = {
     "disseminate_d2.csv": ["disseminate", "--k", "7", "--dissemination", "d2", "--seed", "1"],
     "validate_analytic.csv": ["validate", "--seed", "1", "--criterion",
                               "cost_minima,strategy_order"],
+    "cost_curve_mc_kd.csv": ["cost", "--k", "200", "--h", "10,15,30", "--delta-grid",
+                             "0:0.06:0.02", "--mc-kd", "--trials", "3", "--seed", "1"],
+    "decode_sim_config.csv": ["decode-sim", "--config",
+                              str(GOLDEN_DIR / "decode_sim_network_rs.conf")],
+    # the README's two decode-sim examples at small k and --trials
+    "readme_decode_sim_codec.csv": ["decode-sim", "--k", "100", "--trials", "5", "--dist",
+                                    "is,rs", "--seed", "42"],
+    "readme_decode_sim_network.csv": ["decode-sim", "--network", "--k", "100", "--h", "20",
+                                      "--trials", "3", "--seed", "42"],
 }
 # subcommands whose CSV names the RNG stream; analyze and an analytic cost draw nothing
 STREAM_COMMANDS = {"decode-sim", "disseminate", "validate"}
