@@ -14,14 +14,14 @@ of what has been decoded.  Peeling works on the collected rows as int
 arrays and per-output residual counts; payloads are replayed in decode
 order only when asked for, from one conversion of every payload row to an
 int, so a Monte Carlo run that needs only the doping count never XORs a
-payload.  When the ripple empties before all
-sources are recovered, a doping step fetches one true source packet from an
-oracle.  It picks a remaining output of lowest residual degree uniformly
-(degree two first, then three, and so on) and then one of that output's
-neighbors uniformly, so each input is weighted by the number of such
-outputs that hold it: the size-biased draw the ripple-walk model assumes.
-When no outputs remain the choice is uniform over the undecoded, i.e.
-uncovered, symbols.
+payload.  When the ripple empties before all sources are recovered, a
+doping step, taken inside the same loop that peels, fetches one true source
+packet from an oracle.  It picks a remaining output of lowest residual
+degree uniformly (degree two first, then three, and so on) and then one of
+that output's neighbors uniformly, so each input is weighted by the number
+of such outputs that hold it: the size-biased draw the ripple-walk model
+assumes.  When no outputs remain the choice is uniform over the undecoded,
+i.e. uncovered, symbols.
 """
 
 from __future__ import annotations
@@ -109,6 +109,12 @@ class CodedSymbol:
         return len(self.neighbors)
 
 
+def key_type(bound: int) -> type:
+    """int32 when every sort key lies below ``bound`` and fits (it sorts
+    faster), else int64."""
+    return np.int32 if bound < 2**31 else np.int64
+
+
 def csr_ptr(lengths: np.ndarray) -> np.ndarray:
     """Row pointers of a CSR layout whose rows have the given lengths."""
     ptr = np.zeros(len(lengths) + 1, dtype=np.int64)
@@ -121,27 +127,24 @@ def distinct_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
 
-    Rows of at most a quarter of m draw with replacement in one batch; a
-    sort finds the duplicates within each row, and only those are redrawn
-    until none remain.  Larger rows take a permutation prefix.  Each row
-    comes out sorted.
+    Rows of at most a quarter of m draw with replacement in one batch, as
+    keys ``row * m + value``; a sort finds the duplicates within each row,
+    and only those are redrawn until none remain.  Larger rows take a
+    permutation prefix.  Each row comes out sorted.  Equal keys are
+    indistinguishable, so the sort's kind never moves a draw: only the first
+    sort is a full one, and each later sort of the nearly sorted keys (after
+    a redraw, or with the large rows appended) is a stable run-merging one.
     """
-    n = len(sizes)
-    owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
     large = sizes * 4 > m
-    keys = owner[~large[owner]] * m
+    keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * m, np.where(large, 0, sizes))
     keys += rng.integers(0, m, size=len(keys))
-    while True:
-        keys.sort()
-        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
-        if not dup.size:
-            break
+    keys.sort()
+    while (dup := np.flatnonzero(keys[1:] == keys[:-1]) + 1).size:
         keys[dup] += rng.integers(0, m, size=dup.size) - keys[dup] % m
-    parts = [keys]
-    for i in np.flatnonzero(large):
-        parts.append(i * m + rng.permutation(m)[: sizes[i]])
-    if len(parts) > 1:
-        keys = np.sort(np.concatenate(parts))
+        keys.sort(kind="stable")
+    if large.any():
+        parts = [keys] + [i * m + rng.permutation(m)[:sizes[i]] for i in np.flatnonzero(large)]
+        keys = np.sort(np.concatenate(parts), kind="stable")
     return csr_ptr(sizes), keys % m
 
 
@@ -253,7 +256,10 @@ class DecoderState:
     is counted as defected.  A decoded source's outputs are visited in
     ascending order, so the ripple's order follows from the rows alone.  A
     byte per output flags those at count two; doping reads the flagged ids
-    in ascending order.
+    in ascending order.  One loop, ``_drain``, peels and, given an oracle,
+    dopes in place whenever the ripple empties before every source is
+    decoded: ``decode_with_doping`` is one call of it, and
+    ``process_ripple_symbol`` and ``dope_degree_two`` each take one step.
 
     No payload is touched while peeling.  Payloads are replayed in decode
     order when first asked for: a released source's payload is its releasing
@@ -284,7 +290,10 @@ class DecoderState:
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
         # from one sort of (source, output) keys
         self._adj_ptr = csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
-        self._adj = (np.sort(flat * n + np.repeat(np.arange(n), lengths)) % n).tolist()
+        dtype = key_type(n * (k + 1))
+        keys = flat.astype(dtype) * n + np.repeat(np.arange(n, dtype=dtype), lengths)
+        keys.sort()
+        self._adj = (keys % n).tolist()
         self._count = lengths.tolist()
         self._degree_two = two = bytearray((lengths == 2).tobytes())  # outputs at count two
         self._flags = bytearray(k + 1)  # decoded sources
@@ -310,9 +319,10 @@ class DecoderState:
         # the step log
         self._releases, self._dope_steps = [len(ripple)], []
         # what _drain reads, bound once: a one-step drain pays no look-ups
+        order = self._order
         self._drain_state = (ripple, self._count, self._flags, releaser, ripple.popleft,
-                             ripple.append, self._order.append, two, self._adj, self._adj_ptr,
-                             nbrs, ptr, self._releases.append)
+                             ripple.append, order, order.append, two, self._adj,
+                             self._adj_ptr, nbrs, ptr, self._releases.append)
 
     # -- inspection ---------------------------------------------------------
 
@@ -371,19 +381,27 @@ class DecoderState:
 
     # -- peeling ------------------------------------------------------------
 
-    def _drain(self, steps: int = -1) -> int:
-        """Decode ripple sources oldest first, one step each, until the ripple
-        is empty or ``steps`` are taken (no limit when negative).  An output
-        brought to count one puts its one undecoded source in the ripple, or
-        defects when that source is there already.  Returns the last step's
-        releases."""
-        (ripple, count, flags, releaser, pop, push, decode, two,
+    def _drain(self, oracle: Callable[[int], bytes] | None = None,
+               rng: np.random.Generator | None = None, steps: int = -1) -> int:
+        """Decode sources one step each, until ``steps`` are taken (no limit
+        when negative), every source is decoded, or the ripple is empty and
+        no ``oracle`` is given.  A step decodes the oldest ripple source; with
+        an oracle, a step that finds the ripple empty dopes (``_dope``) and
+        decodes the doped source instead.  An output brought to count one
+        puts its one undecoded source in the ripple, or defects when that
+        source is there already.  Returns the last step's releases."""
+        (ripple, count, flags, releaser, pop, push, order, decode, two,
          adj, adj_ptr, nbrs, ptr, log_releases) = self._drain_state
         defected = self.defected_total
         releases = 0
-        while ripple and steps:
+        while steps:
+            if ripple:
+                src = pop()
+            elif oracle is None or len(order) == self.k:
+                break
+            else:
+                src = self._dope(oracle, rng)
             steps -= 1
-            src = pop()
             flags[src] = 1
             decode(src)
             releases = spent = 0
@@ -407,6 +425,49 @@ class DecoderState:
         self.defected_total = defected
         return releases
 
+    def _dope(self, oracle: Callable[[int], bytes], rng: np.random.Generator) -> int:
+        """Choose the source to dope, fetch its packet and log the doping;
+        the caller decodes it as this step.
+
+        Selection is one uniform draw over the (output, neighbor) pairs of the
+        remaining outputs of lowest residual degree (degree two when
+        available), taken in output order with each output's neighbors sorted.
+        An input is thus weighted by how many of those outputs hold it, so a
+        degree-two doping releases 1 + Poisson(lambda) outputs, as the ripple
+        walk of ``analytics`` assumes.  With no outputs left the uncovered
+        symbols are polled uniformly.
+        """
+        lowest = 2
+        holders = np.frombuffer(self._degree_two, np.bool_).nonzero()[0]  # ascending
+        if not holders.size:  # rare: scan for the lowest residual degree above two; k + 1 if none
+            counts = np.fromiter(self._count, np.int64, len(self._count))
+            lowest = int(counts.min(where=counts > 2, initial=self.k + 1))
+            holders = np.flatnonzero(counts == lowest)
+        if holders.size:
+            pair = int(rng.integers(holders.size * lowest))
+            oid = int(holders[pair // lowest])
+            row = self._nbrs[self._ptr[oid]:self._ptr[oid + 1]]
+            src = [s for s in row if not self._flags[s]][pair % lowest]
+            level = lowest
+        else:
+            candidates = self.undecoded
+            src = candidates[int(rng.integers(len(candidates)))]
+            level = 0
+        try:
+            packet = oracle(src)
+        except Exception as exc:  # noqa: BLE001 - oracle contract is opaque
+            raise DopingUnavailableError(f"oracle failed for source {src}") from exc
+        if packet is None:
+            raise DopingUnavailableError(f"oracle returned nothing for source {src}")
+        if len(packet) != self.payload_len:
+            raise DopingUnavailableError(
+                f"oracle returned {len(packet)} bytes for source {src}, not {self.payload_len}")
+        self._vals[src] = int.from_bytes(packet, "big")
+        self.doped.append(src)
+        self.dope_levels.append(level)
+        self._dope_steps.append(len(self._releases))
+        return src
+
 
 init_decoder = DecoderState  # the constructor under its functional name
 
@@ -418,7 +479,7 @@ def process_ripple_symbol(
     entries.  ``rng`` is unused: the ripple is first in, first out."""
     if not state.ripple:
         raise StalledDecoderError("ripple is empty; dope or stop")
-    return state._drain(1)
+    return state._drain(steps=1)
 
 
 def dope_degree_two(
@@ -426,53 +487,15 @@ def dope_degree_two(
     oracle: Callable[[int], bytes],
     rng: np.random.Generator,
 ) -> int:
-    """Fetch one true source packet to unlock a stalled decoder.
-
-    Selection is one uniform draw over the (output, neighbor) pairs of the
-    remaining outputs of lowest residual degree (degree two when
-    available), taken in output order with each output's neighbors sorted.
-    An input is thus weighted by how many of those outputs hold it, so a
-    degree-two doping releases 1 + Poisson(lambda) outputs, as the ripple
-    walk of ``analytics`` assumes.  With no outputs left the uncovered
-    symbols are polled uniformly.  The fetched packet is pushed into the
-    empty ripple and decoded as one peeling step.
-    """
+    """Fetch one true source packet to unlock a stalled decoder, chosen as
+    ``DecoderState._dope`` chooses it, and decode it as one peeling step of
+    the drain loop; returns the doped source."""
     if state.ripple:
         raise InvalidParameterError("doping requires an empty ripple")
     if state.finished:
         raise InvalidParameterError("decoding already complete")
-    lowest = 2
-    holders = np.frombuffer(state._degree_two, np.bool_).nonzero()[0]  # ascending
-    if not holders.size:  # rare: scan for the lowest residual degree above two; k + 1 if none
-        counts = np.array(state._count)
-        lowest = int(counts.min(where=counts > 2, initial=state.k + 1))
-        holders = np.flatnonzero(counts == lowest)
-    if holders.size:
-        pair = int(rng.integers(holders.size * lowest))
-        oid = int(holders[pair // lowest])
-        row = state._nbrs[state._ptr[oid]:state._ptr[oid + 1]]
-        src = [s for s in row if not state._flags[s]][pair % lowest]
-        level = lowest
-    else:
-        candidates = state.undecoded
-        src = candidates[int(rng.integers(len(candidates)))]
-        level = 0
-    try:
-        packet = oracle(src)
-    except Exception as exc:  # noqa: BLE001 - oracle contract is opaque
-        raise DopingUnavailableError(f"oracle failed for source {src}") from exc
-    if packet is None:
-        raise DopingUnavailableError(f"oracle returned nothing for source {src}")
-    if len(packet) != state.payload_len:
-        raise DopingUnavailableError(
-            f"oracle returned {len(packet)} bytes for source {src}, not {state.payload_len}")
-    state._vals[src] = int.from_bytes(packet, "big")
-    state.doped.append(src)
-    state.dope_levels.append(level)
-    state._dope_steps.append(len(state._releases))
-    state.ripple.append(src)
-    state._drain(1)
-    return src
+    state._drain(oracle, rng, 1)
+    return state.doped[-1]
 
 
 @dataclass(frozen=True)
@@ -513,13 +536,10 @@ def decode_with_doping(
     batch: SymbolBatch,
     rng: np.random.Generator,
 ) -> DecodeReport:
-    """Run the full decode loop: dope from ``block.packet`` whenever the
-    ripple is empty."""
+    """Run the full decode loop, one drain that dopes from ``block.packet``
+    whenever the ripple empties before every source is decoded."""
     state = DecoderState(block.k, batch, block.payload_len)
-    state._drain()
-    while not state.finished:
-        dope_degree_two(state, block.packet, rng)
-        state._drain()
+    state._drain(block.packet, rng)
     return DecodeReport(
         k_s=len(batch),
         k_d=len(state.doped),

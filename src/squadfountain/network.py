@@ -34,6 +34,7 @@ from .codec import (
     decode_with_doping,
     distinct_rows,
     encode_symbols,
+    key_type,
     symbols_from_rows,
     trial_rng,
 )
@@ -260,20 +261,20 @@ class Network:
         return int(self.squad_sizes.sum())
 
     def squad_size(self, gap: int) -> int:
+        if not 1 <= gap <= self.k:
+            raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
         return int(self.squad_sizes[gap - 1])
 
     def squad(self, gap: int) -> SquadPlan:
         """The plans and symbols of every node in squad ``gap``, made on first
         touch; each payload XORs the covered sources."""
         if gap not in self._squads:
-            if not 1 <= gap <= self.k:
-                raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
             self._squads[gap] = self._plan_squad(gap)
         return self._squads[gap]
 
     def _plan_squad(self, gap: int) -> SquadPlan:
-        rng = trial_rng(self._node_key, gap)
         n = self.squad_size(gap)
+        rng = trial_rng(self._node_key, gap)
         if self.cfg.storage == "coupon":
             return self._plan_rows(
                 gap, csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
@@ -291,20 +292,25 @@ class Network:
         A squad's overheard transmissions are linearly independent over
         GF(2): taken from the outermost round inwards, each covers a source
         that none of the remaining ones covers.  So no slot subset cancels,
-        and every node covers at least one source.
+        and every node covers at least one source.  A relay's rounds cover
+        each source at most once, so a node hears a source at most twice
+        (once from each relay), and a source heard twice cancels.
         """
         if not self._combines_slots:
             return SquadPlan(ptr, slots, symbols_from_rows(self.block, ptr, slots))
-        k, rounds = self.k, self.schedule.rounds
+        k, rounds, n = self.k, self.schedule.rounds, len(ptr) - 1
         # slot s is round s % rounds + 1 of the left relay (s < rounds) or the right one
         relay = np.where(slots < rounds, gap, gap % k + 1)
         left, right = round_sources(k, relay, slots % rounds + 1)
         two = right != left  # round one carries the relay's own packet alone
-        owner = np.repeat(np.arange(len(ptr) - 1, dtype=np.int64), np.diff(ptr))
-        keys = np.concatenate([owner, owner[two]]) * (k + 1) + np.concatenate([left, right[two]])
-        heard, times = np.unique(keys, return_counts=True)
-        odd = heard[times % 2 == 1]  # a source heard an even number of times cancels
-        nbr_ptr = csr_ptr(np.bincount(odd // (k + 1), minlength=len(ptr) - 1))
+        # one key per (node, source) heard
+        base = np.repeat(np.arange(n, dtype=np.int64) * (k + 1), np.diff(ptr))
+        keys = np.concatenate([base + left, (base + right)[two]]).astype(key_type(n * (k + 1)))
+        keys.sort()
+        lone = np.ones(len(keys) + 1, dtype=np.bool_)  # lone[i]: keys i-1 and i differ
+        lone[1:-1] = keys[1:] != keys[:-1]
+        odd = keys[lone[:-1] & lone[1:]]  # the sources heard once
+        nbr_ptr = csr_ptr(np.bincount(odd // (k + 1), minlength=n))
         return SquadPlan(ptr, slots, symbols_from_rows(self.block, nbr_ptr, odd % (k + 1)))
 
 
@@ -411,13 +417,13 @@ def simulate_collection_with_doping(
     """Collect upfront symbols, then decode, polling sources on every stall.
 
     Each doped packet is charged the ring distance from the collector to its
-    source relay (uniform sources average about k/4 hops).
+    source relay (uniform sources average about k/4 hops), all in one array
+    expression.
     """
     symbols, creport = collect(net, collector_relay, k_s)
     report = decode_with_doping(net.block, symbols, rng)
-    doped_hops = tuple(
-        ring_distance(net.k, collector_relay, src) for src in report.doped_indices
-    )
+    d = np.abs(np.array(report.doped_indices, dtype=np.int64) - collector_relay) % net.k
+    doped_hops = tuple(np.minimum(d, net.k - d).tolist())
     creport = replace(creport, k_d=report.k_d, doped_hop_costs=doped_hops)
     return report, creport
 

@@ -10,7 +10,9 @@ from squadfountain import cli
 from squadfountain.codec import (
     SourceBlock,
     SymbolBatch,
+    csr_ptr,
     decode_with_doping,
+    distinct_rows,
     dope_degree_two,
     encode_symbols,
     init_decoder,
@@ -32,6 +34,7 @@ from squadfountain.errors import (
 from squadfountain.network import (
     NetworkConfig,
     build_network,
+    collect,
     simulate_collection_with_doping,
 )
 
@@ -159,6 +162,59 @@ class TestBatchEncoder:
     def test_malformed_row_rejected(self, ptr, neighbors):
         with pytest.raises(InvalidParameterError):
             symbols_from_rows(make_block(6), np.array(ptr), np.array(neighbors))
+
+
+def reference_distinct_rows(rng, sizes, m):
+    """The subset sampler before its re-sorts became stable merges, kept as
+    the reference it must match draw for draw: every sort a full one, and
+    the small rows' keys taken from an owner array over all rows."""
+    n = len(sizes)
+    owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
+    large = sizes * 4 > m
+    keys = owner[~large[owner]] * m
+    keys += rng.integers(0, m, size=len(keys))
+    while True:
+        keys.sort()
+        dup = np.flatnonzero(keys[1:] == keys[:-1]) + 1
+        if not dup.size:
+            break
+        keys[dup] += rng.integers(0, m, size=dup.size) - keys[dup] % m
+    parts = [keys]
+    for i in np.flatnonzero(large):
+        parts.append(i * m + rng.permutation(m)[: sizes[i]])
+    if len(parts) > 1:
+        keys = np.sort(np.concatenate(parts))
+    return csr_ptr(sizes), keys % m
+
+
+class TestDistinctRows:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 8, 13, 40, 1000])
+    def test_matches_reference_draw_for_draw(self, m):
+        # row sizes: any up to m (rows above m/4 and of size m), the largest
+        # small rows (the most duplicates), empty and full rows mixed with
+        # the m/4 boundary, and Ideal Soliton degrees as the encoder draws
+        for seed in range(48):
+            g = np.random.default_rng(seed)
+            kind = seed % 4
+            n = int(g.integers(0, 1000 if kind == 3 else 60))
+            if kind == 0:
+                sizes = g.integers(1, m + 1, size=n)
+            elif kind == 1:
+                sizes = np.full(n, max(1, m // 4))
+            elif kind == 2:
+                sizes = g.choice([0, 1, m // 4, m // 4 + 1, m], size=n)
+            else:
+                sizes = sample_degrees(ideal_soliton(m), g, n) if m > 1 else np.ones(n, int)
+            sizes = sizes.astype(np.int64)
+            new, old = cli.trial_rng(seed, m), cli.trial_rng(seed, m)
+            ptr, rows = distinct_rows(new, sizes, m)
+            want_ptr, want_rows = reference_distinct_rows(old, sizes, m)
+            assert ptr.tolist() == want_ptr.tolist()
+            assert rows.tolist() == want_rows.tolist()
+            assert new.integers(2**63, size=4).tolist() == old.integers(2**63, size=4).tolist()
+            for lo, hi in zip(ptr[:-1], ptr[1:]):
+                row = rows[lo:hi]
+                assert np.all(np.diff(row) > 0) and (hi == lo or 0 <= row[0] <= row[-1] < m)
 
 
 def assert_read_only(batch):
@@ -525,17 +581,28 @@ def reference_decode(block, symbols, seed, ordered):
     return ref, buckets
 
 
+def trial_batch(source, k, k_s, seed):
+    """A block and k_s symbols over it: encoded under IS or RS, or collected
+    from a network of degree-two combining with degree-two inputs."""
+    if source == "network_d2":
+        cfg = NetworkConfig(k=k, h=15, dissemination="degree_two_combining",
+                            storage_combine_input="degree_two_inputs", payload_len=4)
+        net = build_network(cfg, np.random.default_rng(seed))
+        return net.block, collect(net, 1 + seed % k, k_s)[0]
+    dist = ideal_soliton(k) if source == "is" else robust_soliton(k, 0.1, 0.5)
+    block = make_block(k, seed=seed)
+    return block, encode_symbols(block, dist, k_s, np.random.default_rng(seed))
+
+
 class TestDegreeTwoBucket:
-    @pytest.mark.parametrize("dist_name", ["is", "rs"])
-    def test_draws_match_scan_oracle(self, dist_name):
+    @pytest.mark.parametrize("source", ["is", "rs", "network_d2"])
+    def test_draws_match_scan_oracle(self, source):
         k = 150
-        dist = ideal_soliton(k) if dist_name == "is" else robust_soliton(k, 0.1, 0.5)
         levels = Counter()
         for seed in range(30):
             # 20% short of k leaves sources uncovered, so polls occur too
             k_s = k if seed % 2 else round(0.8 * k)
-            block = make_block(k, seed=seed)
-            symbols = encode_symbols(block, dist, k_s, np.random.default_rng(seed))
+            block, symbols = trial_batch(source, k, k_s, seed)
             report = decode_with_doping(block, symbols, np.random.default_rng(500 + seed))
             rng = np.random.default_rng(500 + seed)
             state = init_decoder(k, symbols, block.payload_len)

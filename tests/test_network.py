@@ -103,6 +103,17 @@ class TestBuild:
         mean = net.squad_sizes.mean()
         assert abs(mean - 200.0) < 1.35  # 3 sigma for 1000 Poisson(200) draws
 
+    def test_squad_size_range_checked(self):
+        # gaps 0 and below used to read squads k and k-1 through negative
+        # indexing, and gap k+1 raised a bare IndexError
+        net = build(k=10, h=3, seed=1, squad_size_model="poisson")
+        assert [net.squad_size(g) for g in range(1, 11)] == net.squad_sizes.tolist()
+        for gap in (0, -1, -10, 11):
+            with pytest.raises(InvalidParameterError, match=f"no squad {gap} "):
+                net.squad_size(gap)
+            with pytest.raises(InvalidParameterError, match=f"no squad {gap} "):
+                net.squad(gap)
+
     def test_node_plans_deterministic(self):
         a, b = build(seed=4), build(seed=4)
         for gap, idx in [(1, 0), (5, 3), (20, 4)]:
@@ -390,6 +401,30 @@ class TestSquadPlans:
                 assert sym.neighbors == covers(left[s], right[s]), (gap, s)
                 assert sym.payload == payload[s].tobytes()
 
+    @pytest.mark.parametrize("k", range(3, 13))
+    def test_sorted_pair_parity_matches_counts(self, k):
+        # every slot subset of a squad, against np.unique's count parity over
+        # the same (node, source) keys; no source is heard more than twice
+        net = build(k=k, h=1, dissemination="degree_two_combining",
+                    storage_combine_input="degree_two_inputs")
+        count = net._slot_count
+        rows = [[s for s in range(count) if mask >> s & 1] for mask in range(1, 2**count)]
+        ptr = np.cumsum([0] + [len(row) for row in rows])
+        slots = np.array([s for row in rows for s in row], dtype=np.int64)
+        owner = np.repeat(np.arange(len(rows)), np.diff(ptr))
+        for gap in range(1, k + 1):
+            _, left, right, _ = overheard(net.schedule, gap)
+            a, b = left[slots], right[slots]
+            two = a != b
+            keys = np.concatenate([owner, owner[two]]) * (k + 1) + np.concatenate([a, b[two]])
+            heard, times = np.unique(keys, return_counts=True)
+            assert times.max() <= 2
+            odd = heard[times % 2 == 1]
+            symbols = net._plan_rows(gap, ptr, slots).symbols
+            assert symbols.ptr.tolist() == [0, *np.cumsum(
+                np.bincount(odd // (k + 1), minlength=len(rows))).tolist()]
+            assert symbols.neighbors.tolist() == (odd % (k + 1)).tolist()
+
     def test_empty_squad_has_no_symbols(self):
         cfg = NetworkConfig(k=40, h=1.0, squad_size_model="poisson", payload_len=4)
         net = nw.build_network(cfg, np.random.default_rng(3))
@@ -530,15 +565,19 @@ class TestCollectionWithDoping:
         assert report.recovered == dict(enumerate(net.block.packets, start=1))
 
     def test_doping_hops_are_ring_distances(self):
-        net = build(k=40, h=4, seed=6)
-        collector = 7
-        rep, crep = nw.simulate_collection_with_doping(
-            net, collector, 20, np.random.default_rng(1)
-        )
-        assert len(crep.doped_hop_costs) == rep.k_d
-        for src, hops in zip(rep.doped_indices, crep.doped_hop_costs):
-            assert hops == nw.ring_distance(40, collector, src)
-            assert hops <= 20
+        # even and odd rings, collectors at either end and inside, both
+        # dissemination modes (degree-two inputs dope many sources)
+        for k, collector in [(40, 7), (40, 1), (40, 40), (41, 21), (41, 1)]:
+            for mode, inputs in [("degree_one", "degree_one_inputs"),
+                                 ("degree_two_combining", "degree_two_inputs")]:
+                net = build(k=k, h=4, seed=6, dissemination=mode, storage_combine_input=inputs)
+                rep, crep = nw.simulate_collection_with_doping(
+                    net, collector, 20, np.random.default_rng(1)
+                )
+                assert len(crep.doped_hop_costs) == rep.k_d > 0
+                for src, hops in zip(rep.doped_indices, crep.doped_hop_costs):
+                    assert hops == nw.ring_distance(k, collector, src)
+                    assert type(hops) is int and hops <= k // 2
 
     def test_recovers_block_bit_exact(self):
         net = build(k=60, h=10, seed=7)
