@@ -128,24 +128,29 @@ def distinct_rows(
     """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
 
     Rows of at most a quarter of m draw with replacement in one batch, as
-    keys ``row * m + value``; a sort finds the duplicates within each row,
-    and only those are redrawn until none remain.  Larger rows take a
-    permutation prefix.  Each row comes out sorted.  Equal keys are
+    keys with the row in the high bits and the value in the low ones; a sort
+    finds the duplicates within each row, and only those are redrawn until
+    none remain.  Equal keys are
     indistinguishable, so the sort's kind never moves a draw: only the first
-    sort is a full one, and each later sort of the nearly sorted keys (after
-    a redraw, or with the large rows appended) is a stable run-merging one.
+    sort is a full one, and each re-sort of the nearly sorted keys is a
+    stable run-merging one.  Larger rows take a sorted permutation prefix,
+    written into their own span of the output.  Each row comes out sorted.
     """
     large = sizes * 4 > m
-    keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * m, np.where(large, 0, sizes))
+    shift = (m - 1).bit_length()
+    value = (1 << shift) - 1  # the mask of a key's value bits
+    keys = np.repeat(np.arange(len(sizes), dtype=np.int64) << shift, np.where(large, 0, sizes))
     keys += rng.integers(0, m, size=len(keys))
     keys.sort()
     while (dup := np.flatnonzero(keys[1:] == keys[:-1]) + 1).size:
-        keys[dup] += rng.integers(0, m, size=dup.size) - keys[dup] % m
+        keys[dup] += rng.integers(0, m, size=dup.size) - (keys[dup] & value)
         keys.sort(kind="stable")
-    if large.any():
-        parts = [keys] + [i * m + rng.permutation(m)[:sizes[i]] for i in np.flatnonzero(large)]
-        keys = np.sort(np.concatenate(parts), kind="stable")
-    return csr_ptr(sizes), keys % m
+    ptr = csr_ptr(sizes)
+    rows = np.empty(ptr[-1], dtype=np.int64)
+    rows[np.repeat(~large, sizes)] = keys & value
+    for i in np.flatnonzero(large):
+        rows[ptr[i]:ptr[i + 1]] = np.sort(rng.permutation(m)[:sizes[i]])
+    return ptr, rows
 
 
 class SymbolBatch:
@@ -288,14 +293,17 @@ class DecoderState:
         self._payloads = batch.payloads
         self._payload_ints: list[int] = []  # row oid's payload as an int, from the first replay
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
-        # from one sort of (source, output) keys
+        # from one sort of keys with the source above the output's bits
         self._adj_ptr = csr_ptr(np.bincount(flat, minlength=k + 1)).tolist()
-        dtype = key_type(n * (k + 1))
-        keys = flat.astype(dtype) * n + np.repeat(np.arange(n, dtype=dtype), lengths)
+        shift = n.bit_length()
+        dtype = key_type((k + 1) << shift)
+        keys = flat.astype(dtype) << shift
+        keys |= np.repeat(np.arange(n, dtype=dtype), lengths)
         keys.sort()
-        self._adj = (keys % n).tolist()
+        self._adj = (keys & ((1 << shift) - 1)).tolist()
         self._count = lengths.tolist()
         self._degree_two = two = bytearray((lengths == 2).tobytes())  # outputs at count two
+        self._degree_two_view = np.frombuffer(two, np.bool_)  # what doping reads
         self._flags = bytearray(k + 1)  # decoded sources
         self._releaser = releaser = [-1] * (k + 1)  # releasing output of each source
         self._order: list[int] = []  # decoded sources in decode order
@@ -438,7 +446,7 @@ class DecoderState:
         symbols are polled uniformly.
         """
         lowest = 2
-        holders = np.frombuffer(self._degree_two, np.bool_).nonzero()[0]  # ascending
+        holders = self._degree_two_view.nonzero()[0]  # ascending
         if not holders.size:  # rare: scan for the lowest residual degree above two; k + 1 if none
             counts = np.fromiter(self._count, np.int64, len(self._count))
             lowest = int(counts.min(where=counts > 2, initial=self.k + 1))

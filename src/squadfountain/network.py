@@ -303,15 +303,17 @@ class Network:
         relay = np.where(slots < rounds, gap, gap % k + 1)
         left, right = round_sources(k, relay, slots % rounds + 1)
         two = right != left  # round one carries the relay's own packet alone
-        # one key per (node, source) heard
-        base = np.repeat(np.arange(n, dtype=np.int64) * (k + 1), np.diff(ptr))
-        keys = np.concatenate([base + left, (base + right)[two]]).astype(key_type(n * (k + 1)))
+        # one key per (node, source) heard, the node above the source's bits
+        shift = k.bit_length()
+        base = np.repeat(np.arange(n, dtype=np.int64) << shift, np.diff(ptr))
+        keys = np.concatenate([base | left, (base | right)[two]]).astype(key_type(n << shift))
         keys.sort()
         lone = np.ones(len(keys) + 1, dtype=np.bool_)  # lone[i]: keys i-1 and i differ
         lone[1:-1] = keys[1:] != keys[:-1]
-        odd = keys[lone[:-1] & lone[1:]]  # the sources heard once
-        nbr_ptr = csr_ptr(np.bincount(odd // (k + 1), minlength=n))
-        return SquadPlan(ptr, slots, symbols_from_rows(self.block, nbr_ptr, odd % (k + 1)))
+        heard_once = keys[lone[:-1] & lone[1:]]
+        nbr_ptr = csr_ptr(np.bincount(heard_once >> shift, minlength=n))
+        sources = heard_once & ((1 << shift) - 1)
+        return SquadPlan(ptr, slots, symbols_from_rows(self.block, nbr_ptr, sources))
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:

@@ -165,9 +165,10 @@ class TestBatchEncoder:
 
 
 def reference_distinct_rows(rng, sizes, m):
-    """The subset sampler before its re-sorts became stable merges, kept as
-    the reference it must match draw for draw: every sort a full one, and
-    the small rows' keys taken from an owner array over all rows."""
+    """The subset sampler before its re-sorts became stable and its keys
+    bit-packed, kept as the reference it must match draw for draw: keys
+    ``row * m + value`` taken from an owner array over all rows, every sort
+    a full one, and the large rows merged in by one more sort."""
     n = len(sizes)
     owner = np.repeat(np.arange(n, dtype=np.int64), sizes)
     large = sizes * 4 > m
