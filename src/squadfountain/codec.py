@@ -130,11 +130,11 @@ def distinct_rows(
     Rows of at most a quarter of m draw with replacement in one batch, as
     keys with the row in the high bits and the value in the low ones; a sort
     finds the duplicates within each row, and only those are redrawn until
-    none remain.  Equal keys are
-    indistinguishable, so the sort's kind never moves a draw: only the first
-    sort is a full one, and each re-sort of the nearly sorted keys is a
-    stable run-merging one.  Larger rows take a sorted permutation prefix,
-    written into their own span of the output.  Each row comes out sorted.
+    none remain.  Equal keys are indistinguishable, so the sort's kind never
+    moves a draw: only the first sort is a full one, and each re-sort of the
+    nearly sorted keys is a stable run-merging one.  Larger rows take a
+    sorted permutation prefix, written into their own span of the output.
+    Each row comes out sorted.
     """
     large = sizes * 4 > m
     shift = (m - 1).bit_length()
