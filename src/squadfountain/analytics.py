@@ -106,7 +106,7 @@ class YieldPmf:
         if np.any(probs < 0.0):
             raise InvalidParameterError("yield masses must be >= 0")
         total = float(probs.sum()) + self.tail
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:  # NaN fails too
             raise InvalidParameterError(f"mass + tail = {total!r}, not 1")
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)

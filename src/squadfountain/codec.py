@@ -2,9 +2,9 @@
 
 Coded symbols are XORs of source-packet subsets.  A batch is encoded in one
 vectorised pass into compressed sparse rows (a row-pointer array plus a
-flat index array), the form storage squads are planned in too.  Rows are
-checked once per batch and travel, beside their payloads, as a read-only
-``SymbolBatch`` that the decoder reads without building symbol objects.
+flat index array), the form storage squads are planned in too.  Rows
+travel, beside their payloads, as a read-only ``SymbolBatch`` that the
+decoder checks once and reads without building symbol objects.
 
 The decoder peels: processing a ripple symbol removes it from every
 adjacent output symbol, and any output thereby reduced to a single neighbor
@@ -163,7 +163,7 @@ class SymbolBatch:
     __slots__ = ("ptr", "neighbors", "payloads")
 
     def __init__(self, ptr: np.ndarray, neighbors: np.ndarray, payloads: np.ndarray):
-        # unchecked: symbols_from_rows checks rows, DecoderState range and width
+        # unchecked: DecoderState checks every batch it decodes
         self.ptr, self.neighbors, self.payloads = arrays = (
             np.asarray(ptr, np.int64).view(), np.asarray(neighbors, np.int64).view(),
             np.asarray(payloads, np.uint8).view())
@@ -187,7 +187,7 @@ class SymbolBatch:
         if isinstance(rows, int):
             return next(iter(self[rows:rows + 1]))
         if rows.step != 1:
-            raise ValueError("a symbol batch slices with step one only")
+            raise InvalidParameterError("a symbol batch slices with step one only")
         lo, hi = rows.start, max(rows.start, rows.stop)
         ptr = self.ptr[lo:hi + 1]
         return SymbolBatch(ptr - ptr[0], self.neighbors[ptr[0]:ptr[-1]], self.payloads[lo:hi])
@@ -203,20 +203,10 @@ def symbols_from_rows(
 ) -> SymbolBatch:
     """One coded symbol per CSR row ``neighbors[ptr[i]:ptr[i+1]]`` of sources.
 
-    The batch is checked once, as arrays: every row non-empty, strictly
-    increasing and inside 1..k.  Every payload is one XOR reduction over the
-    packets' machine words, ``block.words``.
+    Unchecked: the rows are taken as given, and the decoder checks every
+    batch it takes.  Every payload is one XOR reduction over the packets'
+    machine words, ``block.words``.
     """
-    if len(ptr) == 0 or ptr[0] != 0 or ptr[-1] != len(neighbors):
-        raise InvalidParameterError("row pointers must run from 0 to the neighbor count")
-    if np.any(ptr[1:] <= ptr[:-1]):
-        raise InvalidParameterError("a coded symbol needs at least one neighbor")
-    if len(neighbors) and (neighbors.min() < 1 or neighbors.max() > block.k):
-        raise InvalidParameterError(f"neighbors must lie in 1..{block.k}")
-    step = np.diff(neighbors)
-    step[ptr[1:-1] - 1] = 1  # a row may start below the previous row's end
-    if np.any(step < 1):
-        raise InvalidParameterError("neighbors must be sorted and distinct")
     words = block.words.take(neighbors - 1, axis=0)
     payloads = np.bitwise_xor.reduceat(words, ptr[:-1], axis=0).view(np.uint8)
     return SymbolBatch(ptr, neighbors, payloads)
@@ -280,17 +270,26 @@ class DecoderState:
     def __init__(self, k: int, batch: SymbolBatch, payload_len: int):
         self.k = k
         self.payload_len = payload_len
-        n, flat = len(batch), batch.neighbors
-        if n and batch.payloads.shape[1] != payload_len:
-            raise MalformedInputError(f"symbol payloads are not {payload_len} bytes long")
-        bad = (flat < 1) | (flat > k)
+        ptr, flat, payloads = batch.ptr, batch.neighbors, batch.payloads
+        n = len(ptr) - 1
+        if n < 0 or ptr[0] != 0 or ptr[-1] != len(flat):
+            raise MalformedInputError(f"row pointers must run from 0 to {len(flat)} neighbors")
+        if len(payloads) != n or n and payloads.shape[1:] != (payload_len,):
+            raise MalformedInputError(f"payloads {payloads.shape} are not {n} x {payload_len}")
+        lengths = np.diff(ptr)
+        bad = lengths < 1  # an empty row or a decreasing pointer
+        if (lengths >= 0).all():  # no pointer decreases, so each row is a slice of flat
+            step = np.diff(flat, prepend=0)
+            step[ptr[:-1][~bad]] = 1  # a row may start below the previous row's end
+            wrong = np.flatnonzero((step < 1) | (flat < 1) | (flat > k))
+            bad[np.searchsorted(ptr, wrong, "right") - 1] = True
         if bad.any():
-            row = batch[int(np.searchsorted(batch.ptr, bad.argmax(), "right")) - 1]
-            raise MalformedInputError(f"symbol neighbors {row.neighbors} outside 1..{k}")
-        lengths = np.diff(batch.ptr)
-        self._ptr = ptr = batch.ptr.tolist()
+            i = int(bad.argmax())
+            raise MalformedInputError(f"symbol {i} has neighbors {flat[ptr[i]:ptr[i + 1]].tolist()}"
+                                      f", not a sorted distinct subset of 1..{k}")
+        self._ptr = ptr = ptr.tolist()
         self._nbrs = nbrs = flat.tolist()
-        self._payloads = batch.payloads
+        self._payloads = payloads
         self._payload_ints: list[int] = []  # row oid's payload as an int, from the first replay
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
         # from one sort of keys with the source above the output's bits

@@ -38,10 +38,10 @@ class DegreeDistribution:
         if pmf[0] != 0.0 or np.any(pmf < 0.0):
             raise InvalidParameterError("pmf entries must be >= 0 with pmf[0] == 0")
         total = float(pmf.sum())
-        if abs(total - 1.0) > _NORM_TOL:
+        if not abs(total - 1.0) <= _NORM_TOL:  # NaN fails too
             raise InvalidParameterError(f"pmf sums to {total!r}, not 1")
         cdf = np.cumsum(pmf)
-        if abs(cdf[-1] - 1.0) > _NORM_TOL:
+        if not abs(cdf[-1] - 1.0) <= _NORM_TOL:
             raise InvalidParameterError("cdf[k] must equal 1")
         pmf.setflags(write=False)
         cdf.setflags(write=False)
@@ -98,7 +98,7 @@ def robust_soliton(k: int, c: float = 0.1, delta_rs: float = 0.5) -> DegreeDistr
     """
     if k < 2:
         raise InvalidParameterError(f"robust_soliton requires k >= 2, got {k}")
-    if c <= 0:
+    if not c > 0:  # NaN too
         raise InvalidParameterError(f"c must be positive, got {c}")
     if not 0.0 < delta_rs < 1.0:
         raise InvalidParameterError(f"delta_rs must lie in (0,1), got {delta_rs}")

@@ -276,9 +276,8 @@ class Network:
         n = self.squad_size(gap)
         rng = trial_rng(self._node_key, gap)
         if self.cfg.storage == "coupon":
-            return self._plan_rows(
-                gap, csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
-            )
+            ptr, sources = csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
+            return SquadPlan(ptr, sources, symbols_from_rows(self.block, ptr, sources))
         if not self._combines_slots:
             symbols = encode_symbols(self.block, self._dist, n, rng)
             return SquadPlan(symbols.ptr, symbols.neighbors, symbols)
@@ -287,7 +286,8 @@ class Network:
         return self._plan_rows(gap, ptr, slots)
 
     def _plan_rows(self, gap: int, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
-        """Attach to each row of slots the symbol over the sources it covers.
+        """Attach to each row of degree-two slots the symbol over the sources
+        it covers.
 
         A squad's overheard transmissions are linearly independent over
         GF(2): taken from the outermost round inwards, each covers a source
@@ -296,8 +296,6 @@ class Network:
         each source at most once, so a node hears a source at most twice
         (once from each relay), and a source heard twice cancels.
         """
-        if not self._combines_slots:
-            return SquadPlan(ptr, slots, symbols_from_rows(self.block, ptr, slots))
         k, rounds, n = self.k, self.schedule.rounds, len(ptr) - 1
         # slot s is round s % rounds + 1 of the left relay (s < rounds) or the right one
         relay = np.where(slots < rounds, gap, gap % k + 1)

@@ -176,6 +176,11 @@ class TestInterdopingYieldPmf:
         with pytest.raises(InvalidParameterError):
             an.interdoping_yield_pmf(1.0, 1)
 
+    def test_rejects_nan_mass(self):
+        # a NaN total compares false against the tolerance either way
+        with pytest.raises(InvalidParameterError):
+            an.YieldPmf(1.0, [0, 0, math.nan], 0.0)
+
 
 class TestPoissonFromSpecial:
     @pytest.mark.parametrize("mu", [0.5, 1.0, 1.05, 2.0, 7.3, 30.0, 1234.5])

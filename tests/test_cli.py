@@ -283,6 +283,9 @@ class TestNonFiniteNumbers:
         ["cost", "--k", "100", "--h", "10", "--delta", "0.02"],
         ["analyze", "--k", "100", "--delta-grid", ""],
         ["cost", "--k", "100", "--h", "10", "--delta-grid", ""],
+        ["decode-sim", "--k", "10", "--trials", "1", "--dist", "rs", "--rs-c", "nan"],
+        ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
+         "--dist", "rs", "--storage", "rs", "--rs-c", "nan"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])

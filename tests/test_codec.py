@@ -1,3 +1,4 @@
+import re
 from collections import Counter, deque
 
 import numpy as np
@@ -52,8 +53,7 @@ def xor_of(block, indices):
 
 
 def batch_of(block, *rows):
-    """The coded symbols over the given source rows, in order, as one checked
-    batch."""
+    """The coded symbols over the given source rows, in order, as one batch."""
     ptr = np.cumsum([0, *map(len, rows)])
     return symbols_from_rows(block, ptr, np.array([s for row in rows for s in row], np.int64))
 
@@ -149,19 +149,6 @@ class TestBatchEncoder:
         # the degrees are the stream's first draw
         degrees = sample_degrees(dist, np.random.default_rng(seed), n)
         assert [sym.degree for sym in symbols] == degrees.tolist()
-
-    @pytest.mark.parametrize("ptr, neighbors", [
-        ([0, 1, 1], [1]),  # empty row
-        ([0, 2], [3, 1]),  # unsorted
-        ([0, 2], [2, 2]),  # repeated
-        ([0, 1], [0]),  # below 1
-        ([0, 1], [7]),  # above k
-        ([0, 1], [1, 2]),  # pointers stop short of the neighbors
-        ([1, 2], [1, 2]),  # pointers start past zero
-    ])
-    def test_malformed_row_rejected(self, ptr, neighbors):
-        with pytest.raises(InvalidParameterError):
-            symbols_from_rows(make_block(6), np.array(ptr), np.array(neighbors))
 
 
 def reference_distinct_rows(rng, sizes, m):
@@ -355,6 +342,47 @@ class TestInitDecoder:
         block = make_block(5)
         with pytest.raises(MalformedInputError):
             init_decoder(5, batch_of(block, (1,), (1, 2)), payload_len)
+
+    @pytest.mark.parametrize("ptr, neighbors", [
+        ([0, 1, 1], [1]),  # empty row
+        ([0, 2], [3, 1]),  # unsorted
+        ([0, 2], [2, 2]),  # repeated
+        ([0, 1], [0]),  # below 1
+        ([0, 1], [7]),  # above k
+        ([0, 1], [1, 2]),  # pointers stop short of the neighbors
+        ([1, 2], [1, 2]),  # pointers start past zero
+        ([0, 2, 1, 3], [1, 2, 3]),  # a pointer decreases
+    ])
+    def test_malformed_row_rejected(self, ptr, neighbors):
+        # built directly, so nothing but the decoder checks the rows
+        batch = SymbolBatch(ptr, neighbors, np.zeros((len(ptr) - 1, 4), np.uint8))
+        with pytest.raises(MalformedInputError, match="symbol|pointers"):
+            init_decoder(6, batch, 4)
+
+    @pytest.mark.parametrize("ptr, neighbors, named", [
+        ([0, 1, 2, 2], [1, 4], "1 has neighbors [4]"),  # bad row before an empty one
+        ([0, 1, 1, 2], [1, 4], "1 has neighbors []"),  # empty row before a bad one
+        ([0, 2, 2, 3], [2, 1, 3], "0 has neighbors [2, 1]"),
+    ])
+    def test_error_names_first_bad_symbol(self, ptr, neighbors, named):
+        batch = SymbolBatch(ptr, neighbors, np.zeros((len(ptr) - 1, 4), np.uint8))
+        with pytest.raises(MalformedInputError, match=re.escape(f"symbol {named},")):
+            init_decoder(3, batch, 4)
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_payload_row_count_mismatch_rejected(self, rows):
+        # two symbols: one payload row too few, or one too many
+        batch = SymbolBatch([0, 1, 3], [1, 1, 2], np.zeros((rows, 4), np.uint8))
+        with pytest.raises(MalformedInputError, match="payloads"):
+            init_decoder(5, batch, 4)
+
+    def test_repeated_neighbor_rejected_end_to_end(self):
+        # the row (2, 2) with its zero payload, read as a degree-two symbol,
+        # would end in a finished decode with wrong recovered payloads
+        batch = SymbolBatch([0, 2], [2, 2], np.zeros((1, 4), np.uint8))
+        with pytest.raises(MalformedInputError, match=r"symbol 0 has neighbors \[2, 2\]"):
+            decode_with_doping(make_block(3), batch, np.random.default_rng(0))
+
 
 class TestPeeling:
     def test_degree_two_peel_releases_partner(self):

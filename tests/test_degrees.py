@@ -73,6 +73,10 @@ class TestRobustSoliton:
         with pytest.raises(InvalidParameterError):
             robust_soliton(100, delta_rs=1.5)
 
+    def test_rejects_nan_c(self):
+        with pytest.raises(InvalidParameterError):
+            robust_soliton(100, c=math.nan)
+
 
 class TestSampling:
     def test_point_mass_always_two(self):
@@ -118,6 +122,12 @@ class TestDegreeDistributionType:
         pmf[1] = 0.5
         with pytest.raises(InvalidParameterError):
             DegreeDistribution(k=3, pmf=pmf)
+
+    def test_rejects_nan_mass(self):
+        # a NaN total compares false against the tolerance either way; built,
+        # it would sample degree 1 for every draw
+        with pytest.raises(InvalidParameterError):
+            DegreeDistribution(k=2, pmf=[0, math.nan, math.nan])
 
     @given(k=st.integers(min_value=2, max_value=500))
     @settings(max_examples=30, deadline=None)

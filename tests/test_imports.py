@@ -10,7 +10,10 @@ Stdlib ``ast`` scans, so no lint tool is needed:
   public API;
 * every module parses as Python 3.10, the oldest version ``pyproject.toml``
   promises, and every ``from_bytes``/``to_bytes`` call names its byte
-  order, which only Python 3.11 defaults.
+  order, which only Python 3.11 defaults;
+* every ``raise`` names a class of ``errors.py``, ``SystemExit`` or
+  ``argparse.ArgumentTypeError``, so a caller can catch the package's
+  errors by their types.
 """
 
 import ast
@@ -21,6 +24,10 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "squadfountain"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PACKAGE_MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+RAISABLE = {
+    node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
+    if isinstance(node, ast.ClassDef)
+} | {"SystemExit", "argparse.ArgumentTypeError"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -149,3 +156,37 @@ def test_3_10_scans_find_newer_code():
     ]
     named = "int.from_bytes(b, 'big')\na.to_bytes(4, byteorder='little')\n"
     assert unnamed_byte_orders(named) == []
+
+
+def stray_raises(source: str) -> list[str]:
+    """``raise`` statements whose exception, called or not, is not spelled as
+    one of ``RAISABLE``, in line order; a bare ``raise`` names none."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise):
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = "raise" if exc is None else ast.unparse(exc)
+            if name not in RAISABLE:
+                found.append((node.lineno, f"{name} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_raises_name_package_errors(module):
+    assert stray_raises(module.read_text()) == []
+
+
+def test_raise_scan_finds_other_exceptions():
+    source = (
+        "try:\n    raise ValueError('x')\nexcept KeyError:\n    raise\n"
+        "raise errors.InvalidParameterError\nraise IndexError from None\n"
+    )
+    assert stray_raises(source) == [
+        "ValueError (line 2)", "raise (line 4)", "errors.InvalidParameterError (line 5)",
+        "IndexError (line 6)",
+    ]
+    allowed = (
+        "raise InvalidParameterError('x') from exc\nraise ConfigError\n"
+        "raise SystemExit(main())\nraise argparse.ArgumentTypeError('x')\n"
+    )
+    assert stray_raises(allowed) == []

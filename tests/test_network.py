@@ -13,6 +13,7 @@ from squadfountain.codec import (
     dope_degree_two,
     init_decoder,
     process_ripple_symbol,
+    symbols_from_rows,
 )
 from squadfountain.errors import ExhaustedNetworkError, InvalidParameterError
 from squadfountain.network import NetworkConfig
@@ -29,7 +30,9 @@ def replan_node(net, gap, index, slots):
     rows = [list(plan.slots[lo:hi]) for lo, hi in zip(plan.slot_ptr, plan.slot_ptr[1:])]
     rows[index] = list(slots)
     ptr = np.cumsum([0] + [len(row) for row in rows])
-    net._squads[gap] = net._plan_rows(gap, ptr, np.array(sum(rows, []), dtype=np.int64))
+    slots = np.array(sum(rows, []), dtype=np.int64)
+    net._squads[gap] = (net._plan_rows(gap, ptr, slots) if net._combines_slots else
+                        nw.SquadPlan(ptr, slots, symbols_from_rows(net.block, ptr, slots)))
 
 
 def slot_row(net, gap, index):
