@@ -26,6 +26,7 @@ i.e. uncovered, symbols.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -122,10 +123,34 @@ def csr_ptr(lengths: np.ndarray) -> np.ndarray:
     return ptr
 
 
+def _draws(
+    rngs: Sequence[np.random.Generator], m: int, first_key, at: np.ndarray | None = None
+) -> np.ndarray:
+    """One uniform value in ``range(m)`` per key position in ``at`` (every
+    key when None), ascending: stream j draws, in order, those in its span
+    ``first_key[j]:first_key[j + 1]``."""
+    if len(rngs) == 1:  # one stream draws them all, with no split
+        return rngs[0].integers(0, m, size=first_key[-1] if at is None else len(at))
+    cut = (first_key if at is None else np.searchsorted(at, first_key)).tolist()
+    return np.concatenate([rng.integers(0, m, size=hi - lo)
+                           for rng, lo, hi in zip(rngs, cut[:-1], cut[1:]) if hi > lo]
+                          or [np.zeros(0, np.int64)])
+
+
 def distinct_rows(
-    rng: np.random.Generator, sizes: np.ndarray, m: int
+    rngs: np.random.Generator | Sequence[np.random.Generator],
+    sizes: np.ndarray,
+    m: int,
+    counts: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
+
+    ``rngs`` is one generator for every row, or a sequence of streams where
+    stream j owns the next ``counts[j]`` rows.  Each stream makes the draws,
+    in the order, that a one-stream call over its own rows makes, so its
+    rows equal that call's: its small rows' values, one redraw per round
+    that finds duplicates in its rows, then its large rows' permutations.
+    All else runs once over every row.
 
     Rows of at most a quarter of m draw with replacement in one batch, as
     keys with the row in the high bits and the value in the low ones; a sort
@@ -136,20 +161,27 @@ def distinct_rows(
     sorted permutation prefix, written into their own span of the output.
     Each row comes out sorted.
     """
+    if isinstance(rngs, np.random.Generator):
+        rngs, counts = (rngs,), (len(sizes),)
+    first_row = [0, *accumulate(counts)]  # stream j owns rows first_row[j]:first_row[j + 1]
     large = sizes * 4 > m
     shift = (m - 1).bit_length()
     value = (1 << shift) - 1  # the mask of a key's value bits
     keys = np.repeat(np.arange(len(sizes), dtype=np.int64) << shift, np.where(large, 0, sizes))
-    keys += rng.integers(0, m, size=len(keys))
+    # rows sit above values, so stream j's keys stay keys[first_key[j]:first_key[j + 1]]
+    first_key = (np.searchsorted(keys, np.array(first_row) << shift) if len(rngs) > 1
+                 else (0, len(keys)))
+    keys += _draws(rngs, m, first_key)
     keys.sort()
     while (dup := np.flatnonzero(keys[1:] == keys[:-1]) + 1).size:
-        keys[dup] += rng.integers(0, m, size=dup.size) - (keys[dup] & value)
+        keys[dup] += _draws(rngs, m, first_key, dup) - (keys[dup] & value)
         keys.sort(kind="stable")
     ptr = csr_ptr(sizes)
     rows = np.empty(ptr[-1], dtype=np.int64)
     rows[np.repeat(~large, sizes)] = keys & value
     for i in np.flatnonzero(large):
-        rows[ptr[i]:ptr[i + 1]] = np.sort(rng.permutation(m)[:sizes[i]])
+        owner = rngs[bisect_right(first_row, i) - 1]
+        rows[ptr[i]:ptr[i + 1]] = np.sort(owner.permutation(m)[:sizes[i]])
     return ptr, rows
 
 
@@ -243,7 +275,9 @@ class DecoderState:
 
     The collected rows are kept as CSR (row pointers into the flat, sorted
     neighbours), taken straight from a ``SymbolBatch``, beside the
-    source-to-output adjacency.
+    source-to-output adjacency.  Both are lists gathered from one object
+    array of the ids ``0..max(k, n - 1)``: entries of one value share one
+    int object, where converting each array would make a new int per edge.
     Peeling touches only a residual count per output: when decoding a source
     brings an output's count to one, its row is rescanned for the one
     undecoded source, which joins the back of the ripple (a first-in-first-out
@@ -288,7 +322,9 @@ class DecoderState:
             raise MalformedInputError(f"symbol {i} has neighbors {flat[ptr[i]:ptr[i + 1]].tolist()}"
                                       f", not a sorted distinct subset of 1..{k}")
         self._ptr = ptr = ptr.tolist()
-        self._nbrs = nbrs = flat.tolist()
+        # sources 1..k and outputs 0..n-1 as shared int objects, not a new one per edge
+        ids = np.arange(max(k + 1, n)).astype(object)
+        self._nbrs = nbrs = ids.take(flat).tolist()
         self._payloads = payloads
         self._payload_ints: list[int] = []  # row oid's payload as an int, from the first replay
         # outputs of source s: _adj[_adj_ptr[s]:_adj_ptr[s + 1]], ascending,
@@ -299,7 +335,7 @@ class DecoderState:
         keys = flat.astype(dtype) << shift
         keys |= np.repeat(np.arange(n, dtype=dtype), lengths)
         keys.sort()
-        self._adj = (keys & ((1 << shift) - 1)).tolist()
+        self._adj = ids.take(keys & ((1 << shift) - 1)).tolist()
         self._count = lengths.tolist()
         self._degree_two = two = bytearray((lengths == 2).tobytes())  # outputs at count two
         self._degree_two_view = np.frombuffer(two, np.bool_)  # what doping reads

@@ -44,8 +44,8 @@ def supersquad_squads(k_s: float, h: float) -> int:
     """Number of squads the collector drains: ceil(k_s/h); zero when k_s=0."""
     if not 1 <= h < math.inf:
         raise InvalidParameterError(f"h must be finite and >= 1, got {h}")
-    if k_s <= 0:
-        return 0
+    if not k_s >= 0:  # NaN too
+        raise InvalidParameterError(f"k_s must be nonnegative, got {k_s}")
     return math.ceil(k_s / h)
 
 
@@ -58,7 +58,7 @@ def collection_cost(
     k: int, k_s: float, k_d: float, h: float, hop_model: str = "eq_costeq"
 ) -> float:
     _require_k(k)
-    if min(k_s, k_d, h) < 0:
+    if not (k_s >= 0 and k_d >= 0 and h >= 0):  # NaN too
         raise InvalidParameterError("cost inputs must be nonnegative")
     if hop_model not in HOP_MODELS:
         raise InvalidParameterError(f"unknown hop_model {hop_model!r}")

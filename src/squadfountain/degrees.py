@@ -9,6 +9,7 @@ scale (k up to ~1e5) the O(k) memory is irrelevant.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,10 +118,19 @@ def robust_soliton(k: int, c: float = 0.1, delta_rs: float = 0.5) -> DegreeDistr
 
 
 def sample_degrees(
-    dist: DegreeDistribution, rng: np.random.Generator, size: int
+    dist: DegreeDistribution,
+    rng: np.random.Generator | Sequence[np.random.Generator],
+    size: int | Sequence[int],
 ) -> np.ndarray:
-    """Inverse-transform draws of ``size`` degrees in 1..k, one uniform each."""
-    u = rng.random(size)
+    """Inverse-transform draws of ``size`` degrees in 1..k, one uniform each.
+
+    Several streams draw in one call when ``rng`` and ``size`` are sequences:
+    stream j draws the next size[j] uniforms, and one search maps them all.
+    """
+    if isinstance(rng, np.random.Generator):
+        u = rng.random(size)
+    else:
+        u = np.concatenate([g.random(n) for g, n in zip(rng, size)])
     # minimum() guards a draw landing above a cdf top that rounded below 1
     idx = np.searchsorted(dist.cdf, u, side="right").astype(np.int64)
     return np.minimum(idx, dist.k)

@@ -12,17 +12,20 @@ source relays directly whenever the decoder needs doping.
 
 Networks are built lazily: squad sizes are drawn eagerly, and each squad's
 node plans and stored symbols (one ``SymbolBatch`` per squad, which the
-network keeps) are made in one vectorised pass on first touch, from a
-counter-based (Philox) stream keyed by the network and the squad, so large
-networks cost only the squads a collection actually visits, and a plan does
-not depend on the order in which squads are touched.  A stored symbol's
-payload is the XOR of the source packets it covers, which equals the XOR of
-the overheard transmissions it combines.
+network keeps) are made on first touch, from a counter-based (Philox) stream
+keyed by the network and the squad.  A collection plans every squad it
+drains and has not planned yet in one vectorised pass, each squad from its
+own stream, so large networks cost only the squads a collection actually
+visits, and a plan does not depend on the order in which squads are
+touched, nor on which squads share a pass.  A stored symbol's payload is the
+XOR of the source packets it covers, which equals the XOR of the overheard
+transmissions it combines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -269,25 +272,40 @@ class Network:
         """The plans and symbols of every node in squad ``gap``, made on first
         touch; each payload XORs the covered sources."""
         if gap not in self._squads:
-            self._squads[gap] = self._plan_squad(gap)
+            self._plan([gap])
         return self._squads[gap]
 
-    def _plan_squad(self, gap: int) -> SquadPlan:
-        n = self.squad_size(gap)
-        rng = trial_rng(self._node_key, gap)
+    def _plan(self, gaps: list[int]) -> SymbolBatch:
+        """Plan every squad in ``gaps`` in one vectorised pass, keep the plans
+        and return all their symbols, squad after squad.  Squad g draws from
+        its own stream, ``trial_rng(node_key, g)``, what planning it alone
+        draws: its coupon sources, or its degrees' uniforms and then its
+        ``distinct_rows`` draws."""
+        sizes = [self.squad_size(gap) for gap in gaps]
+        rngs = [trial_rng(self._node_key, gap) for gap in gaps]
         if self.cfg.storage == "coupon":
-            ptr, sources = csr_ptr(np.ones(n, np.int64)), rng.integers(1, self.k + 1, size=n)
-            return SquadPlan(ptr, sources, symbols_from_rows(self.block, ptr, sources))
-        if not self._combines_slots:
-            symbols = encode_symbols(self.block, self._dist, n, rng)
-            return SquadPlan(symbols.ptr, symbols.neighbors, symbols)
-        sizes = np.minimum(sample_degrees(self._dist, rng, n), self._slot_count)
-        ptr, slots = distinct_rows(rng, sizes, self._slot_count)
-        return self._plan_rows(gap, ptr, slots)
+            ptr = csr_ptr(np.ones(sum(sizes), np.int64))
+            slots = np.concatenate([rng.integers(1, self.k + 1, size=n)
+                                    for rng, n in zip(rngs, sizes)])
+        else:
+            degrees = np.minimum(sample_degrees(self._dist, rngs, sizes), self._slot_count)
+            ptr, slots = distinct_rows(rngs, degrees, self._slot_count, sizes)
+            if not self._combines_slots:
+                slots += 1  # a subset of sources, which count from 1
+        first = [0, *accumulate(sizes)]  # squad j's nodes are first[j]:first[j + 1]
+        if self._combines_slots:
+            plan = self._plan_rows(np.repeat(gaps, np.diff(ptr[first])), ptr, slots)
+        else:
+            plan = SquadPlan(ptr, slots, symbols_from_rows(self.block, ptr, slots))
+        at = plan.slot_ptr[first].tolist()  # and its slots at[j]:at[j + 1]
+        for gap, lo, hi, slot_lo, slot_hi in zip(gaps, first, first[1:], at, at[1:]):
+            self._squads[gap] = SquadPlan(plan.slot_ptr[lo:hi + 1] - slot_lo,
+                                          plan.slots[slot_lo:slot_hi], plan.symbols[lo:hi])
+        return plan.symbols
 
-    def _plan_rows(self, gap: int, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
+    def _plan_rows(self, gap, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
         """Attach to each row of degree-two slots the symbol over the sources
-        it covers.
+        it covers; ``gap`` is the squad of every slot, or of each one.
 
         A squad's overheard transmissions are linearly independent over
         GF(2): taken from the outermost round inwards, each covers a source
@@ -376,6 +394,10 @@ def collect(
     """Drain squads outward from the collector until k_s symbols are gathered;
     they come back as one batch of the drained squads' leading rows.
 
+    The drained squads are found first, and those not yet planned are
+    planned in one pass (``Network._plan``), each from its own stream, so
+    the batch is what planning them one at a time, in any order, gives.
+
     A symbol from the j-th squad drained (0-based) is charged j/2 + 1 hops,
     which makes a full supersquad average exactly (s-1)/4 + 1 per symbol.
     """
@@ -387,7 +409,6 @@ def collect(
         raise ExhaustedNetworkError(
             f"need {k_s} symbols but the network stores only {net.total_storage_nodes}"
         )
-    parts: list[SymbolBatch] = []
     drained: list[int] = []
     hops = 0.0
     taken = 0
@@ -398,14 +419,20 @@ def collect(
         if size == 0:
             continue  # empty squads cost nothing and are not part of the supersquad
         take = min(size, k_s - taken)
-        parts.append(net.squad(gap).symbols[:take])
         hops += take * (len(drained) / 2.0 + 1.0)
         drained.append(gap)
         taken += take
     report = CollectionReport(
         k_s=k_s, s=len(drained), supersquad_hops=hops, squads_drained=tuple(drained)
     )
-    return SymbolBatch.concat(parts), report
+    unplanned = [gap for gap in drained if gap not in net._squads]
+    if drained and unplanned == drained:  # one new pass holds them all, in drain order
+        symbols = net._plan(drained)
+    else:
+        if unplanned:
+            net._plan(unplanned)
+        symbols = SymbolBatch.concat([net._squads[gap].symbols for gap in drained])
+    return symbols[:k_s], report
 
 
 def simulate_collection_with_doping(

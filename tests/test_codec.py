@@ -205,6 +205,44 @@ class TestDistinctRows:
                 assert np.all(np.diff(row) > 0) and (hi == lo or 0 <= row[0] <= row[-1] < m)
 
 
+class CountingStream:
+    """A generator that counts the draws the subset sampler makes from it."""
+
+    def __init__(self, rng):
+        self.rng, self.integer_draws = rng, 0
+
+    def integers(self, *args, **kw):
+        self.integer_draws += 1
+        return self.rng.integers(*args, **kw)
+
+    def permutation(self, m):
+        return self.rng.permutation(m)
+
+
+class TestDistinctRowsStreams:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_each_block_is_its_own_one_stream_call(self, seed):
+        # m = 12: rows of 1..3 draw with replacement, so a block of 60 or
+        # more rows, most of size 3, redraws; rows of 4..12 take permutation
+        # prefixes
+        m, g = 12, np.random.default_rng(seed)
+        counts = g.integers(60, 120, size=5)
+        sizes = g.choice([1, 2, 3, 3, 3, 4, 7, 12], size=counts.sum())
+        streams = [CountingStream(cli.trial_rng(seed, j)) for j in range(len(counts))]
+        ptr, rows = distinct_rows(streams, sizes, m, counts)
+        first = np.concatenate([[0], np.cumsum(counts)])
+        for j, (lo, hi) in enumerate(zip(first, first[1:])):
+            assert streams[j].integer_draws >= 2  # the small rows' draw, then a redraw
+            alone = cli.trial_rng(seed, j)
+            want_ptr, want_rows = distinct_rows(alone, sizes[lo:hi], m)
+            assert (ptr[lo:hi + 1] - ptr[lo]).tolist() == want_ptr.tolist()
+            assert rows[ptr[lo]:ptr[hi]].tolist() == want_rows.tolist()
+            # and the stream is left where the one-stream call leaves it
+            assert streams[j].rng.integers(2**63, size=2).tolist() == \
+                alone.integers(2**63, size=2).tolist()
+        assert np.any(sizes * 4 > m)
+
+
 def assert_read_only(batch):
     for arr in (batch.ptr, batch.neighbors, batch.payloads):
         assert not arr.flags.writeable
@@ -382,6 +420,44 @@ class TestInitDecoder:
         batch = SymbolBatch([0, 2], [2, 2], np.zeros((1, 4), np.uint8))
         with pytest.raises(MalformedInputError, match=r"symbol 0 has neighbors \[2, 2\]"):
             decode_with_doping(make_block(3), batch, np.random.default_rng(0))
+
+
+class TestDecoderIdEdges:
+    """The decoder's rows and adjacency share one id object per value, for
+    ids up to max(k + 1, n); decodes at the edges of that range, pinned."""
+
+    @staticmethod
+    def decode(block, batch, rng):
+        report = decode_with_doping(block, batch, rng)
+        assert report.recovered == dict(enumerate(block.packets, start=1))
+        return report.doped_indices, report.dope_levels, report.defected_total
+
+    @pytest.mark.parametrize("degrees, n, stream, pinned", [
+        ({2: 0.6, 3: 0.4}, 70, 20, ((19,), (2,), 51)),
+        ({3: 0.5, 4: 0.5}, 60, 30, ((19, 2, 14), (3, 2, 2), 43)),
+    ])
+    def test_outputs_above_k(self, degrees, n, stream, pinned):
+        # n >= 3k outputs: most output ids lie above every source id
+        weights = np.zeros(21)
+        for d, w in degrees.items():
+            weights[d] = w
+        rng = cli.trial_rng(27, stream)
+        block = SourceBlock.random(20, 8, rng)
+        batch = encode_symbols(block, DegreeDistribution.from_weights(weights), n, rng)
+        assert self.decode(block, batch, rng) == pinned
+
+    def test_empty_batch(self):
+        rng = cli.trial_rng(27, 10)
+        block = SourceBlock.random(6, 8, rng)
+        assert self.decode(block, SymbolBatch.concat([]), rng) == (
+            (2, 3, 4, 6, 5, 1), (0,) * 6, 0)
+
+    def test_one_source(self):
+        rng = cli.trial_rng(27, 11)
+        block = SourceBlock.random(1, 8, rng)
+        assert self.decode(block, SymbolBatch.concat([]), rng) == ((1,), (0,), 0)
+        assert self.decode(block, batch_of(block, [1]), rng) == ((), (), 0)
+        assert self.decode(block, batch_of(block, [1], [1], [1]), rng) == ((), (), 2)
 
 
 class TestPeeling:

@@ -22,6 +22,12 @@ class TestSupersquadSquads:
         with pytest.raises(InvalidParameterError):
             costs.supersquad_squads(10, h)
 
+    @pytest.mark.parametrize("k_s", [math.nan, -1.0])
+    def test_rejects_nan_or_negative_k_s(self, k_s):
+        # NaN used to reach math.ceil and raise its bare ValueError
+        with pytest.raises(InvalidParameterError, match="k_s"):
+            costs.supersquad_squads(k_s, 10)
+
 
 class TestCollectionCost:
     def test_pure_polling(self):
@@ -43,6 +49,13 @@ class TestCollectionCost:
     def test_k_below_one_rejected(self, k):
         with pytest.raises(InvalidParameterError, match="k must be at least 1"):
             costs.collection_cost(k, 10.0, 1.0, 10)
+
+    @pytest.mark.parametrize("k_s, k_d, h", [(math.nan, 10, 10), (100, math.nan, 10),
+                                             (100, 110, math.nan)], ids=["k_s", "k_d", "h"])
+    def test_nan_input_rejected(self, k_s, k_d, h):
+        # a NaN k_d used to come back as a NaN cost
+        with pytest.raises(InvalidParameterError, match="nonnegative"):
+            costs.collection_cost(100, k_s, k_d, h)
 
     def test_nonincreasing_in_h(self):
         values = [costs.collection_cost(2000, 2400, 10, h) for h in (10, 20, 50, 100, 1000)]

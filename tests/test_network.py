@@ -524,6 +524,110 @@ class TestCollect:
         assert rep1 == rep2
 
 
+@st.composite
+def collections(draw):
+    """A network spec of up to 60 relays (twins are built from it), a
+    collector, and k_s: none, all, or a partial last squad when one holds
+    two nodes or more."""
+    model = draw(st.sampled_from(nw.SQUAD_SIZE_MODELS))
+    dissemination = draw(st.sampled_from(nw.DISSEMINATION_MODES))
+    spec = dict(
+        k=draw(st.integers(min_value=3, max_value=60)),
+        # Poisson squads of mean 1..3 leave some squads empty
+        h=draw(st.integers(min_value=1, max_value=4)) if model == "fixed"
+        else draw(st.floats(min_value=1.0, max_value=3.0)),
+        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+        squad_size_model=model,
+        dissemination=dissemination,
+        storage=draw(st.sampled_from(nw.STORAGE_MODES)),
+        storage_combine_input=draw(st.sampled_from(nw.STORAGE_INPUTS))
+        if dissemination == "degree_two_combining" else "degree_one_inputs",
+    )
+    net = build(**spec)
+    collector = draw(st.integers(min_value=1, max_value=spec["k"]))
+    sizes = [net.squad_size(g) for g in nw._drain_order(net.k, collector)]
+    full = np.cumsum(sizes).tolist()  # k_s that ends on the j-th squad drained
+    partial = [(full[j] - sizes[j], sizes[j]) for j in range(len(sizes)) if sizes[j] > 1]
+    kind = draw(st.sampled_from(["none", "all", "partial"] if partial else ["none", "all"]))
+    if kind == "partial":
+        before, size = draw(st.sampled_from(partial))
+        k_s = before + draw(st.integers(min_value=1, max_value=size - 1))
+    else:
+        k_s = 0 if kind == "none" else net.total_storage_nodes
+    return spec, collector, k_s
+
+
+def assert_same_batch(got, want):
+    """Equal rows and payload bytes (an empty batch's payload width is free)."""
+    assert np.array_equal(got.ptr, want.ptr) and np.array_equal(got.neighbors, want.neighbors)
+    assert len(got.payloads) == len(want.payloads)
+    assert got.payloads.tobytes() == want.payloads.tobytes()
+
+
+class TestOnePassCollect:
+    @given(case=collections())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_squad_by_squad_planning(self, case):
+        spec, collector, k_s = case
+        net, twin = build(**spec), build(**spec)
+        batch, rep = nw.collect(net, collector, k_s)
+        drained = [g for g in nw._drain_order(net.k, collector) if net.squad_size(g)]
+        drained = drained[:int(np.searchsorted(
+            np.cumsum([net.squad_size(g) for g in drained]), k_s) + 1)] if k_s else []
+        assert list(rep.squads_drained) == drained
+        assert sorted(net._squads) == sorted(drained)
+        for gap in reversed(drained):  # the oracle: one squad at a time
+            twin.squad(gap)
+        want = nw.SymbolBatch.concat([twin.squad(g).symbols for g in drained])[:k_s]
+        assert_same_batch(batch, want)
+        for gap in drained:
+            mine, theirs = net.squad(gap), twin.squad(gap)
+            assert np.array_equal(mine.slot_ptr, theirs.slot_ptr)
+            assert np.array_equal(mine.slots, theirs.slots)
+            assert_same_batch(mine.symbols, theirs.symbols)
+        # a second collect reads the cached plans; one for every symbol
+        # plans the rest in one more pass
+        assert_same_batch(nw.collect(net, collector, k_s)[0], batch)
+        everything, _ = nw.collect(net, collector, net.total_storage_nodes)
+        assert_same_batch(everything[:k_s], batch)
+        assert sorted(net._squads) == [g for g in range(1, net.k + 1) if net.squad_size(g)]
+        assert_same_batch(everything, nw.SymbolBatch.concat(
+            [twin.squad(g).symbols for g in nw._drain_order(net.k, collector)]))
+
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(dissemination="degree_two_combining", storage_combine_input="degree_two_inputs"),
+        dict(storage="coupon"),
+    ], ids=["d1", "d2", "coupon"])
+    def test_one_pass_per_collect(self, monkeypatch, kw):
+        # every squad a collect newly plans draws from its own stream, and
+        # all of them come out of one symbols_from_rows call
+        streams, passes = [], []
+        real_rng, real_rows = nw.trial_rng, nw.symbols_from_rows
+
+        def counted_rng(seed, stream):
+            streams.append(stream)
+            return real_rng(seed, stream)
+
+        def counted_rows(*args):
+            passes.append(len(args[1]) - 1)
+            return real_rows(*args)
+
+        monkeypatch.setattr(nw, "trial_rng", counted_rng)
+        monkeypatch.setattr(nw, "symbols_from_rows", counted_rows)
+        net = build(k=40, h=5, seed=4, **kw)
+        nw.collect(net, 1, 23)  # five squads, the last one partly
+        assert sorted(streams) == [1, 2, 3, 39, 40] and passes == [25]
+        nw.collect(net, 1, 23)
+        nw.collect(net, 1, 0)
+        net.squad(40)
+        assert len(streams) == 5 and len(passes) == 1
+        nw.collect(net, 1, 60)  # seven more squads
+        assert sorted(streams[5:]) == [4, 5, 6, 35, 36, 37, 38] and passes == [25, 35]
+        net.squad(20)
+        assert streams[12:] == [20] and passes == [25, 35, 5]
+
+
 class TestRingDistance:
     def test_wraps_both_ways(self):
         assert nw.ring_distance(10, 1, 2) == 1
