@@ -169,8 +169,7 @@ def distinct_rows(
     value = (1 << shift) - 1  # the mask of a key's value bits
     keys = np.repeat(np.arange(len(sizes), dtype=np.int64) << shift, np.where(large, 0, sizes))
     # rows sit above values, so stream j's keys stay keys[first_key[j]:first_key[j + 1]]
-    first_key = (np.searchsorted(keys, np.array(first_row) << shift) if len(rngs) > 1
-                 else (0, len(keys)))
+    first_key = np.searchsorted(keys, np.array(first_row) << shift)
     keys += _draws(rngs, m, first_key)
     keys.sort()
     while (dup := np.flatnonzero(keys[1:] == keys[:-1]) + 1).size:

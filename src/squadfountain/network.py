@@ -275,12 +275,11 @@ class Network:
             self._plan([gap])
         return self._squads[gap]
 
-    def _plan(self, gaps: list[int]) -> SymbolBatch:
-        """Plan every squad in ``gaps`` in one vectorised pass, keep the plans
-        and return all their symbols, squad after squad.  Squad g draws from
-        its own stream, ``trial_rng(node_key, g)``, what planning it alone
-        draws: its coupon sources, or its degrees' uniforms and then its
-        ``distinct_rows`` draws."""
+    def _plan(self, gaps: list[int]) -> None:
+        """Plan every squad in ``gaps`` in one vectorised pass and keep each
+        squad's plan.  Squad g draws from its own stream, ``trial_rng(node_key,
+        g)``, what planning it alone draws: its coupon sources, or its degrees'
+        uniforms and then its ``distinct_rows`` draws."""
         sizes = [self.squad_size(gap) for gap in gaps]
         rngs = [trial_rng(self._node_key, gap) for gap in gaps]
         if self.cfg.storage == "coupon":
@@ -295,13 +294,13 @@ class Network:
         first = [0, *accumulate(sizes)]  # squad j's nodes are first[j]:first[j + 1]
         if self._combines_slots:
             plan = self._plan_rows(np.repeat(gaps, np.diff(ptr[first])), ptr, slots)
-        else:
-            plan = SquadPlan(ptr, slots, symbols_from_rows(self.block, ptr, slots))
+        else:  # the slots are the sources, kept as the batch's read-only arrays
+            symbols = symbols_from_rows(self.block, ptr, slots)
+            plan = SquadPlan(symbols.ptr, symbols.neighbors, symbols)
         at = plan.slot_ptr[first].tolist()  # and its slots at[j]:at[j + 1]
         for gap, lo, hi, slot_lo, slot_hi in zip(gaps, first, first[1:], at, at[1:]):
             self._squads[gap] = SquadPlan(plan.slot_ptr[lo:hi + 1] - slot_lo,
                                           plan.slots[slot_lo:slot_hi], plan.symbols[lo:hi])
-        return plan.symbols
 
     def _plan_rows(self, gap, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
         """Attach to each row of degree-two slots the symbol over the sources
@@ -426,12 +425,9 @@ def collect(
         k_s=k_s, s=len(drained), supersquad_hops=hops, squads_drained=tuple(drained)
     )
     unplanned = [gap for gap in drained if gap not in net._squads]
-    if drained and unplanned == drained:  # one new pass holds them all, in drain order
-        symbols = net._plan(drained)
-    else:
-        if unplanned:
-            net._plan(unplanned)
-        symbols = SymbolBatch.concat([net._squads[gap].symbols for gap in drained])
+    if unplanned:
+        net._plan(unplanned)
+    symbols = SymbolBatch.concat([net._squads[gap].symbols for gap in drained])
     return symbols[:k_s], report
 
 

@@ -376,6 +376,17 @@ class TestSquadPlans:
             for idx in range(net.squad_size(gap)):
                 assert slot_row(net, gap, idx) == slot_row(twin, gap, idx)
 
+    @given(net=networks())
+    @settings(max_examples=40, deadline=None)
+    def test_slots_cannot_rewrite_cached_symbols(self, net):
+        # slots that are the sources share the symbols' read-only rows, so no
+        # edit of a plan in place changes what a later collect reads
+        assert not build().squad(1).slots.flags.writeable
+        for gap in range(1, net.k + 1):
+            plan = net.squad(gap)
+            if np.shares_memory(plan.slots, plan.symbols.neighbors):
+                assert not plan.slots.flags.writeable
+
     def test_overheard_transmissions_never_cancel(self):
         # linearly independent over GF(2): no slot subset leaves a node empty
         for k in range(3, 41):
