@@ -331,18 +331,15 @@ def _schedule(k: int, delta: float, t: np.ndarray, base: np.ndarray,
             raise DivergedError(f"doping schedule did not close after {k} rounds")
         remaining = k - decoded
         lam = walk_intensity(k, delta, decoded)
-        if remaining < 2.0:
-            ey = remaining  # horizon too short for any finite yield mass
+        top = int(remaining) + 1
+        if delta:  # at delta = 0 every round has lam = 1
+            eps = lam - 1.0
+            w = np.exp(t[:top] * (math.log1p(eps) - eps))
+            head = float(w @ tp[:top]) / lam**2
+            covered = float(w @ base[:top]) / lam**2
         else:
-            top = int(remaining) + 1
-            if delta:  # at delta = 0 every round has lam = 1
-                eps = lam - 1.0
-                w = np.exp(t[:top] * (math.log1p(eps) - eps))
-                head = float(w @ tp[:top]) / lam**2
-                covered = float(w @ base[:top]) / lam**2
-            else:
-                head, covered = float(tp[:top].sum()), float(base[:top].sum())
-            ey = head + (1.0 - covered) * remaining  # as _censored_mean
+            head, covered = float(tp[:top].sum()), float(base[:top].sum())
+        ey = head + (1.0 - covered) * remaining  # as _censored_mean
         rounds.append(
             DopingRound(index=i, decoded_before=decoded, lam=lam, expected_yield=ey)
         )

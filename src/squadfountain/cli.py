@@ -43,11 +43,12 @@ _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
 STREAM_VERSION = 6
 
 
-def _fmt(value) -> str:
+def fmt(value, digits: int = 9) -> str:
+    """A CSV or report field: true/false, floats to ``digits`` significant digits."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return f"{value:.9g}"
+        return f"{value:.{digits}g}"
     if value is None:
         return ""
     return str(value)
@@ -59,8 +60,8 @@ def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[tu
     body = io.StringIO()
     writer = csv.writer(body, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(map(_fmt, row) for row in rows)
-    text = "".join(f"# {key}={_fmt(meta[key])}\n" for key in sorted(meta)) + body.getvalue()
+    writer.writerows(map(fmt, row) for row in rows)
+    text = "".join(f"# {key}={fmt(meta[key])}\n" for key in sorted(meta)) + body.getvalue()
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
     else:
@@ -188,7 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="full network path")
     p.add_argument("--h", type=float, default=200.0)
     p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), default="d1")
-    p.add_argument("--storage", choices=sorted(_STORAGE), default="is")
+    p.add_argument("--storage", choices=sorted(_STORAGE),
+                   help="default: each strategy stores its own code")
     p.add_argument("--storage-input", choices=["degree_one_inputs", "degree_two_inputs"],
                    default="degree_one_inputs")
     p.add_argument("--collector", type=int, default=1)
@@ -228,7 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(run=cmd_validate)
     p.add_argument("--criterion", help="comma list of criterion names (default all)")
-    p.add_argument("--tolerance-scale", type=float, default=1.0)
     return parser
 
 
@@ -276,6 +277,9 @@ def cmd_decode_sim(args: argparse.Namespace) -> tuple[int, Table]:
     if coupon and len(dists) > 1:
         raise ConfigError("--storage coupon stores single packets whatever the code; "
                           f"give one --dist, not {args.dist!r}")
+    if args.network and args.storage in ("is", "rs") and set(dists) != {args.storage}:
+        raise ConfigError(f"--storage {args.storage} stores the {args.storage} code, but "
+                          f"--dist {args.dist!r} runs another; leave --storage unset")
     rows: list[tuple] = []
     trials = range(args.trials)
     for dist_name in dists:
@@ -348,7 +352,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, Table]:
     meta = {
         "mode": "expected_dopings",
         "k": k,
-        "delta_grid": ",".join(_fmt(d) for d in grid),
+        "delta_grid": ",".join(fmt(d) for d in grid),
         "kd_includes_uncovered": True,
     }
     return 0, (meta, ["delta", "predicted_kd", "p_d", "stall_dopings", "uncovered"], rows)
@@ -427,25 +431,19 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
 def cmd_validate(args: argparse.Namespace) -> tuple[int, Table | None]:
     from . import validation
 
-    if not 0 < args.tolerance_scale < math.inf:
-        raise ConfigError(f"--tolerance-scale must be finite and > 0, got {args.tolerance_scale}")
     names = list(validation.CRITERIA)
     if args.criterion is not None:
         names = _comma_list("--criterion", args.criterion, validation.CRITERIA)
     results = []
     for name in names:
-        res = validation.run_criterion(name, seed=args.seed, tol_scale=args.tolerance_scale)
+        res = validation.run_criterion(name, seed=args.seed)
         print(res.summary_line())
         results.append(res)
     code = 0 if all(r.passed for r in results) else 1
     if not args.out:
         return code, None
     rows = [(r.name, r.passed, r.measured_text(), r.threshold_desc) for r in results]
-    meta = {
-        "criteria": ",".join(names),
-        "tolerance_scale": args.tolerance_scale,
-        "stream_version": STREAM_VERSION,
-    }
+    meta = {"criteria": ",".join(names), "stream_version": STREAM_VERSION}
     return code, (meta, ["criterion", "passed", "measured", "threshold"], rows)
 
 

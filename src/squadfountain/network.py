@@ -368,7 +368,6 @@ class CollectionReport:
     s: int
     supersquad_hops: float
     squads_drained: tuple[int, ...]
-    k_d: int = 0
     doped_hop_costs: tuple[int, ...] = field(default=())
 
 
@@ -447,7 +446,7 @@ def simulate_collection_with_doping(
     report = decode_with_doping(net.block, symbols, rng)
     d = np.abs(np.array(report.doped_indices, dtype=np.int64) - collector_relay) % net.k
     doped_hops = tuple(np.minimum(d, net.k - d).tolist())
-    creport = replace(creport, k_d=report.k_d, doped_hop_costs=doped_hops)
+    creport = replace(creport, doped_hop_costs=doped_hops)
     return report, creport
 
 

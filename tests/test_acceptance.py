@@ -18,6 +18,7 @@ asserted as stated rather than loosened.
 """
 
 import csv
+import inspect
 
 import pytest
 
@@ -39,6 +40,12 @@ def test_criteria_streams_disjoint():
     for i, a in enumerate(ranges):
         for b in ranges[i + 1:]:
             assert a.stop <= b.start or b.stop <= a.start, (a, b)
+
+
+def test_criteria_take_seed_alone():
+    # each criterion tests the bound its threshold text states; nothing scales it
+    for name, (criterion, _) in validation.CRITERIA.items():
+        assert list(inspect.signature(criterion).parameters) == ["seed"], name
 
 
 def test_doping_prediction_bound_reads_draw_time(monkeypatch):
