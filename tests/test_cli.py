@@ -140,6 +140,20 @@ class TestDecodeSim:
             ran += data_rows(alone)[1]
         assert data_rows(text)[1] == ran
 
+    @pytest.mark.parametrize("storage, dist", [("rs", "is"), ("is", "is,rs")])
+    def test_network_storage_not_the_strategys_code_rejected(self, tmp_path, capsys,
+                                                             storage, dist):
+        # a given combining code must be every strategy's own; the error's
+        # advice, leaving --storage unset, runs each strategy on its own code
+        common = ["decode-sim", "--network", "--k", "40", "--h", "10", "--trials", "2",
+                  "--payload-len", "8", "--seed", "4", "--dist", dist]
+        code, text = run_to_file(tmp_path, "m.csv", common + ["--storage", storage])
+        err = capsys.readouterr().err
+        assert code == 2 and text == "" and err.count("\n") == 1
+        assert err.startswith(f"error: --storage {storage} ") and "leave --storage unset" in err
+        code, text = run_to_file(tmp_path, "u.csv", common)
+        assert code == 0 and f"# storage={dist}\n" in text
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
         assert main(["decode-sim", "--k", "50", "--trials", "1", "--seed", str(seed)]) == 2
