@@ -61,6 +61,11 @@ def _poisson_pmf(n, mu: float) -> np.ndarray:
     return np.where(n < 0, 0.0, np.exp(xlogy(n, mu) - gammaln(n + 1.0) - mu))
 
 
+def _size(name: str, value, low: int) -> None:
+    if not isinstance(value, (int, np.integer)) or value < low:
+        raise InvalidParameterError(f"{name} must be >= {low} and an integer, got {value!r}")
+
+
 def walk_intensity(k: int, delta: float, ell: float) -> float:
     """Ripple-walk release intensity 1 + delta*k/(k-ell); equals 1 iff delta=0."""
     if ell >= k:
@@ -76,8 +81,8 @@ def walk_intensity(k: int, delta: float, ell: float) -> float:
 def unreleased_degree_dist(k: int, ell: int) -> DegreeDistribution:
     """Degree law of still-unreleased output symbols at decode depth ell: the
     Ideal Soliton masses on the shrunken support {2..k-ell}, renormalized."""
-    if not 0 <= ell <= k - 3:
-        raise InvalidParameterError(f"ell={ell} outside 0..k-3 for k={k}")
+    if not isinstance(ell, (int, np.integer)) or not 0 <= ell <= k - 3:
+        raise InvalidParameterError(f"ell={ell} must be an integer in 0..k-3 for k={k}")
     raw = ideal_soliton(k - ell).pmf.copy()
     raw[1] = 0.0
     return DegreeDistribution.from_weights(raw)
@@ -130,8 +135,7 @@ def interdoping_yield_pmf(lam: float, t_max: int) -> YieldPmf:
     """
     if not 1.0 <= lam < math.inf:
         raise InvalidParameterError(f"lam must be finite and >= 1, got {lam}")
-    if t_max < 2:
-        raise InvalidParameterError(f"t_max must be >= 2, got {t_max}")
+    _size("t_max", t_max, 2)
     t = np.arange(1, t_max + 1, dtype=float)
     probs = np.zeros(t_max + 1)
     probs[1:] = 2.0 / t * _poisson_pmf(t - 2.0, t * lam)
@@ -160,8 +164,7 @@ def ripple_transition_matrix(lam: float, k: int) -> np.ndarray:
     """
     if not 0.0 < lam < math.inf:
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
-    if k < 3:
-        raise InvalidParameterError(f"k must be >= 3, got {k}")
+    _size("k", k, 3)
     eta = _poisson_pmf(np.arange(k + 1), lam)
     padded = np.concatenate((np.zeros(k - 2), eta))  # P[r, c] = padded[k-1+c-r]
     P = np.lib.stride_tricks.sliding_window_view(padded, k)[::-1].copy()
@@ -180,8 +183,7 @@ def trapping_probabilities(matrix: np.ndarray, u_max: int) -> np.ndarray:
     diagonal in its first u_max columns must be zero; otherwise the cut could
     drop mass and InvalidParameterError is raised.
     """
-    if u_max < 1:
-        raise InvalidParameterError(f"u_max must be >= 1, got {u_max}")
+    _size("u_max", u_max, 1)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or len(matrix) < 3:
         raise InvalidParameterError(
             f"matrix must be square with >= 3 states, got shape {matrix.shape}"
@@ -213,32 +215,37 @@ def simulate_walk_stopping_times(
     walks alive at t_cap report t_cap.  The walks are i.i.d., so each step
     splits the count of walks at every ripple size with one multinomial draw
     over the Poisson(lam) pmf, cut where its omitted tail is below 1e-16 (the
-    multinomial gives that tail to the last cell).  Cost does not grow with
+    multinomial gives that tail to the last cell).  The counts are dense over
+    the sizes from the smallest to the largest alive; an empty size draws
+    nothing, so the draws are those of the alive sizes alone.  One bincount
+    over a table of destination indices, which grows with the live sizes and
+    never with t_cap, lands the moved walks.  Cost does not grow with
     n_walks.  Returns n_walks int64 stall times in ascending order.
     """
-    if not isinstance(n_walks, (int, np.integer)) or n_walks < 0:
-        raise InvalidParameterError(f"n_walks must be an integer >= 0, got {n_walks}")
+    _size("n_walks", n_walks, 0)
     if not 0.0 < lam < math.inf:
         raise InvalidParameterError(f"lam must be finite and positive, got {lam}")
-    if t_cap < 1:
-        raise InvalidParameterError(f"t_cap must be >= 1, got {t_cap}")
+    _size("t_cap", t_cap, 1)
     from scipy.special import pdtrc
 
     cells = np.arange(int(lam + 40.0 * math.sqrt(lam) + 40.0))
     cells = cells[: int(np.argmax(pdtrc(cells, lam) < 1e-16)) + 1]
     step_law = _poisson_pmf(cells, lam)
     stalls = np.zeros(t_cap + 1, dtype=np.int64)
-    sizes, counts = np.array([2]), np.array([n_walks], dtype=np.int64)
-    for t in range(1, t_cap + 1):
-        if not sizes.size:
+    low, counts, dest = 2, np.array([n_walks], dtype=np.int64), cells[None, :]
+    for t in range(1, t_cap + 1):  # counts[i] walks at ripple size low + i
+        if len(dest) < len(counts):
+            dest = np.arange(2 * len(counts))[:, None] + cells
+        # landed[j] walks at size low - 1 + j; float weights are exact below 2**53 walks
+        landed = np.bincount(dest[: len(counts)].ravel(),
+                             rng.multinomial(counts, step_law).ravel())
+        if low == 1:
+            stalls[t], landed[0] = landed[0], 0
+        alive = np.flatnonzero(landed)
+        if not alive.size:
             break
-        moved = rng.multinomial(counts, step_law)
-        # float weights are exact below 2**53 walks
-        landed = np.bincount((sizes[:, None] - 1 + cells).ravel(), moved.ravel())
-        stalls[t] = landed[0]
-        sizes = np.flatnonzero(landed[1:]) + 1
-        counts = landed[sizes].astype(np.int64)
-    stalls[t_cap] += counts.sum()
+        low, counts = low - 1 + alive[0], landed[alive[0] : alive[-1] + 1].astype(np.int64)
+    stalls[t_cap] += n_walks - stalls.sum()
     return np.repeat(np.arange(t_cap + 1, dtype=np.int64), stalls)
 
 
@@ -258,7 +265,7 @@ def _censored_mean(probs: np.ndarray, bound: float) -> float:
 def expected_yield(pmf: YieldPmf, k: int, l_i: float) -> float:
     """Censored mean of Y at horizon k - l_i; tail mass sits at the bound."""
     bound = k - l_i
-    if bound <= 0:
+    if not bound > 0:  # NaN fails too
         raise InvalidParameterError(f"horizon k-l_i={bound} must be positive")
     return _censored_mean(pmf.probs[: min(pmf.t_max, int(bound)) + 1], bound)
 
@@ -316,14 +323,16 @@ def _schedule(k: int, delta: float, t: np.ndarray, base: np.ndarray,
 
     Each round i holds the intensity fixed at 1 + delta*k/(k-l_i), takes the
     censored expected yield at horizon k - l_i, and advances l by it.  Every
-    round's yield law is the lambda = 1 pmf ``base`` over ``t`` = 0..k (at
-    least) tilted by lambda^-2 * (lambda e^{1-lambda})^t, so a round is two
-    reductions over prefixes of ``base`` and ``tp`` = t * base.  The loop is
-    guarded against non-termination at k iterations.
+    round's yield law is the lambda = 1 pmf ``base`` over the float support
+    ``t`` = 0..k (at least) tilted by lambda^-2 * (lambda e^{1-lambda})^t, so
+    a round is two reductions over prefixes of ``base`` and ``tp`` = t * base.
+    Each round writes its tilt weights into the schedule's one buffer, in
+    place.  The loop is guarded against non-termination at k iterations.
     """
     u = uncovered_count(k, delta).exact  # rejects delta outside [0, inf)
     decoded = 0.0
     rounds: list[DopingRound] = []
+    w = np.empty(len(t))
     i = 0
     while decoded + u < k:
         i += 1
@@ -334,9 +343,10 @@ def _schedule(k: int, delta: float, t: np.ndarray, base: np.ndarray,
         top = int(remaining) + 1
         if delta:  # at delta = 0 every round has lam = 1
             eps = lam - 1.0
-            w = np.exp(t[:top] * (math.log1p(eps) - eps))
-            head = float(w @ tp[:top]) / lam**2
-            covered = float(w @ base[:top]) / lam**2
+            tilt = np.multiply(t[:top], math.log1p(eps) - eps, out=w[:top])
+            np.exp(tilt, out=tilt)
+            head = float(tilt @ tp[:top]) / lam**2
+            covered = float(tilt @ base[:top]) / lam**2
         else:
             head, covered = float(tp[:top].sum()), float(base[:top].sum())
         ey = head + (1.0 - covered) * remaining  # as _censored_mean
@@ -358,10 +368,9 @@ def _schedule(k: int, delta: float, t: np.ndarray, base: np.ndarray,
 
 def doping_table(k: int, deltas) -> dict[float, DopingPrediction]:
     """The doping schedule at every surplus in ``deltas``, keyed by it; one
-    lambda = 1 yield pmf, its support t and t * pmf feed them all."""
-    if k < 3:  # before the pmf, whose own check would name t_max
-        raise InvalidParameterError(f"k must be >= 3, got {k}")
-    t = np.arange(k + 1)
+    lambda = 1 yield pmf, its float support t and t * pmf feed them all."""
+    _size("k", k, 3)  # before the pmf, whose own check would name t_max
+    t = np.arange(k + 1, dtype=float)
     base = interdoping_yield_pmf(1.0, k).probs
     tp = t * base
     return {delta: _schedule(k, delta, t, base, tp) for delta in deltas}

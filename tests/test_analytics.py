@@ -1,7 +1,9 @@
+import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from scipy.stats import chi2_contingency, poisson
 
 from squadfountain import analytics as an
 from squadfountain import cli, costs
+from squadfountain.codec import trial_rng
 from squadfountain.errors import InvalidParameterError
 
 
@@ -538,3 +541,82 @@ class TestWalkParams:
     def test_rejects_negative_surplus(self):
         with pytest.raises(InvalidParameterError):
             an.expected_dopings(100, -0.1)
+
+
+# Bit pins: every round's expected yield and the walks' stall-time counts,
+# exactly as the code gave them when pinned.  The analytic golden CSVs and
+# benchmarks/reference.json see only integer stall counts, so these are what
+# catch a change of a last bit.  A deliberate change rewrites the file with
+# python tests/golden/rewrite.py.
+PINS_FILE = Path(__file__).resolve().parent / "golden" / "analytic_pins.json"
+PIN_SCHEDULES = [(2000, [0.0, 0.01, 0.03, 0.06]), (5000, [0.02])]
+# (lam, n_walks, t_cap); case i draws from trial_rng(1, i)
+PIN_WALKS = [(lam, n, t_cap) for lam in (0.7, 1.0, 1.2, 3.0)
+             for n, t_cap in ((100_000, 51), (1000, 300), (0, 5), (5, 1))]
+# subcritical, so the walks die early and the case stays fast under tracemalloc
+LONG_WALK = (0.7, 100, 100_000)
+# one int64 per (t, cell) of the walk's 16 cells, a table sized by t_cap, is 12.8 MB
+LONG_WALK_PEAK_BYTES = 4_000_000
+
+
+def walk_pin(case: int, lam: float, n_walks: int, t_cap: int) -> dict[str, int]:
+    """The nonzero entries of np.bincount of the case's stall times."""
+    times = an.simulate_walk_stopping_times(lam, n_walks, t_cap, trial_rng(1, case))
+    return {str(t): int(c) for t, c in enumerate(np.bincount(times)) if c}
+
+
+def schedule_pins() -> dict[str, dict[str, list[str]]]:
+    return {str(k): {str(d): [float.hex(r.expected_yield) for r in pred.rounds]
+                     for d, pred in an.doping_table(k, deltas).items()}
+            for k, deltas in PIN_SCHEDULES}
+
+
+def analytic_pins() -> dict:
+    """What PINS_FILE holds, computed by the current code."""
+    walks = [walk_pin(i, *case) for i, case in enumerate(PIN_WALKS + [LONG_WALK])]
+    return {"schedules": schedule_pins(), "walks": walks}
+
+
+@pytest.fixture(scope="module")
+def pins():
+    return json.loads(PINS_FILE.read_text())
+
+
+class TestBitPins:
+    def test_schedule_rounds(self, pins):
+        assert schedule_pins() == pins["schedules"]
+        pred = an.expected_dopings(5000, 0.02)
+        assert [float.hex(r.expected_yield) for r in pred.rounds] == \
+            pins["schedules"]["5000"]["0.02"]
+
+    @pytest.mark.parametrize("case", range(len(PIN_WALKS)))
+    def test_walk_counts(self, pins, case):
+        assert walk_pin(case, *PIN_WALKS[case]) == pins["walks"][case]
+
+    def test_long_walk_counts_and_memory(self, pins):
+        # the walks' working arrays grow with the ripple sizes alive, never
+        # with t_cap
+        tracemalloc.start()
+        try:
+            got = walk_pin(len(PIN_WALKS), *LONG_WALK)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pins["walks"][len(PIN_WALKS)]
+        assert peak < LONG_WALK_PEAK_BYTES
+
+
+class TestSizeArguments:
+    @pytest.mark.parametrize("call", [
+        lambda: an.interdoping_yield_pmf(1.0, 2.5),
+        lambda: an.simulate_walk_stopping_times(1.0, 10, 5.5, np.random.default_rng(0)),
+        lambda: an.expected_dopings(1000.0, 0.0),
+        lambda: an.ripple_transition_matrix(1.0, 500.5),
+        lambda: an.trapping_probabilities(an.ripple_transition_matrix(1.0, 10), 2.5),
+        lambda: an.unreleased_degree_dist(100, 2.5),
+        lambda: an.expected_yield(an.interdoping_yield_pmf(1.0, 100), 100, math.nan),
+    ], ids=["yield_pmf", "walks", "expected_dopings", "matrix", "trapping", "unreleased",
+            "expected_yield_nan"])
+    def test_rejected_as_invalid_parameter(self, call):
+        with pytest.raises(InvalidParameterError):
+            call()
