@@ -22,12 +22,12 @@ import math
 import sys
 from pathlib import Path
 
-from . import analytics, costs
-from .codec import trial_rng
+from . import analytics, codec, costs
 from .degrees import ideal_soliton, robust_soliton
 from .errors import ConfigError, ExhaustedNetworkError, InvalidParameterError
-from .network import NetworkConfig, build_network, codec_dopings, network_dopings
+from .network import NetworkConfig, TransmissionSchedule, codec_dopings, network_dopings
 
+trial_rng = codec.trial_rng  # no command here draws through it; benchmarks/workloads.py does
 _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
 _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
 _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
@@ -209,7 +209,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_disseminate)
     p.add_argument("--k", type=int, default=7)
     p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), default="d2")
-    p.add_argument("--payload-len", type=int, default=32)
 
     p = sub.add_parser("cost", help="collection-cost curves and strategy tables")
     common(p)
@@ -359,19 +358,12 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, Table]:
 
 
 def cmd_disseminate(args: argparse.Namespace) -> tuple[int, Table]:
-    cfg = NetworkConfig(k=args.k, h=1, dissemination=_DISSEMINATION[args.dissemination],
-                        payload_len=args.payload_len)
-    sched = build_network(cfg, trial_rng(args.seed, 0)).schedule
+    cfg = NetworkConfig(k=args.k, h=1, dissemination=_DISSEMINATION[args.dissemination])
+    sched = TransmissionSchedule(cfg.dissemination, cfg.k)  # names only: nothing is drawn
     verified = sched.verify()
     rows = [(relay, sched.per_relay, sched.rounds, verified) for relay in range(1, args.k + 1)]
-    meta = {
-        "k": args.k,
-        "dissemination": args.dissemination,
-        "payload_len": args.payload_len,
-        "rounds": sched.rounds,
-        "verified": verified,
-        "stream_version": STREAM_VERSION,
-    }
+    meta = {"k": args.k, "dissemination": args.dissemination, "rounds": sched.rounds,
+            "verified": verified}
     return 0, (meta, ["relay", "transmissions", "rounds", "verified"], rows)
 
 

@@ -91,11 +91,10 @@ class SourceBlock:
 
     @cached_property
     def words(self) -> np.ndarray:
-        """Read-only: the packets as the widest machine words dividing
-        payload_len, then a zero row (index k) for XORs with nothing."""
+        """Read-only: a view of the packets as the widest machine words
+        dividing payload_len, one row per packet."""
         word = next(w for w in (8, 4, 2, 1) if self.payload_len % w == 0)
-        rows = np.frombuffer(self.data + bytes(self.payload_len), dtype=f"u{word}")
-        return rows.reshape(self.k + 1, -1)
+        return np.frombuffer(self.data, dtype=f"u{word}").reshape(self.k, -1)
 
 
 @dataclass(frozen=True)

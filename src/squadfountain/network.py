@@ -19,7 +19,9 @@ own stream, so large networks cost only the squads a collection actually
 visits, and a plan does not depend on the order in which squads are
 touched, nor on which squads share a pass.  A stored symbol's payload is the
 XOR of the source packets it covers, which equals the XOR of the overheard
-transmissions it combines.
+transmissions it combines.  The schedule names sources only: a transmission's
+payload is by definition the XOR of the sources it names, so what a relay
+recovers bit-exact follows from the names, and no payload array is built.
 """
 
 from __future__ import annotations
@@ -50,10 +52,10 @@ STORAGE_MODES = ("coupon", "is_combining", "rs_combining")
 STORAGE_INPUTS = ("degree_one_inputs", "degree_two_inputs")
 
 
-def ring_distance(k: int, i: int, j: int) -> int:
-    """Hops between relays i and j along the shorter arc."""
-    d = abs(i - j) % k
-    return min(d, k - d)
+def ring_distance(k: int, i, j):
+    """Hops between relays i and j along the shorter arc; broadcasts."""
+    d = np.abs(np.subtract(i, j)) % k
+    return np.minimum(d, k - d)
 
 
 def _wrap(k: int, i: int) -> int:
@@ -83,6 +85,8 @@ class NetworkConfig:
             raise InvalidParameterError(f"k must be >= 3, got {self.k}")
         if not 1 <= self.h < np.inf:
             raise InvalidParameterError(f"h must be finite and >= 1, got {self.h}")
+        if self.k * self.h >= 2**62:  # squad sizes and their sum stay int64
+            raise InvalidParameterError(f"k * h must be below 2**62, got {self.k * self.h:g}")
         if self.squad_size_model not in SQUAD_SIZE_MODELS:
             raise InvalidParameterError(f"unknown squad_size_model {self.squad_size_model!r}")
         if self.dissemination not in DISSEMINATION_MODES:
@@ -141,47 +145,41 @@ class TransmissionSchedule:
 
     Plain forwarding sends the k packets singly: each round's left source,
     then its right one, unless already sent.  Combining sends each round's
-    two sources as one XOR.
+    two sources as one XOR.  A schedule is graph-only: a transmission's
+    payload is by definition the XOR of the sources it names, so the names
+    alone say what every relay and storage node can recover.
     """
 
-    def __init__(self, mode: str, block: SourceBlock):
+    def __init__(self, mode: str, k: int):
         self.mode = mode
-        self.block = block
-        self.k = block.k
+        self.k = k
         # every relay has received every packet after this many rounds
-        self.rounds = combining_rounds(self.k)
-        self.per_relay = self.k if mode == "degree_one" else self.rounds
+        self.rounds = combining_rounds(k)
+        self.per_relay = k if mode == "degree_one" else self.rounds
 
     def transmissions(self, relays) -> tuple[np.ndarray, ...]:
-        """``(round, left, right, payload)`` of n relays' transmissions in
-        order, shaped (per_relay,), (n, per_relay) per source (one source
-        named twice for a single packet) and (n, per_relay, payload_len)."""
+        """``(round, left, right)`` of n relays' transmissions in order,
+        shaped (per_relay,) and (n, per_relay) per source (one source named
+        twice for a single packet)."""
         t = np.arange(self.per_relay)
         rnd = (t + 1) // 2 + 1 if self.mode == "degree_one" else t + 1
         left, right = round_sources(self.k, np.asarray(relays, dtype=np.int64)[:, None], rnd)
         if self.mode == "degree_one":
             left = right = np.where(t % 2 == 1, left, right)
-        return rnd, left, right, self._xor(left, right).view(np.uint8)
-
-    def _xor(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """The packets of left XOR those of right (left's alone where they
-        are equal), a machine word at a time."""
-        rows = self.block.words  # take() gathers rows several times faster than indexing
-        second = np.where(right == left, self.k, right - 1)  # row k is zero
-        return rows.take(left - 1, axis=0) ^ rows.take(second, axis=0)
+        return rnd, left, right
 
     def verify(self) -> bool:
         """True when every relay ends up holding all k packets bit-exact from
-        what its two neighbours transmit: each heard payload must be the XOR
-        of the sources it names.  Relays are checked in fixed chunks."""
+        what its two neighbours transmit.  As each payload is the XOR of the
+        sources it names, recovery is bit-exact exactly when the names let
+        every relay peel out each packet in time.  Relays are checked in
+        fixed chunks."""
         k = self.k
         check = self._collects_all if self.mode == "degree_one" else self._decodes_online
         for lo in range(1, k + 1, _VERIFY_CHUNK):
             relays = np.arange(lo, min(lo + _VERIFY_CHUNK, k + 1))
             # heard row c is the left neighbour of relays[c], row c+2 its right one
-            heard = self.transmissions(_wrap(k, np.arange(lo - 1, relays[-1] + 2)))
-            sent = heard[3].view(self.block.words.dtype)
-            if not np.array_equal(sent, self._xor(*heard[1:3])) or not check(relays, heard):
+            if not check(relays, self.transmissions(_wrap(k, np.arange(lo - 1, relays[-1] + 2)))):
                 return False
         return True
 
@@ -189,7 +187,7 @@ class TransmissionSchedule:
         """Plain forwarding: every heard transmission is one packet, and each
         neighbour forwards the sources up to ``rounds`` hops out on its side,
         which with the relay's own make all k."""
-        _, src, right, _ = heard
+        _, src, right = heard
         if np.any(src != right):
             return False
         k, i, owner = self.k, relays[:, None], np.arange(len(relays))[:, None]
@@ -210,7 +208,7 @@ class TransmissionSchedule:
         recovered in round q after round q+4 (own packet: q = 0): the known
         packet must still be there, and at most eight packets are ever live.
         """
-        rnd, left, right, _ = heard
+        rnd, left, right = heard
         k, n = self.k, len(relays)
         i, side, owner = relays[:, None], np.array([-1, 1])[:, None, None], np.arange(n)[:, None]
         # the new packet lies on the sending neighbour's far side
@@ -246,7 +244,7 @@ class Network:
         self.squad_sizes = squad_sizes
         self._node_key = node_key
         self._dist = cfg.degree_distribution()
-        self.schedule = TransmissionSchedule(cfg.dissemination, block)
+        self.schedule = TransmissionSchedule(cfg.dissemination, cfg.k)
         self._squads: dict[int, SquadPlan] = {}
         # degree-two inputs combine overheard transmissions; coupon nodes and
         # degree-one inputs hold source packets
@@ -346,12 +344,12 @@ def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:
 # nothing in the package does, as every network owns its schedule.
 def disseminate_degree_one(net: Network) -> TransmissionSchedule:
     """Plain forwarding: every relay transmits each packet exactly once."""
-    return TransmissionSchedule("degree_one", net.block)
+    return TransmissionSchedule("degree_one", net.k)
 
 
 def disseminate_degree_two(net: Network) -> TransmissionSchedule:
     """Degree-two combining: own packet, then left+right XORs each round."""
-    return TransmissionSchedule("degree_two_combining", net.block)
+    return TransmissionSchedule("degree_two_combining", net.k)
 
 
 def storage_listen(net: Network, schedule: TransmissionSchedule) -> None:
@@ -444,8 +442,8 @@ def simulate_collection_with_doping(
     """
     symbols, creport = collect(net, collector_relay, k_s)
     report = decode_with_doping(net.block, symbols, rng)
-    d = np.abs(np.array(report.doped_indices, dtype=np.int64) - collector_relay) % net.k
-    doped_hops = tuple(np.minimum(d, net.k - d).tolist())
+    doped = np.array(report.doped_indices, dtype=np.int64)
+    doped_hops = tuple(ring_distance(net.k, doped, collector_relay).tolist())
     creport = replace(creport, doped_hop_costs=doped_hops)
     return report, creport
 

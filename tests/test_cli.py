@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from squadfountain import analytics, cli, validation
+from squadfountain import analytics, cli, codec, network, validation
 from squadfountain.cli import main, parse_delta_grid, load_config_file
 from squadfountain.errors import ConfigError
 
@@ -78,7 +78,8 @@ class TestStreamVersion:
     @pytest.mark.parametrize("argv", [
         ["decode-sim", "--k", "40", "--trials", "2"],
         ["decode-sim", "--network", "--k", "40", "--h", "10", "--trials", "2"],
-        ["disseminate", "--k", "7"],
+        # its dissemination criterion draws nothing, but the battery's CSV does
+        ["validate", "--criterion", "dissemination"],
         ["validate", "--criterion", "yield_anchor"],
         ["cost", "--k", "100", "--h", "10", "--delta-grid", "0:0.01:0.01",
          "--mc-kd", "--trials", "2"],
@@ -88,8 +89,9 @@ class TestStreamVersion:
         assert "# stream_version=6\n" in text
 
     def test_analytic_outputs_carry_none(self, tmp_path):
-        _, text = run_to_file(tmp_path, "a.csv", ["analyze", "--k", "100", "--seed", "1"])
-        assert "stream_version" not in text
+        for argv in (["analyze", "--k", "100"], ["disseminate", "--k", "7"]):
+            _, text = run_to_file(tmp_path, "a.csv", argv + ["--seed", "1"])
+            assert "stream_version" not in text
 
 
 class TestDecodeSim:
@@ -194,6 +196,15 @@ class TestDecodeSim:
             kd[seed] = [r["k_d"] for r in trials]
         assert kd[1] != kd[2]
         assert sorted(kd[1]) != sorted(kd[2])  # not the same trials reordered
+
+    @pytest.mark.parametrize("h", ["1e300", "5e17"])
+    def test_huge_h_rejected_before_any_array(self, tmp_path, capsys, h):
+        # k * h storage nodes past int64 would overflow the squad sizes
+        code, text = run_to_file(tmp_path, "h.csv", ["decode-sim", "--network", "--k", "20",
+                                                     "--h", h, "--trials", "1", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: k * h must be below 2**62") and err.count("\n") == 1
 
 
 class TestTrialCount:
@@ -343,6 +354,26 @@ class TestDisseminate:
             _, rows = data_rows(text)
             assert all(r["verified"] == "true" for r in rows)
 
+    def test_draws_nothing(self, tmp_path, monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("disseminate drew a block or built a network")
+
+        monkeypatch.setattr(codec.SourceBlock, "random", no_draw)
+        monkeypatch.setattr(network, "build_network", no_draw)
+        texts = []
+        for seed in ("1", "2"):
+            code, text = run_to_file(tmp_path, f"s{seed}.csv", ["disseminate", "--seed", seed])
+            assert code == 0
+            texts.append(text.replace(f"# seed={seed}\n", ""))
+        assert texts[0] == texts[1]
+
+    def test_rejects_payload_len(self, tmp_path, capsys):
+        code, text = run_to_file(tmp_path, "p.csv",
+                                 ["disseminate", "--payload-len", "8", "--seed", "1"])
+        err = capsys.readouterr().err
+        assert code == 2 and text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and "--payload-len" in err
+
     @pytest.mark.parametrize("k, mode, sent, rounds",
                              [(7, "d1", 7, 3), (7, "d2", 3, 3), (8, "d1", 8, 4), (8, "d2", 4, 4)])
     def test_csv_bytes(self, tmp_path, k, mode, sent, rounds):
@@ -351,8 +382,8 @@ class TestDisseminate:
             ["disseminate", "--k", str(k), "--dissemination", mode, "--seed", "1"],
         )
         assert text == (
-            f"# command=disseminate\n# dissemination={mode}\n# k={k}\n# payload_len=32\n"
-            f"# rounds={rounds}\n# seed=1\n# stream_version=6\n# verified=true\n"
+            f"# command=disseminate\n# dissemination={mode}\n# k={k}\n"
+            f"# rounds={rounds}\n# seed=1\n# verified=true\n"
             "relay,transmissions,rounds,verified\n"
             + "".join(f"{relay},{sent},{rounds},true\n" for relay in range(1, k + 1))
         )
