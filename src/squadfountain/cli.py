@@ -160,6 +160,8 @@ _SWITCH = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no
 _switch = _typed(lambda text: _SWITCH.get(text.lower()), "true/false, 1/0 or yes/no")
 _seed = _typed(int, "an integer in 0..2**64-1", lambda seed: 0 <= seed < 2**64)
 _finite = _typed(float, "a finite number", math.isfinite)
+# disseminate's verify takes time k**2 (--k 10000: 5-9 s, 55-77 MB on a 2-core host)
+_ring = _typed(int, "an integer of at most 10000", lambda k: k <= 10_000)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("disseminate", help="ring dissemination round accounting")
     common(p)
     p.set_defaults(run=cmd_disseminate)
-    p.add_argument("--k", type=int, default=7)
+    p.add_argument("--k", type=_ring, default=7, help="ring size, at most 10000")
     p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), default="d2")
 
     p = sub.add_parser("cost", help="collection-cost curves and strategy tables")

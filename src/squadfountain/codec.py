@@ -200,15 +200,6 @@ class SymbolBatch:
         for arr in arrays:
             arr.flags.writeable = False
 
-    @classmethod
-    def concat(cls, batches: Sequence["SymbolBatch"]) -> "SymbolBatch":
-        """The symbols of ``batches``, in order, as one batch (empty for none)."""
-        if not batches:
-            return cls(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros((0, 0), np.uint8))
-        lengths = np.concatenate([np.diff(b.ptr) for b in batches])
-        return cls(csr_ptr(lengths), np.concatenate([b.neighbors for b in batches]),
-                   np.concatenate([b.payloads for b in batches]))
-
     def __len__(self) -> int:
         return len(self.ptr) - 1
 

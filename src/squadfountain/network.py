@@ -10,14 +10,13 @@ slot subset, then store the XOR of the overheard transmissions in those
 slots.  A collector drains nearby squads for the upfront symbols and polls
 source relays directly whenever the decoder needs doping.
 
-Networks are built lazily: squad sizes are drawn eagerly, and each squad's
-node plans and stored symbols (one ``SymbolBatch`` per squad, which the
-network keeps) are made on first touch, from a counter-based (Philox) stream
-keyed by the network and the squad.  A collection plans every squad it
-drains and has not planned yet in one vectorised pass, each squad from its
-own stream, so large networks cost only the squads a collection actually
-visits, and a plan does not depend on the order in which squads are
-touched, nor on which squads share a pass.  A stored symbol's payload is the
+Networks are built lazily: squad sizes are drawn eagerly, and node plans and
+stored symbols are made per read and never kept, each squad's from a
+counter-based (Philox) stream keyed by the network and the squad.  A
+collection plans the squads it drains in one vectorised pass, each squad
+from its own stream, so large networks cost only the squads a collection
+actually visits, reading a network never changes it, and a plan does not
+depend on which squads share a pass.  A stored symbol's payload is the
 XOR of the source packets it covers, which equals the XOR of the overheard
 transmissions it combines.  The schedule names sources only: a transmission's
 payload is by definition the XOR of the sources it names, so what a relay
@@ -27,7 +26,6 @@ recovers bit-exact follows from the names, and no payload array is built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
 
 import numpy as np
 
@@ -230,7 +228,7 @@ class TransmissionSchedule:
 
 class Network:
     """Relays, the dissemination schedule its config names, squads, and
-    lazily planned storage nodes."""
+    storage nodes planned whenever they are read."""
 
     def __init__(
         self,
@@ -245,7 +243,6 @@ class Network:
         self._node_key = node_key
         self._dist = cfg.degree_distribution()
         self.schedule = TransmissionSchedule(cfg.dissemination, cfg.k)
-        self._squads: dict[int, SquadPlan] = {}
         # degree-two inputs combine overheard transmissions; coupon nodes and
         # degree-one inputs hold source packets
         self._combines_slots = (
@@ -267,17 +264,15 @@ class Network:
         return int(self.squad_sizes[gap - 1])
 
     def squad(self, gap: int) -> SquadPlan:
-        """The plans and symbols of every node in squad ``gap``, made on first
-        touch; each payload XORs the covered sources."""
-        if gap not in self._squads:
-            self._plan([gap])
-        return self._squads[gap]
+        """The plans and symbols of every node in squad ``gap``, made anew from
+        the squad's stream; each payload XORs the covered sources."""
+        return self._plan([gap])
 
-    def _plan(self, gaps: list[int]) -> None:
-        """Plan every squad in ``gaps`` in one vectorised pass and keep each
-        squad's plan.  Squad g draws from its own stream, ``trial_rng(node_key,
-        g)``, what planning it alone draws: its coupon sources, or its degrees'
-        uniforms and then its ``distinct_rows`` draws."""
+    def _plan(self, gaps: list[int]) -> SquadPlan:
+        """One plan of every node in the squads ``gaps``, squad by squad, made
+        in one vectorised pass.  Squad g draws from its own stream,
+        ``trial_rng(node_key, g)``, what planning it alone draws: its coupon
+        sources, or its degrees' uniforms and then its ``distinct_rows`` draws."""
         sizes = [self.squad_size(gap) for gap in gaps]
         rngs = [trial_rng(self._node_key, gap) for gap in gaps]
         if self.cfg.storage == "coupon":
@@ -289,16 +284,11 @@ class Network:
             ptr, slots = distinct_rows(rngs, degrees, self._slot_count, sizes)
             if not self._combines_slots:
                 slots += 1  # a subset of sources, which count from 1
-        first = [0, *accumulate(sizes)]  # squad j's nodes are first[j]:first[j + 1]
         if self._combines_slots:
-            plan = self._plan_rows(np.repeat(gaps, np.diff(ptr[first])), ptr, slots)
-        else:  # the slots are the sources, kept as the batch's read-only arrays
-            symbols = symbols_from_rows(self.block, ptr, slots)
-            plan = SquadPlan(symbols.ptr, symbols.neighbors, symbols)
-        at = plan.slot_ptr[first].tolist()  # and its slots at[j]:at[j + 1]
-        for gap, lo, hi, slot_lo, slot_hi in zip(gaps, first, first[1:], at, at[1:]):
-            self._squads[gap] = SquadPlan(plan.slot_ptr[lo:hi + 1] - slot_lo,
-                                          plan.slots[slot_lo:slot_hi], plan.symbols[lo:hi])
+            return self._plan_rows(np.repeat(np.repeat(gaps, sizes), np.diff(ptr)), ptr, slots)
+        symbols = symbols_from_rows(self.block, ptr, slots)
+        # the slots are the sources, kept as the batch's read-only arrays
+        return SquadPlan(symbols.ptr, symbols.neighbors, symbols)
 
     def _plan_rows(self, gap, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
         """Attach to each row of degree-two slots the symbol over the sources
@@ -390,9 +380,9 @@ def collect(
     """Drain squads outward from the collector until k_s symbols are gathered;
     they come back as one batch of the drained squads' leading rows.
 
-    The drained squads are found first, and those not yet planned are
-    planned in one pass (``Network._plan``), each from its own stream, so
-    the batch is what planning them one at a time, in any order, gives.
+    The drained squads are found first and planned in one pass
+    (``Network._plan``), each from its own stream, so the batch is what
+    planning them one at a time, in any order, gives; nothing is kept.
 
     A symbol from the j-th squad drained (0-based) is charged j/2 + 1 hops,
     which makes a full supersquad average exactly (s-1)/4 + 1 per symbol.
@@ -421,11 +411,10 @@ def collect(
     report = CollectionReport(
         k_s=k_s, s=len(drained), supersquad_hops=hops, squads_drained=tuple(drained)
     )
-    unplanned = [gap for gap in drained if gap not in net._squads]
-    if unplanned:
-        net._plan(unplanned)
-    symbols = SymbolBatch.concat([net._squads[gap].symbols for gap in drained])
-    return symbols[:k_s], report
+    if not drained:
+        empty = np.zeros((0, net.block.payload_len), np.uint8)
+        return SymbolBatch(np.zeros(1, np.int64), np.zeros(0, np.int64), empty), report
+    return net._plan(drained).symbols[:k_s], report
 
 
 def simulate_collection_with_doping(

@@ -276,6 +276,7 @@ class TestNonFiniteNumbers:
         ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
          "--payload-len", "-3"],
         ["disseminate", "--k", "7", "--payload-len", "-3"],
+        ["disseminate", "--k", "10001"],
         ["decode-sim", "--network", "--k", "20", "--h", "2", "--ks", "100", "--trials", "1"],
         ["decode-sim", "--network", "--k", "20", "--h", "nan", "--trials", "1"],
         ["decode-sim", "--network", "--k", "20", "--h", "inf", "--trials", "1"],
@@ -373,6 +374,12 @@ class TestDisseminate:
         err = capsys.readouterr().err
         assert code == 2 and text == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and "--payload-len" in err
+
+    def test_help_states_the_k_bound(self, capsys):
+        # verify takes time k**2, so a ring above 10000 is refused while parsing
+        with pytest.raises(SystemExit):
+            main(["disseminate", "--help"])
+        assert "--k K                 ring size, at most 10000" in capsys.readouterr().out
 
     @pytest.mark.parametrize("k, mode, sent, rounds",
                              [(7, "d1", 7, 3), (7, "d2", 3, 3), (8, "d1", 8, 4), (8, "d2", 4, 4)])

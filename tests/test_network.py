@@ -1,5 +1,6 @@
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from squadfountain import network as nw
 from squadfountain.codec import (
+    SymbolBatch,
+    csr_ptr,
     decode_with_doping,
     dope_degree_two,
     init_decoder,
@@ -25,20 +28,39 @@ def build(k=20, h=5, seed=0, **kw):
 
 
 def replan_node(net, gap, index, slots):
-    """Replace one node's slots in the cached plan of its squad."""
+    """The plan of squad ``gap`` with node ``index`` planned on ``slots``."""
     plan = net.squad(gap)
     rows = [list(plan.slots[lo:hi]) for lo, hi in zip(plan.slot_ptr, plan.slot_ptr[1:])]
     rows[index] = list(slots)
     ptr = np.cumsum([0] + [len(row) for row in rows])
     slots = np.array(sum(rows, []), dtype=np.int64)
-    net._squads[gap] = (net._plan_rows(gap, ptr, slots) if net._combines_slots else
-                        nw.SquadPlan(ptr, slots, symbols_from_rows(net.block, ptr, slots)))
+    return (net._plan_rows(gap, ptr, slots) if net._combines_slots else
+            nw.SquadPlan(ptr, slots, symbols_from_rows(net.block, ptr, slots)))
 
 
-def slot_row(net, gap, index):
-    """The planned slots of node ``index`` in squad ``gap``."""
-    plan = net.squad(gap)
+def slot_row(plan, index):
+    """The planned slots of node ``index`` of a squad's plan."""
     return tuple(plan.slots[plan.slot_ptr[index]:plan.slot_ptr[index + 1]].tolist())
+
+
+@pytest.fixture
+def planning(monkeypatch):
+    """What planning draws and makes from here on: the stream of every
+    ``trial_rng`` call, and the rows of every ``symbols_from_rows`` pass."""
+    streams, passes = [], []
+    real_rng, real_rows = nw.trial_rng, nw.symbols_from_rows
+
+    def counted_rng(seed, stream):
+        streams.append(stream)
+        return real_rng(seed, stream)
+
+    def counted_rows(*args):
+        passes.append(len(args[1]) - 1)
+        return real_rows(*args)
+
+    monkeypatch.setattr(nw, "trial_rng", counted_rng)
+    monkeypatch.setattr(nw, "symbols_from_rows", counted_rows)
+    return streams, passes
 
 
 def stored_symbols(net):
@@ -101,10 +123,10 @@ class TestBuild:
         assert net.total_storage_nodes == 7
         assert all(net.squad_size(g) == 1 for g in range(1, 8))
 
-    def test_fixed_large_counts_without_materializing(self):
+    def test_fixed_large_counts_without_materializing(self, planning):
         net = build(k=1000, h=200)
         assert net.total_storage_nodes == 200_000
-        assert not net._squads
+        assert planning == ([], [])  # building plans nothing
 
     def test_poisson_squad_sizes(self):
         cfg = NetworkConfig(k=1000, h=200.0, squad_size_model="poisson")
@@ -126,8 +148,8 @@ class TestBuild:
     def test_node_plans_deterministic(self):
         a, b = build(seed=4), build(seed=4)
         for gap, idx in [(1, 0), (5, 3), (20, 4)]:
-            assert slot_row(a, gap, idx) == slot_row(b, gap, idx)
-        assert slot_row(a, 2, 1) == slot_row(a, 2, 1)
+            assert slot_row(a.squad(gap), idx) == slot_row(b.squad(gap), idx)
+        assert slot_row(a.squad(2), 1) == slot_row(a.squad(2), 1)
 
     @pytest.mark.parametrize("mode", nw.DISSEMINATION_MODES)
     def test_owns_the_schedule_its_config_names(self, mode):
@@ -258,8 +280,7 @@ class TestStorageListen:
 
     def test_degree_one_inputs_use_planned_sources(self):
         net = build(k=12, h=2)
-        replan_node(net, 3, 0, (2, 5, 9))
-        sym = net.squad(3).symbols[0]
+        sym = replan_node(net, 3, 0, (2, 5, 9)).symbols[0]
         assert sym.neighbors == (2, 5, 9)
         assert sym.payload == xor_of(net.block, (2, 5, 9))
 
@@ -270,9 +291,8 @@ class TestStorageListen:
             storage_combine_input="degree_two_inputs",
         )
         _, left, right = overheard(net.schedule, 4)
-        replan_node(net, 4, 0, (1, 2))
         expected = set(covers(left[1], right[1])) ^ set(covers(left[2], right[2]))
-        sym = net.squad(4).symbols[0]
+        sym = replan_node(net, 4, 0, (1, 2)).symbols[0]
         assert set(sym.neighbors) == expected
         assert sym.payload == xor_of(net.block, sym.neighbors)
 
@@ -287,8 +307,7 @@ class TestStorageListen:
         _, left, right = overheard(net.schedule, 4)
         assert covers(left[2], right[2]) == (2, 6)
         assert covers(left[6], right[6]) == (4, 6)
-        replan_node(net, 4, 1, (2, 6))
-        sym = net.squad(4).symbols[1]
+        sym = replan_node(net, 4, 1, (2, 6)).symbols[1]
         assert sym.neighbors == (2, 4)
         assert sym.payload == xor_of(net.block, (2, 4))
 
@@ -305,27 +324,28 @@ class TestStorageListen:
 
 
 @st.composite
-def networks(draw):
-    """Small networks over every squad model, storage mode and input kind."""
+def specs(draw, max_k):
+    """The ``build`` arguments of small networks over every squad model,
+    storage mode and input kind."""
     model = draw(st.sampled_from(nw.SQUAD_SIZE_MODELS))
     dissemination = draw(st.sampled_from(nw.DISSEMINATION_MODES))
-    inputs = (
-        draw(st.sampled_from(nw.STORAGE_INPUTS))
-        if dissemination == "degree_two_combining"
-        else "degree_one_inputs"
-    )
-    return build(
-        k=draw(st.integers(min_value=3, max_value=24)),
+    return dict(
+        k=draw(st.integers(min_value=3, max_value=max_k)),
         # Poisson squads of mean 1..3 leave some squads empty
-        h=draw(st.integers(min_value=1, max_value=4))
-        if model == "fixed"
+        h=draw(st.integers(min_value=1, max_value=4)) if model == "fixed"
         else draw(st.floats(min_value=1.0, max_value=3.0)),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
         squad_size_model=model,
         dissemination=dissemination,
         storage=draw(st.sampled_from(nw.STORAGE_MODES)),
-        storage_combine_input=inputs,
+        storage_combine_input=draw(st.sampled_from(nw.STORAGE_INPUTS))
+        if dissemination == "degree_two_combining" else "degree_one_inputs",
     )
+
+
+def networks():
+    """Small networks of up to 24 relays."""
+    return specs(max_k=24).map(lambda spec: build(**spec))
 
 
 class TestSquadPlans:
@@ -333,10 +353,10 @@ class TestSquadPlans:
     @settings(max_examples=80, deadline=None)
     def test_stored_symbols_well_formed(self, net):
         for gap in range(1, net.k + 1):
-            symbols = net.squad(gap).symbols
-            assert len(symbols) == net.squad_size(gap)
+            plan = net.squad(gap)
+            assert len(plan.symbols) == net.squad_size(gap)
             for idx in range(net.squad_size(gap)):
-                slots, sym = slot_row(net, gap, idx), symbols[idx]
+                slots, sym = slot_row(plan, idx), plan.symbols[idx]
                 assert list(sym.neighbors) == sorted(set(sym.neighbors))
                 assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= net.k
                 assert sym.payload == xor_of(net.block, sym.neighbors)
@@ -349,18 +369,18 @@ class TestSquadPlans:
         twin = nw.Network(net.cfg, net.block, net.squad_sizes, net._node_key)
         gaps = list(range(1, net.k + 1))
         shuffled = list(np.random.default_rng(order_seed).permutation(gaps))
-        forward = {gap: list(net.squad(gap).symbols) for gap in gaps}
-        backward = {gap: list(twin.squad(int(gap)).symbols) for gap in shuffled}
-        assert forward == backward
+        forward = {gap: net.squad(gap) for gap in gaps}
+        backward = {gap: twin.squad(int(gap)) for gap in shuffled}
         for gap in gaps:
+            assert list(forward[gap].symbols) == list(backward[gap].symbols)
             for idx in range(net.squad_size(gap)):
-                assert slot_row(net, gap, idx) == slot_row(twin, gap, idx)
+                assert slot_row(forward[gap], idx) == slot_row(backward[gap], idx)
 
     @given(net=networks())
     @settings(max_examples=40, deadline=None)
     def test_slots_cannot_rewrite_cached_symbols(self, net):
         # slots that are the sources share the symbols' read-only rows, so no
-        # edit of a plan in place changes what a later collect reads
+        # edit of a plan's slots in place can part them from its symbols
         assert not build().squad(1).slots.flags.writeable
         for gap in range(1, net.k + 1):
             plan = net.squad(gap)
@@ -466,11 +486,11 @@ class TestCollect:
         assert rep.s == 5
         assert len(rep.squads_drained) == 5
 
-    def test_plans_only_the_drained_squads(self):
+    def test_plans_only_the_drained_squads(self, planning):
         net = build(k=1000, h=200, seed=12)
         _, rep = nw.collect(net, 17, 1000)
         assert rep.squads_drained == (17, 16, 18, 15, 19)
-        assert sorted(net._squads) == sorted(rep.squads_drained)
+        assert sorted(planning[0]) == sorted(rep.squads_drained) and planning[1] == [1000]
 
     @pytest.mark.parametrize("mode, inputs", [
         ("degree_one", "degree_one_inputs"),
@@ -520,20 +540,7 @@ def collections(draw):
     """A network spec of up to 60 relays (twins are built from it), a
     collector, and k_s: none, all, or a partial last squad when one holds
     two nodes or more."""
-    model = draw(st.sampled_from(nw.SQUAD_SIZE_MODELS))
-    dissemination = draw(st.sampled_from(nw.DISSEMINATION_MODES))
-    spec = dict(
-        k=draw(st.integers(min_value=3, max_value=60)),
-        # Poisson squads of mean 1..3 leave some squads empty
-        h=draw(st.integers(min_value=1, max_value=4)) if model == "fixed"
-        else draw(st.floats(min_value=1.0, max_value=3.0)),
-        seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        squad_size_model=model,
-        dissemination=dissemination,
-        storage=draw(st.sampled_from(nw.STORAGE_MODES)),
-        storage_combine_input=draw(st.sampled_from(nw.STORAGE_INPUTS))
-        if dissemination == "degree_two_combining" else "degree_one_inputs",
-    )
+    spec = draw(specs(max_k=60))
     net = build(**spec)
     collector = draw(st.integers(min_value=1, max_value=spec["k"]))
     sizes = [net.squad_size(g) for g in nw._drain_order(net.k, collector)]
@@ -555,6 +562,15 @@ def assert_same_batch(got, want):
     assert got.payloads.tobytes() == want.payloads.tobytes()
 
 
+def joined(batches):
+    """The symbols of ``batches``, in order, as one batch (empty for none)."""
+    if not batches:
+        return SymbolBatch(np.zeros(1, np.int64), np.zeros(0, np.int64), np.zeros((0, 0)))
+    return SymbolBatch(csr_ptr(np.concatenate([np.diff(b.ptr) for b in batches])),
+                       np.concatenate([b.neighbors for b in batches]),
+                       np.concatenate([b.payloads for b in batches]))
+
+
 class TestOnePassCollect:
     @given(case=collections())
     @settings(max_examples=150, deadline=None)
@@ -566,23 +582,15 @@ class TestOnePassCollect:
         drained = drained[:int(np.searchsorted(
             np.cumsum([net.squad_size(g) for g in drained]), k_s) + 1)] if k_s else []
         assert list(rep.squads_drained) == drained
-        assert sorted(net._squads) == sorted(drained)
-        for gap in reversed(drained):  # the oracle: one squad at a time
-            twin.squad(gap)
-        want = nw.SymbolBatch.concat([twin.squad(g).symbols for g in drained])[:k_s]
-        assert_same_batch(batch, want)
-        for gap in drained:
-            mine, theirs = net.squad(gap), twin.squad(gap)
-            assert np.array_equal(mine.slot_ptr, theirs.slot_ptr)
-            assert np.array_equal(mine.slots, theirs.slots)
-            assert_same_batch(mine.symbols, theirs.symbols)
-        # a second collect reads the cached plans; one for every symbol
-        # plans the rest in one more pass
+        # the oracle: one squad at a time, last drained first
+        plans = {gap: twin.squad(gap) for gap in reversed(drained)}
+        assert_same_batch(batch, joined([plans[g].symbols for g in drained])[:k_s])
+        # a second collect plans again, to the same batch; one for every
+        # symbol starts with it
         assert_same_batch(nw.collect(net, collector, k_s)[0], batch)
         everything, _ = nw.collect(net, collector, net.total_storage_nodes)
         assert_same_batch(everything[:k_s], batch)
-        assert sorted(net._squads) == [g for g in range(1, net.k + 1) if net.squad_size(g)]
-        assert_same_batch(everything, nw.SymbolBatch.concat(
+        assert_same_batch(everything, joined(
             [twin.squad(g).symbols for g in nw._drain_order(net.k, collector)]))
 
     @pytest.mark.parametrize("kw", [
@@ -590,33 +598,64 @@ class TestOnePassCollect:
         dict(dissemination="degree_two_combining", storage_combine_input="degree_two_inputs"),
         dict(storage="coupon"),
     ], ids=["d1", "d2", "coupon"])
-    def test_one_pass_per_collect(self, monkeypatch, kw):
-        # every squad a collect newly plans draws from its own stream, and
-        # all of them come out of one symbols_from_rows call
-        streams, passes = [], []
-        real_rng, real_rows = nw.trial_rng, nw.symbols_from_rows
-
-        def counted_rng(seed, stream):
-            streams.append(stream)
-            return real_rng(seed, stream)
-
-        def counted_rows(*args):
-            passes.append(len(args[1]) - 1)
-            return real_rows(*args)
-
-        monkeypatch.setattr(nw, "trial_rng", counted_rng)
-        monkeypatch.setattr(nw, "symbols_from_rows", counted_rows)
+    def test_one_pass_per_collect(self, planning, kw):
+        # every squad a collect drains draws from its own stream, and all of
+        # them come out of one symbols_from_rows call; no read keeps a plan
+        streams, passes = planning
         net = build(k=40, h=5, seed=4, **kw)
         nw.collect(net, 1, 23)  # five squads, the last one partly
         assert sorted(streams) == [1, 2, 3, 39, 40] and passes == [25]
         nw.collect(net, 1, 23)
-        nw.collect(net, 1, 0)
-        net.squad(40)
-        assert len(streams) == 5 and len(passes) == 1
-        nw.collect(net, 1, 60)  # seven more squads
-        assert sorted(streams[5:]) == [4, 5, 6, 35, 36, 37, 38] and passes == [25, 35]
+        assert sorted(streams[5:]) == [1, 2, 3, 39, 40] and passes == [25, 25]
+        nw.collect(net, 1, 0)  # drains nothing, so plans nothing
+        assert len(streams) == 10 and passes == [25, 25]
+        nw.collect(net, 1, 60)  # twelve squads
+        assert sorted(streams[10:]) == [1, 2, 3, 4, 5, 6, 35, 36, 37, 38, 39, 40]
+        assert passes == [25, 25, 60]
         net.squad(20)
-        assert streams[12:] == [20] and passes == [25, 35, 5]
+        assert streams[22:] == [20] and passes == [25, 25, 60, 5]
+
+
+@st.composite
+def reads(draw):
+    """A network spec of up to 30 relays and one to six reads of it, in any
+    order: ``("collect", collector, k_s)`` or ``("squad", gap)``."""
+    spec = draw(specs(max_k=30))
+    k, total = spec["k"], build(**spec).total_storage_nodes
+    relays = st.integers(min_value=1, max_value=k)
+    return spec, draw(st.lists(st.one_of(
+        st.tuples(st.just("collect"), relays, st.integers(min_value=0, max_value=total)),
+        st.tuples(st.just("squad"), relays),
+    ), min_size=1, max_size=6))
+
+
+def read(net, op, *args):
+    """The arrays a read returns: a collected batch's, or a squad plan's."""
+    if op == "collect":
+        slots, batch = (), nw.collect(net, *args)[0]
+    else:
+        plan = net.squad(*args)
+        slots, batch = (plan.slot_ptr, plan.slots), plan.symbols
+    return (*slots, batch.ptr, batch.neighbors, batch.payloads)
+
+
+def state(net):
+    """Every attribute of ``net``, by identity and by its pickled bytes."""
+    return {name: (id(value), pickle.dumps(value)) for name, value in vars(net).items()}
+
+
+class TestReadsChangeNothing:
+    @given(case=reads())
+    @settings(max_examples=80, deadline=None)
+    def test_reads_leave_the_network_as_built(self, case):
+        spec, ops = case
+        net = build(**spec)
+        net.block.words  # the block's word view of its bytes, made by the first read
+        before = state(net)
+        for op in ops:
+            got, want = read(net, *op), read(build(**spec), *op)  # want: from a fresh twin
+            assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(got, want))
+            assert state(net) == before
 
 
 class TestRingDistance:
