@@ -26,7 +26,8 @@ for d in [1, 2, 3, 4, 5, 10, spike - 1, spike, spike + 1, 100]:
 
 print()
 print(f"mass on degree 1:  IS {is_dist.pmf[1]:.4%}   RS {rs_dist.pmf[1]:.4%}")
-print(f"mean degree:       IS {is_dist.mean_degree():.3f}  RS {rs_dist.mean_degree():.3f}")
+is_mean, rs_mean = (float(np.arange(K + 1) @ dist.pmf) for dist in (is_dist, rs_dist))
+print(f"mean degree:       IS {is_mean:.3f}  RS {rs_mean:.3f}")
 print("(the IS mean degree is the harmonic number H_k, the coverage workhorse)")
 
 print()

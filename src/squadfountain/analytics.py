@@ -136,6 +136,8 @@ def interdoping_yield_pmf(lam: float, t_max: int) -> YieldPmf:
     if not 1.0 <= lam < math.inf:
         raise InvalidParameterError(f"lam must be finite and >= 1, got {lam}")
     _size("t_max", t_max, 2)
+    if not lam * t_max < math.inf:
+        raise InvalidParameterError(f"lam * t_max must be finite, got {lam} and {t_max}")
     t = np.arange(1, t_max + 1, dtype=float)
     probs = np.zeros(t_max + 1)
     probs[1:] = 2.0 / t * _poisson_pmf(t - 2.0, t * lam)
@@ -283,7 +285,10 @@ def uncovered_count(k: int, delta: float) -> UncoveredCount:
         raise InvalidParameterError(f"k must be >= 2, got {k}")
     if not 0.0 <= delta < math.inf:
         raise InvalidParameterError(f"delta must be finite and >= 0, got {delta}")
-    draws = k * (1.0 + delta) * math.log(k)
+    symbols = k * (1.0 + delta)  # collected upfront
+    if symbols >= 2**62:
+        raise InvalidParameterError(f"k * (1 + delta) must be below 2**62, got {symbols:g}")
+    draws = symbols * math.log(k)
     exact = k * (1.0 - 1.0 / k) ** draws
     approx = float(k) ** (-delta)  # k * exp(-(1+delta) ln k), exactly 1 at delta=0
     return UncoveredCount(exact=exact, approx=approx)

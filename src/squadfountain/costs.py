@@ -44,8 +44,8 @@ def supersquad_squads(k_s: float, h: float) -> int:
     """Number of squads the collector drains: ceil(k_s/h); zero when k_s=0."""
     if not 1 <= h < math.inf:
         raise InvalidParameterError(f"h must be finite and >= 1, got {h}")
-    if not k_s >= 0:  # NaN too
-        raise InvalidParameterError(f"k_s must be nonnegative, got {k_s}")
+    if not 0 <= k_s < math.inf:  # NaN too
+        raise InvalidParameterError(f"k_s must be finite and nonnegative, got {k_s}")
     return math.ceil(k_s / h)
 
 

@@ -67,9 +67,6 @@ class DegreeDistribution:
         pmf[d] = 1.0
         return cls(k=k, pmf=pmf)
 
-    def mean_degree(self) -> float:
-        return float(np.dot(np.arange(self.k + 1), self.pmf))
-
 
 def ideal_soliton(k: int) -> DegreeDistribution:
     """Ideal Soliton: pmf[1] = 1/k, pmf[d] = 1/(d(d-1)) for d = 2..k.

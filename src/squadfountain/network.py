@@ -10,17 +10,18 @@ slot subset, then store the XOR of the overheard transmissions in those
 slots.  A collector drains nearby squads for the upfront symbols and polls
 source relays directly whenever the decoder needs doping.
 
-Networks are built lazily: squad sizes are drawn eagerly, and node plans and
-stored symbols are made per read and never kept, each squad's from a
-counter-based (Philox) stream keyed by the network and the squad.  A
-collection plans the squads it drains in one vectorised pass, each squad
-from its own stream, so large networks cost only the squads a collection
-actually visits, reading a network never changes it, and a plan does not
-depend on which squads share a pass.  A stored symbol's payload is the
-XOR of the source packets it covers, which equals the XOR of the overheard
-transmissions it combines.  The schedule names sources only: a transmission's
-payload is by definition the XOR of the sources it names, so what a relay
-recovers bit-exact follows from the names, and no payload array is built.
+Every squad holds exactly h storage nodes.  Networks are built lazily:
+node plans and stored symbols are made per read and never kept, each
+squad's from a counter-based (Philox) stream keyed by the network and the
+squad.  A collection plans the squads it drains in one vectorised pass,
+each squad from its own stream, so large networks cost only the squads a
+collection actually visits, reading a network never changes it, and a
+plan does not depend on which squads share a pass.  A stored symbol's
+payload is the XOR of the source packets it covers, which equals the XOR
+of the overheard transmissions it combines.  The schedule names sources
+only: a transmission's payload is by definition the XOR of the sources it
+names, so what a relay recovers bit-exact follows from the names, and no
+payload array is built.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .codec import (
 from .degrees import DegreeDistribution, ideal_soliton, robust_soliton, sample_degrees
 from .errors import ExhaustedNetworkError, InvalidParameterError
 
-SQUAD_SIZE_MODELS = ("fixed", "poisson")
 DISSEMINATION_MODES = ("degree_one", "degree_two_combining")
 STORAGE_MODES = ("coupon", "is_combining", "rs_combining")
 STORAGE_INPUTS = ("degree_one_inputs", "degree_two_inputs")
@@ -70,7 +70,6 @@ def combining_rounds(k: int) -> int:
 class NetworkConfig:
     k: int
     h: float
-    squad_size_model: str = "fixed"
     dissemination: str = "degree_one"
     storage: str = "is_combining"
     storage_combine_input: str = "degree_one_inputs"
@@ -83,10 +82,10 @@ class NetworkConfig:
             raise InvalidParameterError(f"k must be >= 3, got {self.k}")
         if not 1 <= self.h < np.inf:
             raise InvalidParameterError(f"h must be finite and >= 1, got {self.h}")
-        if self.k * self.h >= 2**62:  # squad sizes and their sum stay int64
+        if self.h != int(self.h):
+            raise InvalidParameterError(f"h is the number of nodes per squad, not {self.h}")
+        if self.k * self.h >= 2**62:  # the storage node count stays int64
             raise InvalidParameterError(f"k * h must be below 2**62, got {self.k * self.h:g}")
-        if self.squad_size_model not in SQUAD_SIZE_MODELS:
-            raise InvalidParameterError(f"unknown squad_size_model {self.squad_size_model!r}")
         if self.dissemination not in DISSEMINATION_MODES:
             raise InvalidParameterError(f"unknown dissemination {self.dissemination!r}")
         if self.storage not in STORAGE_MODES:
@@ -95,8 +94,6 @@ class NetworkConfig:
             raise InvalidParameterError(
                 f"unknown storage_combine_input {self.storage_combine_input!r}"
             )
-        if self.squad_size_model == "fixed" and self.h != int(self.h):
-            raise InvalidParameterError("fixed squad model needs integer h")
         if (
             self.storage_combine_input == "degree_two_inputs"
             and self.dissemination != "degree_two_combining"
@@ -230,16 +227,10 @@ class Network:
     """Relays, the dissemination schedule its config names, squads, and
     storage nodes planned whenever they are read."""
 
-    def __init__(
-        self,
-        cfg: NetworkConfig,
-        block: SourceBlock,
-        squad_sizes: np.ndarray,
-        node_key: int,
-    ):
+    def __init__(self, cfg: NetworkConfig, block: SourceBlock, node_key: int):
         self.cfg = cfg
         self.block = block
-        self.squad_sizes = squad_sizes
+        self.h = int(cfg.h)
         self._node_key = node_key
         self._dist = cfg.degree_distribution()
         self.schedule = TransmissionSchedule(cfg.dissemination, cfg.k)
@@ -256,12 +247,12 @@ class Network:
 
     @property
     def total_storage_nodes(self) -> int:
-        return int(self.squad_sizes.sum())
+        return self.k * self.h
 
     def squad_size(self, gap: int) -> int:
         if not 1 <= gap <= self.k:
             raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
-        return int(self.squad_sizes[gap - 1])
+        return self.h
 
     def squad(self, gap: int) -> SquadPlan:
         """The plans and symbols of every node in squad ``gap``, made anew from
@@ -320,14 +311,10 @@ class Network:
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:
-    """Draw the source block and squad sizes; node plans follow lazily."""
+    """Draw the source block and the key of the node streams; node plans
+    follow lazily."""
     block = SourceBlock.random(cfg.k, cfg.payload_len, rng)
-    if cfg.squad_size_model == "fixed":
-        sizes = np.full(cfg.k, int(cfg.h), dtype=np.int64)
-    else:
-        sizes = rng.poisson(cfg.h, size=cfg.k).astype(np.int64)
-    node_key = int(rng.integers(0, 2**63 - 1))
-    return Network(cfg, block, sizes, node_key)
+    return Network(cfg, block, int(rng.integers(0, 2**63 - 1)))
 
 
 # The benchmark harness (benchmarks/workloads.py) still calls these three;
@@ -401,10 +388,7 @@ def collect(
     for gap in _drain_order(net.k, collector_relay):
         if taken >= k_s:
             break
-        size = net.squad_size(gap)
-        if size == 0:
-            continue  # empty squads cost nothing and are not part of the supersquad
-        take = min(size, k_s - taken)
+        take = min(net.h, k_s - taken)
         hops += take * (len(drained) / 2.0 + 1.0)
         drained.append(gap)
         taken += take

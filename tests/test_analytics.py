@@ -179,6 +179,14 @@ class TestInterdopingYieldPmf:
         with pytest.raises(InvalidParameterError):
             an.interdoping_yield_pmf(1.0, 1)
 
+    def test_rejects_an_overflowing_walk_mean(self):
+        # t * lam used to overflow to inf and end in a NaN total under
+        # two RuntimeWarnings; just below the overflow the walk never stalls
+        with pytest.raises(InvalidParameterError, match="lam \\* t_max must be finite"):
+            an.interdoping_yield_pmf(1e308, 3)
+        pmf = an.interdoping_yield_pmf(1e300, 3)
+        assert pmf.probs.tolist() == [0.0] * 4 and pmf.tail == 1.0
+
     def test_rejects_nan_mass(self):
         # a NaN total compares false against the tolerance either way
         with pytest.raises(InvalidParameterError):
@@ -443,6 +451,16 @@ class TestUncovered:
         # from k ~= 150 onward
         res = an.uncovered_count(100, 0.0)
         assert abs(res.exact - res.approx) / res.approx == pytest.approx(0.0229, abs=5e-4)
+
+    def test_rejects_more_symbols_than_int64_holds(self):
+        # the bound NetworkConfig puts on k * h; far beyond it the schedule's
+        # lam**2 overflowed into a bare OverflowError
+        assert an.uncovered_count(1000, 2**62 / 1000 - 2).exact == 0.0
+        for k, delta in [(1000, 2**62 / 1000), (1000, 1e17), (2000, 1e300)]:
+            with pytest.raises(InvalidParameterError, match=r"k \* \(1 \+ delta\) must be below"):
+                an.uncovered_count(k, delta)
+        with pytest.raises(InvalidParameterError, match="below 2"):
+            an.expected_dopings(2000, 1e300)
 
 
 class TestExpectedDopings:

@@ -321,6 +321,11 @@ class TestNonFiniteNumbers:
         ["decode-sim", "--k", "10", "--trials", "1", "--dist", "rs", "--rs-c", "nan"],
         ["decode-sim", "--network", "--k", "20", "--h", "2", "--trials", "1",
          "--dist", "rs", "--storage", "rs", "--rs-c", "nan"],
+        # finite surpluses and intensities too large to compute with
+        ["analyze", "--k", "2000", "--delta", "1e300"],
+        ["cost", "--k", "2000", "--h", "10", "--delta-grid", "0:1e300:1e299"],
+        ["cost", "--k", "2000", "--h", "10", "--strategies", "is_doping", "--delta", "1e308"],
+        ["analyze", "--yield-lambda", "1e308", "--t-max", "3"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])

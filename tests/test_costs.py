@@ -28,6 +28,11 @@ class TestSupersquadSquads:
         with pytest.raises(InvalidParameterError, match="k_s"):
             costs.supersquad_squads(k_s, 10)
 
+    def test_rejects_infinite_k_s(self):
+        # infinity used to reach math.ceil and raise its bare OverflowError
+        with pytest.raises(InvalidParameterError, match="k_s must be finite"):
+            costs.supersquad_squads(math.inf, 10)
+
 
 class TestCollectionCost:
     def test_pure_polling(self):

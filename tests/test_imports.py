@@ -13,15 +13,21 @@ Stdlib ``ast`` scans, so no lint tool is needed:
   order, which only Python 3.11 defaults;
 * every ``raise`` names a class of ``errors.py``, ``SystemExit`` or
   ``argparse.ArgumentTypeError``, so a caller can catch the package's
-  errors by their types.
+  errors by their types;
+* every public function and class and every non-dunder method the package
+  defines is named somewhere besides its definition, in the package, the
+  tests, the benchmark scripts or the README: nothing is kept that no one
+  calls.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "squadfountain"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "squadfountain"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 PACKAGE_MODULES = {p.stem for p in PACKAGE.glob("*.py")}
 RAISABLE = {
@@ -190,3 +196,44 @@ def test_raise_scan_finds_other_exceptions():
         "raise SystemExit(main())\nraise argparse.ArgumentTypeError('x')\n"
     )
     assert stray_raises(allowed) == []
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """``(name, line)`` of every public module-level function and class, and
+    of every non-dunder method of a module-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node.lineno))
+        if isinstance(node, ast.ClassDef):
+            found += [(f.name, f.lineno) for f in node.body
+                      if isinstance(f, ast.FunctionDef) and not f.name.startswith("__")]
+    return found
+
+
+def unnamed_definitions(source: str, corpus: str) -> list[str]:
+    """Definitions of ``source`` whose name ``corpus`` (which holds
+    ``source``) spells only once, which is at the definition itself."""
+    return [f"{name} (line {line})" for name, line in definitions(source)
+            if len(re.findall(rf"\b{name}\b", corpus)) < 2]
+
+
+def test_every_definition_is_named_elsewhere():
+    readers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+               *(ROOT / "benchmarks").glob("*.py"), ROOT / "README.md"]
+    corpus = "\n".join(path.read_text() for path in readers)
+    unnamed = {module.name: unnamed_definitions(module.read_text(), corpus)
+               for module in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in unnamed.items() if found} == {}
+
+
+def test_definition_scan_finds_an_unnamed_one():
+    source = (
+        "def used():\n    pass\n\ndef _helper():\n    pass\n\n"
+        "class Box:\n    def __init__(self):\n        pass\n\n"
+        "    def size(self):\n        return used()\n\n    def _spare(self):\n        pass\n"
+    )
+    assert unnamed_definitions(source, source) == [
+        "Box (line 7)", "size (line 11)", "_spare (line 14)"
+    ]
+    assert unnamed_definitions(source, source + "Box().size(); Box._spare\n") == []

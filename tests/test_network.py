@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from squadfountain import costs
 from squadfountain import network as nw
 from squadfountain.codec import (
     SymbolBatch,
@@ -96,9 +97,9 @@ class TestConfig:
             NetworkConfig(k=10, h=0.5)
         for h in (float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError):
-                NetworkConfig(k=10, h=h, squad_size_model="poisson")
-        with pytest.raises(InvalidParameterError):
-            NetworkConfig(k=10, h=2.5, squad_size_model="fixed")
+                NetworkConfig(k=10, h=h)
+        with pytest.raises(InvalidParameterError, match="nodes per squad, not 2.5"):
+            NetworkConfig(k=10, h=2.5)
         with pytest.raises(InvalidParameterError):
             NetworkConfig(k=10, h=2, storage="raptor")
 
@@ -110,11 +111,11 @@ class TestConfig:
                 storage_combine_input="degree_two_inputs",
             )
 
-    @pytest.mark.parametrize("model, h", [("poisson", 1e300), ("fixed", 2**62 / 20)])
-    def test_rejects_more_storage_nodes_than_int64_holds(self, model, h):
-        # checked before any squad size is drawn or filled in
+    @pytest.mark.parametrize("h", [1e300, 2**62 / 20])
+    def test_rejects_more_storage_nodes_than_int64_holds(self, h):
+        # checked before any storage node is counted
         with pytest.raises(InvalidParameterError, match=r"k \* h must be below 2\*\*62"):
-            NetworkConfig(k=20, h=h, squad_size_model=model)
+            NetworkConfig(k=20, h=h)
 
 
 class TestBuild:
@@ -128,17 +129,10 @@ class TestBuild:
         assert net.total_storage_nodes == 200_000
         assert planning == ([], [])  # building plans nothing
 
-    def test_poisson_squad_sizes(self):
-        cfg = NetworkConfig(k=1000, h=200.0, squad_size_model="poisson")
-        net = nw.build_network(cfg, np.random.default_rng(11))
-        mean = net.squad_sizes.mean()
-        assert abs(mean - 200.0) < 1.35  # 3 sigma for 1000 Poisson(200) draws
-
     def test_squad_size_range_checked(self):
-        # gaps 0 and below used to read squads k and k-1 through negative
-        # indexing, and gap k+1 raised a bare IndexError
-        net = build(k=10, h=3, seed=1, squad_size_model="poisson")
-        assert [net.squad_size(g) for g in range(1, 11)] == net.squad_sizes.tolist()
+        # every squad holds h nodes, and a gap outside 1..k names no squad
+        net = build(k=10, h=3, seed=1)
+        assert [net.squad_size(g) for g in range(1, 11)] == [3] * 10
         for gap in (0, -1, -10, 11):
             with pytest.raises(InvalidParameterError, match=f"no squad {gap} "):
                 net.squad_size(gap)
@@ -325,17 +319,13 @@ class TestStorageListen:
 
 @st.composite
 def specs(draw, max_k):
-    """The ``build`` arguments of small networks over every squad model,
-    storage mode and input kind."""
-    model = draw(st.sampled_from(nw.SQUAD_SIZE_MODELS))
+    """The ``build`` arguments of small networks over every squad size of
+    one to four nodes, storage mode and input kind."""
     dissemination = draw(st.sampled_from(nw.DISSEMINATION_MODES))
     return dict(
         k=draw(st.integers(min_value=3, max_value=max_k)),
-        # Poisson squads of mean 1..3 leave some squads empty
-        h=draw(st.integers(min_value=1, max_value=4)) if model == "fixed"
-        else draw(st.floats(min_value=1.0, max_value=3.0)),
+        h=draw(st.integers(min_value=1, max_value=4)),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
-        squad_size_model=model,
         dissemination=dissemination,
         storage=draw(st.sampled_from(nw.STORAGE_MODES)),
         storage_combine_input=draw(st.sampled_from(nw.STORAGE_INPUTS))
@@ -366,7 +356,7 @@ class TestSquadPlans:
     @given(net=networks(), order_seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
     def test_plans_independent_of_touch_order(self, net, order_seed):
-        twin = nw.Network(net.cfg, net.block, net.squad_sizes, net._node_key)
+        twin = nw.Network(net.cfg, net.block, net._node_key)
         gaps = list(range(1, net.k + 1))
         shuffled = list(np.random.default_rng(order_seed).permutation(gaps))
         forward = {gap: net.squad(gap) for gap in gaps}
@@ -439,15 +429,6 @@ class TestSquadPlans:
                 np.bincount(odd // (k + 1), minlength=len(rows))).tolist()]
             assert symbols.neighbors.tolist() == (odd % (k + 1)).tolist()
 
-    def test_empty_squad_has_no_symbols(self):
-        cfg = NetworkConfig(k=40, h=1.0, squad_size_model="poisson", payload_len=4)
-        net = nw.build_network(cfg, np.random.default_rng(3))
-        empty = [g for g in range(1, 41) if net.squad_size(g) == 0]
-        assert empty  # Poisson(1) leaves about 15 of 40 squads empty
-        assert all(len(net.squad(g).symbols) == 0 for g in empty)
-        with pytest.raises(IndexError):
-            net.squad(empty[0]).symbols[0]
-
 
 class TestCollect:
     def test_network_freed_without_cycle_collection(self):
@@ -479,6 +460,19 @@ class TestCollect:
         _, rep = nw.collect(net, 10, 20)
         assert rep.s == 5
         assert rep.supersquad_hops / 20 == pytest.approx((5 - 1) / 4 + 1)
+
+    @given(k=st.integers(min_value=3, max_value=60), h=st.integers(min_value=1, max_value=10),
+           collector=st.integers(min_value=1, max_value=60), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_drains_the_squads_the_cost_model_counts(self, k, h, collector, data):
+        # every k_s on every ring: s = ceil(k_s/h), and full squads cost the
+        # sec2 hop model's c_s = 1 + (s-1)/4 per symbol
+        net = build(k=k, h=h)
+        k_s = data.draw(st.integers(min_value=0, max_value=k * h))
+        _, rep = nw.collect(net, (collector - 1) % k + 1, k_s)
+        assert rep.s == costs.supersquad_squads(k_s, h)
+        if k_s % h == 0:
+            assert rep.supersquad_hops == k_s * (1 + (rep.s - 1) / 4)
 
     def test_thousand_symbols_from_five_squads(self):
         net = build(k=1000, h=200, seed=12)
@@ -538,20 +532,17 @@ class TestCollect:
 @st.composite
 def collections(draw):
     """A network spec of up to 60 relays (twins are built from it), a
-    collector, and k_s: none, all, or a partial last squad when one holds
+    collector, and k_s: none, all, or a partial last squad when squads hold
     two nodes or more."""
     spec = draw(specs(max_k=60))
-    net = build(**spec)
-    collector = draw(st.integers(min_value=1, max_value=spec["k"]))
-    sizes = [net.squad_size(g) for g in nw._drain_order(net.k, collector)]
-    full = np.cumsum(sizes).tolist()  # k_s that ends on the j-th squad drained
-    partial = [(full[j] - sizes[j], sizes[j]) for j in range(len(sizes)) if sizes[j] > 1]
-    kind = draw(st.sampled_from(["none", "all", "partial"] if partial else ["none", "all"]))
+    k, h = spec["k"], spec["h"]
+    collector = draw(st.integers(min_value=1, max_value=k))
+    kind = draw(st.sampled_from(["none", "all", "partial"] if h > 1 else ["none", "all"]))
     if kind == "partial":
-        before, size = draw(st.sampled_from(partial))
-        k_s = before + draw(st.integers(min_value=1, max_value=size - 1))
+        full = draw(st.integers(min_value=0, max_value=k - 1))  # squads drained before
+        k_s = full * h + draw(st.integers(min_value=1, max_value=h - 1))
     else:
-        k_s = 0 if kind == "none" else net.total_storage_nodes
+        k_s = 0 if kind == "none" else k * h
     return spec, collector, k_s
 
 
@@ -578,9 +569,7 @@ class TestOnePassCollect:
         spec, collector, k_s = case
         net, twin = build(**spec), build(**spec)
         batch, rep = nw.collect(net, collector, k_s)
-        drained = [g for g in nw._drain_order(net.k, collector) if net.squad_size(g)]
-        drained = drained[:int(np.searchsorted(
-            np.cumsum([net.squad_size(g) for g in drained]), k_s) + 1)] if k_s else []
+        drained = list(nw._drain_order(net.k, collector))[:-(-k_s // net.h)]
         assert list(rep.squads_drained) == drained
         # the oracle: one squad at a time, last drained first
         plans = {gap: twin.squad(gap) for gap in reversed(drained)}
