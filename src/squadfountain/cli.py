@@ -31,6 +31,8 @@ trial_rng = codec.trial_rng  # no command here draws through it; benchmarks/work
 _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
 _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
 _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
+# the network flags --network reads, with their defaults; decode-sim refuses them without it
+_NETWORK_FLAGS = dict(h=200.0, dissemination="d1", storage_input="degree_one_inputs", collector=1)
 
 # 2: Philox keyed by the pair (seed, trial), and one stream per storage squad
 # 3: codec symbols drawn as a batch (all degrees, then all neighbour rows),
@@ -137,7 +139,7 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message: str):
-        raise ConfigError(message)
+        raise ConfigError(message.removeprefix("argument "))
 
 
 def _typed(parse, what: str, ok=lambda value: True):
@@ -162,6 +164,18 @@ _seed = _typed(int, "an integer in 0..2**64-1", lambda seed: 0 <= seed < 2**64)
 _finite = _typed(float, "a finite number", math.isfinite)
 # disseminate's verify takes time k**2 (--k 10000: 5-9 s, 55-77 MB on a 2-core host)
 _ring = _typed(int, "an integer of at most 10000", lambda k: k <= 10_000)
+# one codec trial at k = k_s = 300,000 peaks near 300 MB and takes 2-3 s on that host
+_MAX_SYMBOLS = 2_000_000
+_sources = _typed(int, f"an integer of at most {_MAX_SYMBOLS}", lambda k: k <= _MAX_SYMBOLS)
+_trials = _typed(int, "an integer in 1..1000000", lambda n: 1 <= n <= 1_000_000)
+_payload = _typed(int, "an integer of at most 1024", lambda n: n <= 1024)
+
+
+def _upfront(count: float) -> int:
+    """``round(count)`` upfront symbols, refused outside 0..2000000 before any draw."""
+    if not 0 <= count <= _MAX_SYMBOLS:
+        raise ConfigError(f"k_s must lie in 0..{_MAX_SYMBOLS} upfront symbols, not {fmt(count)}")
+    return round(count)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -179,23 +193,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode-sim", help="Monte Carlo doped decoding trials")
     common(p)
     p.set_defaults(run=cmd_decode_sim)
-    p.add_argument("--k", type=int, default=1000)
-    p.add_argument("--ks", type=int, help="upfront symbols (default k*(1+delta))")
+    p.add_argument("--k", type=_sources, default=1000, help="sources, at most 2000000")
+    p.add_argument("--ks", type=int, help="upfront symbols, at most 2000000 (default k(1+delta))")
     p.add_argument("--delta", type=_finite, help="surplus (default 0); not with --ks")
     p.add_argument("--dist", default="is", help="comma list out of {is,rs}")
     p.add_argument("--rs-c", type=float, default=0.1)
     p.add_argument("--rs-delta", type=float, default=0.5)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--payload-len", type=int, default=32)
+    p.add_argument("--trials", type=_trials, default=100, help="1..1000000")
+    p.add_argument("--payload-len", type=_payload, default=32, help="bytes, at most 1024")
     p.add_argument("--network", nargs="?", const=True, default=False, type=_switch,
-                   help="full network path")
-    p.add_argument("--h", type=float, default=200.0)
-    p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), default="d1")
+                   help="full network path; the flags below need it")
+    p.add_argument("--h", type=float, help="nodes per squad (default 200)")
+    p.add_argument("--dissemination", choices=sorted(_DISSEMINATION), help="default d1")
     p.add_argument("--storage", choices=sorted(_STORAGE),
                    help="default: each strategy stores its own code")
     p.add_argument("--storage-input", choices=["degree_one_inputs", "degree_two_inputs"],
-                   default="degree_one_inputs")
-    p.add_argument("--collector", type=int, default=1)
+                   help="default degree_one_inputs")
+    p.add_argument("--collector", type=int, help="default 1")
 
     p = sub.add_parser("analyze", help="analytic doping predictions and yield pmfs")
     common(p)
@@ -215,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="collection-cost curves and strategy tables")
     common(p)
     p.set_defaults(run=cmd_cost)
-    p.add_argument("--k", type=int, default=2000)
+    p.add_argument("--k", type=int, default=2000, help="at most 2000000 with --mc-kd")
     p.add_argument("--h", default="10,15,30", help="comma list of squad sizes")
     p.add_argument("--delta-grid", help="a:b:step of the cost curve (default 0:0.06:0.01)")
     p.add_argument("--delta", type=_finite,
@@ -225,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps-rs", type=float, default=0.5)
     p.add_argument("--mc-kd", nargs="?", const=True, default=False, type=_switch,
                    help="simulate k_d instead of analytic")
-    p.add_argument("--trials", type=int, default=50, help="trials per point for --mc-kd")
+    p.add_argument("--trials", type=_trials, default=50, help="per --mc-kd point, 1..1000000")
 
     p = sub.add_parser("validate", help="run the acceptance checks")
     common(p)
@@ -250,12 +264,6 @@ def _with_config(argv: list[str]) -> list[str]:
             *argv[1:]]
 
 
-def _require_trials(trials: int) -> int:
-    if trials < 1:
-        raise ConfigError(f"--trials must be at least 1, got {trials}")
-    return trials
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -267,12 +275,15 @@ Table = tuple[dict, list[str], list[tuple]]
 
 
 def cmd_decode_sim(args: argparse.Namespace) -> tuple[int, Table]:
-    _require_trials(args.trials)
     k = args.k
     if args.ks is not None:
         _unread("decode-sim --ks", args, "delta")
     delta = 0.0 if args.delta is None else args.delta
-    k_s = args.ks if args.ks is not None else round(k * (1.0 + delta))
+    k_s = _upfront(args.ks if args.ks is not None else k * (1.0 + delta))
+    if not args.network:
+        _unread("decode-sim without --network", args, *_NETWORK_FLAGS, "storage")
+    vars(args).update({dest: value for dest, value in _NETWORK_FLAGS.items()
+                       if getattr(args, dest) is None})
     dists = _comma_list("--dist", args.dist, ("is", "rs"))
     coupon = args.network and args.storage == "coupon"
     if coupon and len(dists) > 1:
@@ -390,11 +401,12 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
     kd_table: dict[float, float] = {}
     if args.mc_kd:
         # decode-sim's mean over its IS codec trials at k_s = round(k(1+delta))
-        trials, dist = range(_require_trials(args.trials)), ideal_soliton(k)
-        kd_table = {
-            d: float(codec_dopings(args.seed, trials, dist, round(k * (1.0 + d)), 32).mean())
-            for d in deltas
-        }
+        if k > _MAX_SYMBOLS:
+            raise ConfigError(f"cost --mc-kd simulates at most {_MAX_SYMBOLS} sources, not {k}")
+        ks = {d: _upfront(k * (1.0 + d)) for d in deltas}
+        trials, dist = range(args.trials), ideal_soliton(k)
+        kd_table = {d: float(codec_dopings(args.seed, trials, dist, ks[d], 32).mean())
+                    for d in deltas}
     elif deltas:
         kd_table = {d: pred.k_d for d, pred in analytics.doping_table(k, deltas).items()}
     rows = []

@@ -26,7 +26,6 @@ i.e. uncovered, symbols.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import deque
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -140,16 +139,16 @@ def distinct_rows(
     rngs: np.random.Generator | Sequence[np.random.Generator],
     sizes: np.ndarray,
     m: int,
-    counts: Sequence[int] | None = None,
+    count: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One uniform subset of ``range(m)`` per row, of the given sizes, as CSR.
 
     ``rngs`` is one generator for every row, or a sequence of streams where
-    stream j owns the next ``counts[j]`` rows.  Each stream makes the draws,
-    in the order, that a one-stream call over its own rows makes, so its
-    rows equal that call's: its small rows' values, one redraw per round
-    that finds duplicates in its rows, then its large rows' permutations.
-    All else runs once over every row.
+    stream j owns the ``count`` rows from ``j * count``.  Each stream makes
+    the draws, in the order, that a one-stream call over its own rows makes,
+    so its rows equal that call's: its small rows' values, one redraw per
+    round that finds duplicates in its rows, then its large rows'
+    permutations.  All else runs once over every row.
 
     Rows of at most a quarter of m draw with replacement in one batch, as
     keys with the row in the high bits and the value in the low ones; a sort
@@ -161,14 +160,13 @@ def distinct_rows(
     Each row comes out sorted.
     """
     if isinstance(rngs, np.random.Generator):
-        rngs, counts = (rngs,), (len(sizes),)
-    first_row = [0, *accumulate(counts)]  # stream j owns rows first_row[j]:first_row[j + 1]
+        rngs, count = (rngs,), len(sizes)
     large = sizes * 4 > m
     shift = (m - 1).bit_length()
     value = (1 << shift) - 1  # the mask of a key's value bits
     keys = np.repeat(np.arange(len(sizes), dtype=np.int64) << shift, np.where(large, 0, sizes))
     # rows sit above values, so stream j's keys stay keys[first_key[j]:first_key[j + 1]]
-    first_key = np.searchsorted(keys, np.array(first_row) << shift)
+    first_key = np.searchsorted(keys, np.arange(len(rngs) + 1) * count << shift)
     keys += _draws(rngs, m, first_key)
     keys.sort()
     while (dup := np.flatnonzero(keys[1:] == keys[:-1]) + 1).size:
@@ -178,8 +176,7 @@ def distinct_rows(
     rows = np.empty(ptr[-1], dtype=np.int64)
     rows[np.repeat(~large, sizes)] = keys & value
     for i in np.flatnonzero(large):
-        owner = rngs[bisect_right(first_row, i) - 1]
-        rows[ptr[i]:ptr[i + 1]] = np.sort(owner.permutation(m)[:sizes[i]])
+        rows[ptr[i]:ptr[i + 1]] = np.sort(rngs[i // count].permutation(m)[:sizes[i]])
     return ptr, rows
 
 
@@ -251,6 +248,16 @@ def encode_symbols(
     return symbols_from_rows(block, ptr, rows + 1)
 
 
+def codec_trial(
+    seed: int, stream: int, dist: DegreeDistribution, k_s: int, payload_len: int
+) -> tuple[SourceBlock, SymbolBatch, np.random.Generator]:
+    """One direct-encoding trial: ``trial_rng(seed, stream)`` draws the
+    block, then k_s symbols from ``dist``, and is returned for the dopings."""
+    rng = trial_rng(seed, stream)
+    block = SourceBlock.random(dist.k, payload_len, rng)
+    return block, encode_symbols(block, dist, k_s, rng), rng
+
+
 @dataclass(frozen=True)
 class StepRecord:
     """One decoder step: kind is 'init', 'decode' or 'dope'; its ripple releases."""
@@ -274,7 +281,7 @@ class DecoderState:
     is counted as defected.  A decoded source's outputs are visited in
     ascending order, so the ripple's order follows from the rows alone.  A
     byte per output flags those at count two; doping reads the flagged ids
-    in ascending order.  One loop, ``_drain``, peels and, given an oracle,
+    in ascending order.  One loop, ``drain``, peels and, given an oracle,
     dopes in place whenever the ripple empties before every source is
     decoded: ``decode_with_doping`` is one call of it, and
     ``process_ripple_symbol`` and ``dope_degree_two`` each take one step.
@@ -350,7 +357,7 @@ class DecoderState:
         self.defected_total = len(ones) - len(ripple)
         # the step log
         self._releases, self._dope_steps = [len(ripple)], []
-        # what _drain reads, bound once: a one-step drain pays no look-ups
+        # what drain reads, bound once: a one-step drain pays no look-ups
         order = self._order
         self._drain_state = (ripple, self._count, self._flags, releaser, ripple.popleft,
                              ripple.append, order, order.append, two, self._adj,
@@ -413,7 +420,7 @@ class DecoderState:
 
     # -- peeling ------------------------------------------------------------
 
-    def _drain(self, oracle: Callable[[int], bytes] | None = None,
+    def drain(self, oracle: Callable[[int], bytes] | None = None,
                rng: np.random.Generator | None = None, steps: int = -1) -> int:
         """Decode sources one step each, until ``steps`` are taken (no limit
         when negative), every source is decoded, or the ripple is empty and
@@ -501,6 +508,7 @@ class DecoderState:
         return src
 
 
+# Harness-only: benchmarks/workloads.py calls these three, the package never does.
 init_decoder = DecoderState  # the constructor under its functional name
 
 
@@ -511,7 +519,7 @@ def process_ripple_symbol(
     entries.  ``rng`` is unused: the ripple is first in, first out."""
     if not state.ripple:
         raise StalledDecoderError("ripple is empty; dope or stop")
-    return state._drain(steps=1)
+    return state.drain(steps=1)
 
 
 def dope_degree_two(
@@ -526,7 +534,7 @@ def dope_degree_two(
         raise InvalidParameterError("doping requires an empty ripple")
     if state.finished:
         raise InvalidParameterError("decoding already complete")
-    state._drain(oracle, rng, 1)
+    state.drain(oracle, rng, 1)
     return state.doped[-1]
 
 
@@ -571,7 +579,7 @@ def decode_with_doping(
     """Run the full decode loop, one drain that dopes from ``block.packet``
     whenever the ripple empties before every source is decoded."""
     state = DecoderState(block.k, batch, block.payload_len)
-    state._drain(block.packet, rng)
+    state.drain(block.packet, rng)
     return DecodeReport(
         k_s=len(batch),
         k_d=len(state.doped),

@@ -117,17 +117,17 @@ def robust_soliton(k: int, c: float = 0.1, delta_rs: float = 0.5) -> DegreeDistr
 def sample_degrees(
     dist: DegreeDistribution,
     rng: np.random.Generator | Sequence[np.random.Generator],
-    size: int | Sequence[int],
+    size: int,
 ) -> np.ndarray:
     """Inverse-transform draws of ``size`` degrees in 1..k, one uniform each.
 
-    Several streams draw in one call when ``rng`` and ``size`` are sequences:
-    stream j draws the next size[j] uniforms, and one search maps them all.
+    Given a sequence of streams, each draws ``size`` uniforms in turn, and
+    one search maps them all.
     """
     if isinstance(rng, np.random.Generator):
         u = rng.random(size)
     else:
-        u = np.concatenate([g.random(n) for g, n in zip(rng, size)])
+        u = np.concatenate([g.random(size) for g in rng])
     # minimum() guards a draw landing above a cdf top that rounded below 1
     idx = np.searchsorted(dist.cdf, u, side="right").astype(np.int64)
     return np.minimum(idx, dist.k)

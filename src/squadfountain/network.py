@@ -34,10 +34,10 @@ from .codec import (
     DecodeReport,
     SourceBlock,
     SymbolBatch,
+    codec_trial,
     csr_ptr,
     decode_with_doping,
     distinct_rows,
-    encode_symbols,
     key_type,
     symbols_from_rows,
     trial_rng,
@@ -249,34 +249,29 @@ class Network:
     def total_storage_nodes(self) -> int:
         return self.k * self.h
 
-    def squad_size(self, gap: int) -> int:
-        if not 1 <= gap <= self.k:
-            raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
-        return self.h
-
     def squad(self, gap: int) -> SquadPlan:
         """The plans and symbols of every node in squad ``gap``, made anew from
         the squad's stream; each payload XORs the covered sources."""
+        if not 1 <= gap <= self.k:
+            raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
         return self._plan([gap])
 
     def _plan(self, gaps: list[int]) -> SquadPlan:
-        """One plan of every node in the squads ``gaps``, squad by squad, made
+        """One plan of every node in the squads ``gaps`` (each in 1..k), made
         in one vectorised pass.  Squad g draws from its own stream,
         ``trial_rng(node_key, g)``, what planning it alone draws: its coupon
         sources, or its degrees' uniforms and then its ``distinct_rows`` draws."""
-        sizes = [self.squad_size(gap) for gap in gaps]
         rngs = [trial_rng(self._node_key, gap) for gap in gaps]
         if self.cfg.storage == "coupon":
-            ptr = csr_ptr(np.ones(sum(sizes), np.int64))
-            slots = np.concatenate([rng.integers(1, self.k + 1, size=n)
-                                    for rng, n in zip(rngs, sizes)])
+            ptr = csr_ptr(np.ones(len(gaps) * self.h, np.int64))
+            slots = np.concatenate([rng.integers(1, self.k + 1, size=self.h) for rng in rngs])
         else:
-            degrees = np.minimum(sample_degrees(self._dist, rngs, sizes), self._slot_count)
-            ptr, slots = distinct_rows(rngs, degrees, self._slot_count, sizes)
+            degrees = np.minimum(sample_degrees(self._dist, rngs, self.h), self._slot_count)
+            ptr, slots = distinct_rows(rngs, degrees, self._slot_count, self.h)
             if not self._combines_slots:
                 slots += 1  # a subset of sources, which count from 1
         if self._combines_slots:
-            return self._plan_rows(np.repeat(np.repeat(gaps, sizes), np.diff(ptr)), ptr, slots)
+            return self._plan_rows(np.repeat(np.repeat(gaps, self.h), np.diff(ptr)), ptr, slots)
         symbols = symbols_from_rows(self.block, ptr, slots)
         # the slots are the sources, kept as the batch's read-only arrays
         return SquadPlan(symbols.ptr, symbols.neighbors, symbols)
@@ -346,19 +341,13 @@ class CollectionReport:
     doped_hop_costs: tuple[int, ...] = field(default=())
 
 
-def _drain_order(k: int, collector: int):
-    """Squad gaps by distance from the collector, alternating sides.
-
-    Each of the k gaps appears exactly once; for even k the antipodal
-    offsets +-k/2 name the same gap.
-    """
-    yield collector
-    for m in range(1, k // 2 + 1):
-        left = _wrap(k, collector - m)
-        right = _wrap(k, collector + m)
-        yield left
-        if right != left:
-            yield right
+def _drain_order(k: int, collector: int, s: int) -> list[int]:
+    """The first s of the k squad gaps by distance from the collector,
+    alternating sides: offsets 0, -1, +1, -2, +2, ..., so gap j is
+    ``collector + ceil(j/2) * (-1)**j`` on the ring.  No gap repeats for s
+    up to k: an even ring's antipodal gap comes once, at offset -k/2."""
+    j = np.arange(s)
+    return _wrap(k, collector + (j + 1) // 2 * (1 - 2 * (j % 2))).tolist()
 
 
 def collect(
@@ -371,8 +360,9 @@ def collect(
     (``Network._plan``), each from its own stream, so the batch is what
     planning them one at a time, in any order, gives; nothing is kept.
 
-    A symbol from the j-th squad drained (0-based) is charged j/2 + 1 hops,
-    which makes a full supersquad average exactly (s-1)/4 + 1 per symbol.
+    It drains the s = ceil(k_s/h) squads nearest the collector, all full but
+    the last, and charges a symbol of the j-th (0-based) j/2 + 1 hops, so a
+    full supersquad averages exactly (s-1)/4 + 1 per symbol.
     """
     if not 1 <= collector_relay <= net.k:
         raise InvalidParameterError(f"collector relay {collector_relay} outside 1..{net.k}")
@@ -382,18 +372,12 @@ def collect(
         raise ExhaustedNetworkError(
             f"need {k_s} symbols but the network stores only {net.total_storage_nodes}"
         )
-    drained: list[int] = []
-    hops = 0.0
-    taken = 0
-    for gap in _drain_order(net.k, collector_relay):
-        if taken >= k_s:
-            break
-        take = min(net.h, k_s - taken)
-        hops += take * (len(drained) / 2.0 + 1.0)
-        drained.append(gap)
-        taken += take
+    s = -(-k_s // net.h)
+    j = np.arange(s)
+    drained = _drain_order(net.k, collector_relay, s)
+    hops = float(np.minimum(net.h, k_s - j * net.h) @ (j / 2.0 + 1.0))
     report = CollectionReport(
-        k_s=k_s, s=len(drained), supersquad_hops=hops, squads_drained=tuple(drained)
+        k_s=k_s, s=s, supersquad_hops=hops, squads_drained=tuple(drained)
     )
     if not drained:
         empty = np.zeros((0, net.block.payload_len), np.uint8)
@@ -424,13 +408,11 @@ def simulate_collection_with_doping(
 def codec_dopings(
     seed: int, streams, dist: DegreeDistribution, k_s: int, payload_len: int
 ) -> np.ndarray:
-    """k_d of one direct-encoding trial per stream: ``trial_rng(seed, stream)``
-    draws the block, then k_s symbols from ``dist``, then the dopings."""
+    """k_d of one direct-encoding trial per stream: ``codec_trial`` draws the
+    block and k_s symbols from ``dist``, then the same stream the dopings."""
     kd = np.empty(len(streams), dtype=np.int64)
     for i, stream in enumerate(streams):
-        rng = trial_rng(seed, stream)
-        block = SourceBlock.random(dist.k, payload_len, rng)
-        kd[i] = decode_with_doping(block, encode_symbols(block, dist, k_s, rng), rng).k_d
+        kd[i] = decode_with_doping(*codec_trial(seed, stream, dist, k_s, payload_len)).k_d
     return kd
 
 

@@ -20,15 +20,7 @@ import numpy as np
 
 from . import analytics, costs
 from .cli import fmt, main as cli_main
-from .codec import (
-    SourceBlock,
-    decode_with_doping,
-    dope_degree_two,
-    encode_symbols,
-    init_decoder,
-    process_ripple_symbol,
-    trial_rng,
-)
+from .codec import DecoderState, codec_trial, decode_with_doping, trial_rng
 from .degrees import ideal_soliton, robust_soliton
 from .network import NetworkConfig, TransmissionSchedule, codec_dopings, network_dopings
 
@@ -115,9 +107,8 @@ def criterion_decoder_bitexact(seed: int) -> Verdict:
     start = time.perf_counter()
     exact = 0
     for trial in range(trials):
-        rng = trial_rng(seed, streams[trial])
-        block = SourceBlock.random(k, 32, rng)
-        report = decode_with_doping(block, encode_symbols(block, dist, k, rng), rng)
+        block, batch, rng = codec_trial(seed, streams[trial], dist, k, 32)
+        report = decode_with_doping(block, batch, rng)
         if all(report.recovered[i] == block.packet(i) for i in range(1, k + 1)):
             exact += 1
     elapsed = time.perf_counter() - start
@@ -197,15 +188,9 @@ def criterion_degree_evolution(seed: int) -> Verdict:
     streams = STREAM_RANGES["degree_evolution"]
     counts: Counter[int] = Counter()
     for trial in range(seeds):
-        rng = trial_rng(seed, streams[trial])
-        block = SourceBlock.random(k, 8, rng)
-        batch = encode_symbols(block, dist, k, rng)
-        state = init_decoder(k, batch, block.payload_len)
-        while state.decoded_count < ell:
-            if state.ripple:
-                process_ripple_symbol(state)
-            else:
-                dope_degree_two(state, block.packet, rng)
+        block, batch, rng = codec_trial(seed, streams[trial], dist, k, 8)
+        state = DecoderState(k, batch, block.payload_len)
+        state.drain(block.packet, rng, ell)  # peel, doping at each stall, to ell decoded
         # an output's residual degree: its neighbours not yet decoded
         undecoded = np.isin(batch.neighbors, state.undecoded)
         residual = np.add.reduceat(undecoded, batch.ptr[:-1], dtype=np.int64)

@@ -326,6 +326,28 @@ class TestNonFiniteNumbers:
         ["cost", "--k", "2000", "--h", "10", "--delta-grid", "0:1e300:1e299"],
         ["cost", "--k", "2000", "--h", "10", "--strategies", "is_doping", "--delta", "1e308"],
         ["analyze", "--yield-lambda", "1e308", "--t-max", "3"],
+        # network flags without --network, which alone reads them
+        ["decode-sim", "--k", "50", "--trials", "1", "--dissemination", "d2", "--h", "7",
+         "--collector", "99", "--storage", "coupon"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--storage-input", "degree_one_inputs"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--collector", "1"],
+        # sizes bounded before any array is made
+        ["decode-sim", "--k", "50", "--trials", "1", "--payload-len", "100000000000"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--payload-len", "1025"],
+        ["decode-sim", "--k", "50", "--trials", "100000000000"],
+        ["decode-sim", "--k", "50", "--trials", "1000001"],
+        ["cost", "--k", "50", "--h", "10", "--mc-kd", "--trials", "100000000000"],
+        ["cost", "--k", "50", "--h", "10", "--trials", "0"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--ks", "100000000000"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--ks", "2000001"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--delta", "1e300"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--delta=-1e308"],
+        ["decode-sim", "--k", "2000001", "--trials", "1"],
+        ["cost", "--k", "2000001", "--h", "10", "--mc-kd", "--trials", "1"],
+        ["cost", "--k", "2000000", "--h", "10", "--mc-kd", "--trials", "1",
+         "--delta-grid", "0:0.01:0.01"],
+        ["cost", "--k", "50", "--h", "10", "--mc-kd", "--trials", "1",
+         "--delta-grid", "0:1e300:1e299"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])
@@ -500,12 +522,15 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("network", ["true", "false", "YES", "no", "1", "0"])
     def test_typed_values_and_flags_from_file(self, tmp_path, network):
+        # a squad size only where the network reads it
+        on = network.lower() in ("true", "yes", "1")
         cfg = tmp_path / "typed.conf"
-        cfg.write_text(f"k=30\nh=3\ndelta=0.1\ntrials=2\nseed=4\nnetwork={network}\n")
+        cfg.write_text(f"k=30\n{'h=3' if on else ''}\ndelta=0.1\ntrials=2\nseed=4\n"
+                       f"network={network}\n")
         by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
         assert main(["decode-sim", "--config", str(cfg), "--out", str(by_file)]) == 0
-        flags = ["--k", "30", "--h", "3", "--delta", "0.1", "--trials", "2", "--seed", "4"]
-        flags += ["--network"] if network.lower() in ("true", "yes", "1") else []
+        flags = ["--k", "30", "--delta", "0.1", "--trials", "2", "--seed", "4"]
+        flags += ["--network", "--h", "3"] if on else []
         assert main(["decode-sim", *flags, "--out", str(by_flags)]) == 0
         assert by_file.read_text() == by_flags.read_text()
 
@@ -557,11 +582,11 @@ class TestConfigFile:
     def test_flags_after_the_file_win(self, tmp_path):
         # pairs are parsed as flags ahead of the command line's own
         cfg = tmp_path / "net.conf"
-        cfg.write_text("k=30\nh=5\ntrials=2\nseed=4\nnetwork=true\n")
+        cfg.write_text("k=30\ntrials=2\nseed=4\nnetwork=true\n")
         by_file, by_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
         argv = ["decode-sim", "--config", str(cfg), "--network", "no", "--seed", "5"]
         assert main([*argv, "--out", str(by_file)]) == 0
-        flags = ["--k", "30", "--h", "5", "--trials", "2", "--seed", "5", "--network", "0"]
+        flags = ["--k", "30", "--trials", "2", "--seed", "5", "--network", "0"]
         assert main(["decode-sim", *flags, "--out", str(by_flags)]) == 0
         assert by_file.read_text() == by_flags.read_text()
         assert "# network=false\n" in by_file.read_text()

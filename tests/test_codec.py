@@ -11,6 +11,7 @@ from squadfountain import cli
 from squadfountain.codec import (
     SourceBlock,
     SymbolBatch,
+    codec_trial,
     csr_ptr,
     decode_with_doping,
     distinct_rows,
@@ -226,11 +227,11 @@ class TestDistinctRowsStreams:
         # more rows, most of size 3, redraws; rows of 4..12 take permutation
         # prefixes
         m, g = 12, np.random.default_rng(seed)
-        counts = g.integers(60, 120, size=5)
-        sizes = g.choice([1, 2, 3, 3, 3, 4, 7, 12], size=counts.sum())
-        streams = [CountingStream(cli.trial_rng(seed, j)) for j in range(len(counts))]
-        ptr, rows = distinct_rows(streams, sizes, m, counts)
-        first = np.concatenate([[0], np.cumsum(counts)])
+        count = int(g.integers(60, 120))  # rows per stream
+        sizes = g.choice([1, 2, 3, 3, 3, 4, 7, 12], size=5 * count)
+        streams = [CountingStream(cli.trial_rng(seed, j)) for j in range(5)]
+        ptr, rows = distinct_rows(streams, sizes, m, count)
+        first = np.arange(6) * count
         for j, (lo, hi) in enumerate(zip(first, first[1:])):
             assert streams[j].integer_draws >= 2  # the small rows' draw, then a redraw
             alone = cli.trial_rng(seed, j)
@@ -303,6 +304,19 @@ class TestGoldenStream:
         assert [sym.neighbors for sym in symbols[:4]] == [
             (81, 443), (513, 555, 728), (139, 177, 579, 729), (309, 657)
         ]
+        report = decode_with_doping(block, symbols, rng)
+        assert report.k_d == 13
+        assert report.doped_indices[:5] == (145, 700, 735, 256, 783)
+
+    def test_codec_trial_draws_the_pinned_layout(self):
+        # the layout written out above, the oracle: block, symbols, dopings
+        block, symbols, rng = codec_trial(1, 0, ideal_soliton(1000), 1000, 32)
+        want_rng = cli.trial_rng(1, 0)
+        want = SourceBlock.random(1000, 32, want_rng)
+        assert block == want
+        want_symbols = encode_symbols(want, ideal_soliton(1000), 1000, want_rng)
+        for rows in ("ptr", "neighbors", "payloads"):
+            assert np.array_equal(getattr(symbols, rows), getattr(want_symbols, rows))
         report = decode_with_doping(block, symbols, rng)
         assert report.k_d == 13
         assert report.doped_indices[:5] == (145, 700, 735, 256, 783)

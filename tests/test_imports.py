@@ -17,7 +17,12 @@ Stdlib ``ast`` scans, so no lint tool is needed:
 * every public function and class and every non-dunder method the package
   defines is named somewhere besides its definition, in the package, the
   tests, the benchmark scripts or the README: nothing is kept that no one
-  calls.
+  calls;
+* a source block is drawn (``SourceBlock.random``) only by
+  ``codec.codec_trial`` and ``network.build_network``, so each trial layout
+  is written once, and the one-step decoder calls the benchmark harness
+  alone still uses (``init_decoder``, ``process_ripple_symbol``,
+  ``dope_degree_two``) have no call site in the package.
 """
 
 import ast
@@ -237,3 +242,58 @@ def test_definition_scan_finds_an_unnamed_one():
         "Box (line 7)", "size (line 11)", "_spare (line 14)"
     ]
     assert unnamed_definitions(source, source + "Box().size(); Box._spare\n") == []
+
+
+def calls_to(source: str, names: set[str]) -> list[tuple[str, str, int]]:
+    """``(callee, caller, line)`` of every call of a name in ``names``,
+    spelled bare or after a dot (``codec.SourceBlock.random`` calls
+    ``SourceBlock.random``); the caller is the innermost enclosing function,
+    or ``<module>``."""
+    found = []
+
+    def visit(node, caller):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                callee = ast.unparse(child.func)
+                if any(callee == name or callee.endswith("." + name) for name in names):
+                    found.append((callee, caller, child.lineno))
+            visit(child, caller)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_source_blocks_drawn_by_the_trial_builders_alone():
+    drawers = {(module.name, caller) for module in PACKAGE.glob("*.py")
+               for _, caller, _ in calls_to(module.read_text(), {"SourceBlock.random"})}
+    assert drawers == {("codec.py", "codec_trial"), ("network.py", "build_network")}
+
+
+HARNESS_ONLY = {"init_decoder", "process_ripple_symbol", "dope_degree_two"}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_call_of_the_harness_only_steps(module):
+    assert calls_to(module.read_text(), HARNESS_ONLY) == []
+
+
+def test_call_scan_finds_planted_calls():
+    source = (
+        "def trial(rng):\n    return codec.SourceBlock.random(3, 4, rng)\n\n"
+        "class Bench:\n    def run(self, state):\n"
+        "        process_ripple_symbol(state)\n        SourceBlock.random(1, 1, None)\n\n"
+        "state = init_decoder(3, batch, 4)\ndraw = SourceBlock.random\n"
+        "codec.dope_degree_two(state, block.packet, rng)\n"
+    )
+    assert calls_to(source, {"SourceBlock.random"}) == [
+        ("codec.SourceBlock.random", "trial", 2), ("SourceBlock.random", "run", 7)
+    ]
+    assert calls_to(source, HARNESS_ONLY) == [
+        ("process_ripple_symbol", "run", 6), ("init_decoder", "<module>", 9),
+        ("codec.dope_degree_two", "<module>", 11),
+    ]
+    assert calls_to("state.drain(block.packet, rng, 5)\nSourceBlocks.random()\n",
+                    HARNESS_ONLY | {"SourceBlock.random"}) == []

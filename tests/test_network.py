@@ -122,21 +122,19 @@ class TestBuild:
     def test_fixed_small(self):
         net = build(k=7, h=1)
         assert net.total_storage_nodes == 7
-        assert all(net.squad_size(g) == 1 for g in range(1, 8))
+        assert all(len(net.squad(g).symbols) == 1 for g in range(1, 8))
 
     def test_fixed_large_counts_without_materializing(self, planning):
         net = build(k=1000, h=200)
         assert net.total_storage_nodes == 200_000
         assert planning == ([], [])  # building plans nothing
 
-    def test_squad_size_range_checked(self):
+    def test_squad_range_checked(self):
         # every squad holds h nodes, and a gap outside 1..k names no squad
         net = build(k=10, h=3, seed=1)
-        assert [net.squad_size(g) for g in range(1, 11)] == [3] * 10
+        assert [len(net.squad(g).symbols) for g in range(1, 11)] == [3] * 10
         for gap in (0, -1, -10, 11):
-            with pytest.raises(InvalidParameterError, match=f"no squad {gap} "):
-                net.squad_size(gap)
-            with pytest.raises(InvalidParameterError, match=f"no squad {gap} "):
+            with pytest.raises(InvalidParameterError, match=f"no squad {gap} on a ring of 10"):
                 net.squad(gap)
 
     def test_node_plans_deterministic(self):
@@ -257,7 +255,7 @@ class TestStorageListen:
         net = build(k=50, h=10, storage="coupon")
         seen = set()
         for gap in range(1, 51):
-            for idx in range(net.squad_size(gap)):
+            for idx in range(net.h):
                 sym = net.squad(gap).symbols[idx]
                 assert sym.degree == 1
                 assert sym.payload == net.block.packet(sym.neighbors[0])
@@ -344,8 +342,8 @@ class TestSquadPlans:
     def test_stored_symbols_well_formed(self, net):
         for gap in range(1, net.k + 1):
             plan = net.squad(gap)
-            assert len(plan.symbols) == net.squad_size(gap)
-            for idx in range(net.squad_size(gap)):
+            assert len(plan.symbols) == net.h
+            for idx in range(net.h):
                 slots, sym = slot_row(plan, idx), plan.symbols[idx]
                 assert list(sym.neighbors) == sorted(set(sym.neighbors))
                 assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= net.k
@@ -363,7 +361,7 @@ class TestSquadPlans:
         backward = {gap: twin.squad(int(gap)) for gap in shuffled}
         for gap in gaps:
             assert list(forward[gap].symbols) == list(backward[gap].symbols)
-            for idx in range(net.squad_size(gap)):
+            for idx in range(net.h):
                 assert slot_row(forward[gap], idx) == slot_row(backward[gap], idx)
 
     @given(net=networks())
@@ -430,7 +428,28 @@ class TestSquadPlans:
             assert symbols.neighbors.tolist() == (odd % (k + 1)).tolist()
 
 
+def walked_drain_order(k, collector):
+    """The drain order as a walk outwards, the oracle of the closed form:
+    the collector's gap, then left and right of it at each distance, one
+    gap at the antipode of an even ring."""
+    yield collector
+    for m in range(1, k // 2 + 1):
+        left, right = (collector - m - 1) % k + 1, (collector + m - 1) % k + 1
+        yield left
+        if right != left:
+            yield right
+
+
 class TestCollect:
+    @given(k=st.integers(min_value=1, max_value=400), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_drain_order_is_the_walk(self, k, data):
+        collector = data.draw(st.integers(min_value=1, max_value=k))
+        s = data.draw(st.integers(min_value=0, max_value=k))
+        walk = list(walked_drain_order(k, collector))
+        assert sorted(walk) == list(range(1, k + 1))
+        assert nw._drain_order(k, collector, s) == walk[:s]
+
     def test_network_freed_without_cycle_collection(self):
         net = build(k=20, h=5)
         symbols, _ = nw.collect(net, 1, 10)
@@ -473,6 +492,14 @@ class TestCollect:
         assert rep.s == costs.supersquad_squads(k_s, h)
         if k_s % h == 0:
             assert rep.supersquad_hops == k_s * (1 + (rep.s - 1) / 4)
+        # a partial last squad too: squad by squad, each symbol of the j-th
+        # squad drained at j/2 + 1 hops
+        hops, taken = 0.0, 0
+        for j in range(rep.s):
+            take = min(h, k_s - taken)
+            hops += take * (j / 2 + 1)
+            taken += take
+        assert taken == k_s and rep.supersquad_hops == hops
 
     def test_thousand_symbols_from_five_squads(self):
         net = build(k=1000, h=200, seed=12)
@@ -516,7 +543,7 @@ class TestCollect:
     def test_batch_concatenates_drained_squads(self, net, collector, share):
         k_s = round(share * net.total_storage_nodes)
         symbols, rep = nw.collect(net, (collector - 1) % net.k + 1, k_s)
-        assert all(net.squad_size(gap) > 0 for gap in rep.squads_drained)
+        assert len(set(rep.squads_drained)) == rep.s  # no squad drained twice
         drained = [sym for gap in rep.squads_drained for sym in net.squad(gap).symbols]
         assert len(symbols) == k_s and list(symbols) == drained[:k_s]
         assert not symbols.payloads.flags.writeable
@@ -569,7 +596,7 @@ class TestOnePassCollect:
         spec, collector, k_s = case
         net, twin = build(**spec), build(**spec)
         batch, rep = nw.collect(net, collector, k_s)
-        drained = list(nw._drain_order(net.k, collector))[:-(-k_s // net.h)]
+        drained = nw._drain_order(net.k, collector, -(-k_s // net.h))
         assert list(rep.squads_drained) == drained
         # the oracle: one squad at a time, last drained first
         plans = {gap: twin.squad(gap) for gap in reversed(drained)}
@@ -580,7 +607,7 @@ class TestOnePassCollect:
         everything, _ = nw.collect(net, collector, net.total_storage_nodes)
         assert_same_batch(everything[:k_s], batch)
         assert_same_batch(everything, joined(
-            [twin.squad(g).symbols for g in nw._drain_order(net.k, collector)]))
+            [twin.squad(g).symbols for g in nw._drain_order(net.k, collector, net.k)]))
 
     @pytest.mark.parametrize("kw", [
         dict(),
