@@ -8,7 +8,12 @@ a spike, trading coverage for stall resistance.
 
 import numpy as np
 
-from squadfountain import ideal_soliton, robust_soliton, robust_soliton_params, sample_degrees
+from squadfountain.degrees import (
+    ideal_soliton,
+    robust_soliton,
+    robust_soliton_params,
+    sample_degrees,
+)
 
 K = 1000
 

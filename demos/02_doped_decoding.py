@@ -7,12 +7,8 @@ ripple trajectory around the first stalls and the interdoping yields.
 
 import numpy as np
 
-from squadfountain import (
-    SourceBlock,
-    decode_with_doping,
-    encode_symbols,
-    ideal_soliton,
-)
+from squadfountain.codec import SourceBlock, decode_with_doping, encode_symbols
+from squadfountain.degrees import ideal_soliton
 
 K = 1000
 rng = np.random.default_rng(2024)

@@ -8,7 +8,7 @@ payload is the XOR of the sources its transmission names, so no packet
 data is needed to check that recovery is bit-exact.
 """
 
-from squadfountain import TransmissionSchedule
+from squadfountain.network import TransmissionSchedule
 
 for k in (7, 15):
     d1 = TransmissionSchedule("degree_one", k)

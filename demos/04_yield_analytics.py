@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from squadfountain import (
+from squadfountain.analytics import (
     expected_dopings,
     interdoping_yield_pmf,
     ripple_transition_matrix,

@@ -8,7 +8,8 @@ stragglers, which wins except on nearly node-free rings.
 
 import numpy as np
 
-from squadfountain import doping_table, minimize_cost, strategy_cost
+from squadfountain.analytics import doping_table
+from squadfountain.costs import minimize_cost, strategy_cost
 
 K = 2000
 grid = np.round(np.arange(7) * 0.01, 2).tolist()

@@ -19,6 +19,7 @@ import argparse
 import csv
 import io
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -33,6 +34,8 @@ _STORAGE = {"coupon": "coupon", "is": "is_combining", "rs": "rs_combining"}
 _HOP_MODELS = {"costeq": "eq_costeq", "sec2": "sec2"}
 # the network flags --network reads, with their defaults; decode-sim refuses them without it
 _NETWORK_FLAGS = dict(h=200.0, dissemination="d1", storage_input="degree_one_inputs", collector=1)
+# the Robust Soliton flags, read only where some code stored or decoded is rs
+_RS_FLAGS = dict(rs_c=0.1, rs_delta=0.5)
 
 # 2: Philox keyed by the pair (seed, trial), and one stream per storage squad
 # 3: codec symbols drawn as a batch (all degrees, then all neighbour rows),
@@ -133,10 +136,13 @@ def load_config_file(path: str) -> dict[str, str]:
 
 class _Parser(argparse.ArgumentParser):
     """Flags are spelled in full, and a bad argument raises ConfigError, so
-    main reports it in one line whether a flag or a config pair gave it."""
+    main reports it in one line whether a flag or a config pair gave it.  An
+    argument that starts with a minus and a digit is a value, not a flag:
+    argparse's own pattern takes no exponent and read ``-1e-2`` as a flag."""
 
     def __init__(self, **kwargs):
         super().__init__(allow_abbrev=False, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
     def error(self, message: str):
         raise ConfigError(message.removeprefix("argument "))
@@ -164,7 +170,8 @@ _seed = _typed(int, "an integer in 0..2**64-1", lambda seed: 0 <= seed < 2**64)
 _finite = _typed(float, "a finite number", math.isfinite)
 # disseminate's verify takes time k**2 (--k 10000: 5-9 s, 55-77 MB on a 2-core host)
 _ring = _typed(int, "an integer of at most 10000", lambda k: k <= 10_000)
-# one codec trial at k = k_s = 300,000 peaks near 300 MB and takes 2-3 s on that host
+# one codec trial at k = k_s = 300,000 peaks near 300 MB and takes 2-3 s on that host;
+# analyze --k and --t-max at the bound take 1.4 s / 177 MB and 5.5 s / 454 MB there
 _MAX_SYMBOLS = 2_000_000
 _sources = _typed(int, f"an integer of at most {_MAX_SYMBOLS}", lambda k: k <= _MAX_SYMBOLS)
 _trials = _typed(int, "an integer in 1..1000000", lambda n: 1 <= n <= 1_000_000)
@@ -197,8 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ks", type=int, help="upfront symbols, at most 2000000 (default k(1+delta))")
     p.add_argument("--delta", type=_finite, help="surplus (default 0); not with --ks")
     p.add_argument("--dist", default="is", help="comma list out of {is,rs}")
-    p.add_argument("--rs-c", type=float, default=0.1)
-    p.add_argument("--rs-delta", type=float, default=0.5)
+    p.add_argument("--rs-c", type=float, help="default 0.1; only with an rs code")
+    p.add_argument("--rs-delta", type=float, help="default 0.5; only with an rs code")
     p.add_argument("--trials", type=_trials, default=100, help="1..1000000")
     p.add_argument("--payload-len", type=_payload, default=32, help="bytes, at most 1024")
     p.add_argument("--network", nargs="?", const=True, default=False, type=_switch,
@@ -214,11 +221,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="analytic doping predictions and yield pmfs")
     common(p)
     p.set_defaults(run=cmd_analyze)
-    p.add_argument("--k", type=int, help="default 1000; not with --yield-lambda")
+    p.add_argument("--k", type=_sources,
+                   help="default 1000, at most 2000000; not with --yield-lambda")
     p.add_argument("--delta", type=_finite)
     p.add_argument("--delta-grid", help="a:b:step")
     p.add_argument("--yield-lambda", type=float, help="dump P(Y=t) at this intensity")
-    p.add_argument("--t-max", type=int, help="default 50; only with --yield-lambda")
+    p.add_argument("--t-max", type=_sources,
+                   help="default 50, at most 2000000; only with --yield-lambda")
 
     p = sub.add_parser("disseminate", help="ring dissemination round accounting")
     common(p)
@@ -229,14 +238,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="collection-cost curves and strategy tables")
     common(p)
     p.set_defaults(run=cmd_cost)
-    p.add_argument("--k", type=int, default=2000, help="at most 2000000 with --mc-kd")
+    p.add_argument("--k", type=_sources, default=2000, help="at most 2000000")
     p.add_argument("--h", default="10,15,30", help="comma list of squad sizes")
     p.add_argument("--delta-grid", help="a:b:step of the cost curve (default 0:0.06:0.01)")
     p.add_argument("--delta", type=_finite,
                    help="surplus for the doped strategy in the strategy table (default 0)")
     p.add_argument("--strategies", help="comma list; switches to strategy table")
     p.add_argument("--hop-model", choices=sorted(_HOP_MODELS), default="costeq")
-    p.add_argument("--eps-rs", type=float, default=0.5)
+    p.add_argument("--eps-rs", type=float,
+                   help="default 0.5; only with --strategies naming rs_no_doping")
     p.add_argument("--mc-kd", nargs="?", const=True, default=False, type=_switch,
                    help="simulate k_d instead of analytic")
     p.add_argument("--trials", type=_trials, default=50, help="per --mc-kd point, 1..1000000")
@@ -282,10 +292,13 @@ def cmd_decode_sim(args: argparse.Namespace) -> tuple[int, Table]:
     k_s = _upfront(args.ks if args.ks is not None else k * (1.0 + delta))
     if not args.network:
         _unread("decode-sim without --network", args, *_NETWORK_FLAGS, "storage")
-    vars(args).update({dest: value for dest, value in _NETWORK_FLAGS.items()
-                       if getattr(args, dest) is None})
     dists = _comma_list("--dist", args.dist, ("is", "rs"))
     coupon = args.network and args.storage == "coupon"
+    if coupon or "rs" not in dists:
+        _unread("decode-sim --storage coupon" if coupon else "decode-sim without --dist rs",
+                args, *_RS_FLAGS)
+    vars(args).update({dest: value for dest, value in (_NETWORK_FLAGS | _RS_FLAGS).items()
+                       if getattr(args, dest) is None})
     if coupon and len(dists) > 1:
         raise ConfigError("--storage coupon stores single packets whatever the code; "
                           f"give one --dist, not {args.dist!r}")
@@ -392,17 +405,19 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
     if args.strategies is not None:
         _unread("cost --strategies", args, "delta_grid")
         delta = 0.0 if args.delta is None else args.delta
-        points = [(name, delta) for name in _comma_list("--strategies", args.strategies)]
+        names = _comma_list("--strategies", args.strategies)
+        if "rs_no_doping" not in names:
+            _unread("cost --strategies without rs_no_doping", args, "eps_rs")
+        points = [(name, delta) for name in names]
     else:
-        _unread("a cost curve (no --strategies)", args, "delta")
+        _unread("a cost curve (no --strategies)", args, "delta", "eps_rs")
         meta["delta_grid"] = "0:0.06:0.01" if args.delta_grid is None else args.delta_grid
         points = [("is_doping", d) for d in parse_delta_grid(meta["delta_grid"])]
+    eps_rs = 0.5 if args.eps_rs is None else args.eps_rs
     deltas = list(dict.fromkeys(d for name, d in points if name == "is_doping"))
     kd_table: dict[float, float] = {}
     if args.mc_kd:
         # decode-sim's mean over its IS codec trials at k_s = round(k(1+delta))
-        if k > _MAX_SYMBOLS:
-            raise ConfigError(f"cost --mc-kd simulates at most {_MAX_SYMBOLS} sources, not {k}")
         ks = {d: _upfront(k * (1.0 + d)) for d in deltas}
         trials, dist = range(args.trials), ideal_soliton(k)
         kd_table = {d: float(codec_dopings(args.seed, trials, dist, ks[d], 32).mean())
@@ -413,7 +428,7 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
     for h in h_values:
         for name, delta in points:
             point = costs.strategy_cost(
-                name, k, h, delta=delta, eps_rs=args.eps_rs,
+                name, k, h, delta=delta, eps_rs=eps_rs,
                 k_d=kd_table[delta] if name == "is_doping" else None,
                 hop_model=hop_model,
             )
@@ -424,7 +439,7 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
         "h": args.h,
         "strategies": args.strategies,
         "hop_model": args.hop_model,
-        "eps_rs": args.eps_rs,
+        "eps_rs": eps_rs,
         "mc_kd": args.mc_kd,
         "trials": args.trials,
     }

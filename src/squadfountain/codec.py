@@ -366,10 +366,6 @@ class DecoderState:
     # -- inspection ---------------------------------------------------------
 
     @property
-    def decoded_count(self) -> int:
-        return len(self._order)
-
-    @property
     def finished(self) -> bool:
         return len(self._order) == self.k
 

@@ -131,7 +131,6 @@ def minimize_cost(
     k: int,
     h: float,
     delta_grid: np.ndarray,
-    hop_model: str = "eq_costeq",
     kd_by_delta: dict[float, float] | None = None,
 ) -> tuple[float, CostPoint]:
     """Cheapest doped operating point over the surplus grid (ties: smallest).
@@ -149,8 +148,7 @@ def minimize_cost(
     if missing:
         raise InvalidParameterError(f"kd_by_delta has no k_d at delta {missing}")
     best = min(
-        (strategy_cost("is_doping", k, h, delta=d, k_d=kd_by_delta[d], hop_model=hop_model)
-         for d in grid),
+        (strategy_cost("is_doping", k, h, delta=d, k_d=kd_by_delta[d]) for d in grid),
         key=lambda point: point.c_T,
     )
     return best.delta, best

@@ -59,14 +59,6 @@ class DegreeDistribution:
             raise InvalidParameterError("weights must have positive total mass")
         return cls(k=len(w) - 1, pmf=w / s)
 
-    @classmethod
-    def point_mass(cls, k: int, d: int) -> "DegreeDistribution":
-        if not 1 <= d <= k:
-            raise InvalidParameterError(f"degree {d} outside 1..{k}")
-        pmf = np.zeros(k + 1)
-        pmf[d] = 1.0
-        return cls(k=k, pmf=pmf)
-
 
 def ideal_soliton(k: int) -> DegreeDistribution:
     """Ideal Soliton: pmf[1] = 1/k, pmf[d] = 1/(d(d-1)) for d = 2..k.

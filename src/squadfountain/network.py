@@ -101,6 +101,10 @@ class NetworkConfig:
             raise InvalidParameterError(
                 "degree_two_inputs requires degree_two_combining dissemination"
             )
+        if self.storage == "coupon" and self.storage_combine_input == "degree_two_inputs":
+            raise InvalidParameterError(
+                "coupon nodes store one source packet, so they take no degree_two_inputs"
+            )
 
     def degree_distribution(self) -> DegreeDistribution | None:
         if self.storage == "is_combining":

@@ -218,7 +218,15 @@ class TestPoissonFromSpecial:
         return out.stdout.strip()
 
     def test_import_leaves_scipy_stats_unloaded(self):
-        code = "import sys, squadfountain; print('scipy.stats' in sys.modules)"
+        # every module but __main__, which runs the CLI when imported
+        names = sorted(p.stem for p in Path(an.__file__).parent.glob("*.py")
+                       if not p.stem.startswith("__"))
+        code = (
+            "import importlib, sys\n"
+            f"for name in {names!r}:\n"
+            "    importlib.import_module('squadfountain.' + name)\n"
+            "print('scipy.stats' in sys.modules)"
+        )
         assert self.fresh_interpreter(code) == "False"
 
     def test_monte_carlo_paths_load_no_scipy(self, tmp_path):
@@ -230,7 +238,7 @@ class TestPoissonFromSpecial:
         ]
         runs = [[*argv, "--out", str(tmp_path / f"{i}.csv")] for i, argv in enumerate(runs)]
         code = (
-            "import sys, squadfountain\n"
+            "import sys\n"
             "from squadfountain.cli import main\n"
             f"print([main(argv) for argv in {runs!r}], 'scipy' in sys.modules)"
         )
@@ -238,9 +246,10 @@ class TestPoissonFromSpecial:
 
     def test_analytic_routines_load_scipy_special_only(self):
         code = (
-            "import sys, numpy as np, squadfountain as sf\n"
-            "sf.expected_dopings(100, 0.0)\n"
-            "sf.simulate_walk_stopping_times(1.0, 10, 5, np.random.default_rng(1))\n"
+            "import sys, numpy as np\n"
+            "from squadfountain import analytics\n"
+            "analytics.expected_dopings(100, 0.0)\n"
+            "analytics.simulate_walk_stopping_times(1.0, 10, 5, np.random.default_rng(1))\n"
             "print('scipy.special' in sys.modules, 'scipy.stats' in sys.modules)"
         )
         assert self.fresh_interpreter(code) == "True False"

@@ -348,12 +348,52 @@ class TestNonFiniteNumbers:
          "--delta-grid", "0:0.01:0.01"],
         ["cost", "--k", "50", "--h", "10", "--mc-kd", "--trials", "1",
          "--delta-grid", "0:1e300:1e299"],
+        # analytic sizes, bounded while parsing like decode-sim's
+        ["analyze", "--k", "1000000000000"],
+        ["analyze", "--k", "2000001"],
+        ["analyze", "--yield-lambda", "1", "--t-max", "1000000000000"],
+        ["analyze", "--yield-lambda", "1", "--t-max", "2000001"],
+        ["cost", "--k", "1000000000000", "--h", "10"],
+        ["cost", "--k", "1000000000000", "--strategies", "coupon"],
+        ["cost", "--k", "2000001", "--h", "10"],
+        # flags the run never reads
+        ["decode-sim", "--network", "--k", "30", "--h", "10", "--trials", "2",
+         "--storage", "coupon", "--dissemination", "d2", "--storage-input", "degree_two_inputs"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--dist", "is", "--rs-c", "5",
+         "--rs-delta", "7"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--rs-delta", "0.5"],
+        ["decode-sim", "--network", "--k", "30", "--h", "10", "--trials", "1",
+         "--dist", "rs", "--storage", "coupon", "--rs-c", "0.1"],
+        ["cost", "--strategies", "is_doping", "--eps-rs", "7", "--h", "10"],
+        ["cost", "--strategies", "polling,coupon", "--eps-rs", "0.5", "--h", "10"],
+        ["cost", "--eps-rs", "0.5", "--h", "10"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])
         assert code == 2 and text == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, flag, forms", [
+        (["decode-sim", "--k", "50", "--trials", "1"], "--delta", ["-1e-1", "-0.1", "=-1e-1"]),
+        (["decode-sim", "--k", "50", "--trials", "1"], "--delta", ["-1E-1", "-.1", "=-1E-1"]),
+        (["analyze", "--k", "100"], "--delta", ["-1e-2", "-0.01", "=-1e-2"]),
+        (["cost", "--strategies", "is_doping", "--h", "10"], "--delta",
+         ["-1e-2", "-0.01", "=-1e-2"]),
+        (["decode-sim", "--network", "--k", "30", "--h", "10", "--trials", "1"],
+         "--collector", ["-1e3", "=-1e3"]),
+    ])
+    def test_negative_exponent_is_a_value(self, tmp_path, capsys, argv, flag, forms):
+        # argparse alone reads -1e-1 as a flag: "--delta: expected one argument"
+        runs = []
+        for form in forms:
+            given = [flag + form] if form.startswith("=") else [flag, form]
+            code, text = run_to_file(tmp_path, f"n{len(runs)}.csv", argv + given + ["--seed", "1"])
+            runs.append((code, text, capsys.readouterr().err))
+        assert runs == [runs[0]] * len(forms)
+        code, text, err = runs[0]
+        assert code == 0 and text or code == 2 and err.count("\n") == 1
+        assert "expected one argument" not in err
 
 
 class TestDisseminate:

@@ -84,24 +84,29 @@ class TestSourceBlock:
             SourceBlock(k=k, payload_len=payload_len, data=bytes(size))
 
 
+def point_mass(k: int, d: int) -> DegreeDistribution:
+    """Every symbol of degree ``d``."""
+    return DegreeDistribution.from_weights(np.eye(k + 1)[d])
+
+
 class TestEncoding:
     def test_degree_one_copies_packet(self):
         block = make_block(10)
-        dist = DegreeDistribution.point_mass(10, 1)
+        dist = point_mass(10, 1)
         (sym,) = encode_symbols(block, dist, 1, np.random.default_rng(1))
         assert sym.degree == 1
         assert sym.payload == block.packet(sym.neighbors[0])
 
     def test_full_degree_xors_everything(self):
         block = make_block(8)
-        dist = DegreeDistribution.point_mass(8, 8)
+        dist = point_mass(8, 8)
         (sym,) = encode_symbols(block, dist, 1, np.random.default_rng(2))
         assert sym.neighbors == tuple(range(1, 9))
         assert sym.payload == xor_of(block, range(1, 9))
 
     def test_equal_neighbor_sets_cancel(self):
         block = make_block(12)
-        dist = DegreeDistribution.point_mass(12, 12)
+        dist = point_mass(12, 12)
         rng = np.random.default_rng(3)
         a, b = encode_symbols(block, dist, 2, rng)
         assert a.neighbors == b.neighbors
@@ -129,7 +134,7 @@ def encodings(draw, max_k=24):
     elif kind == "rs":
         dist = robust_soliton(k, 0.1, 0.5)
     else:
-        dist = DegreeDistribution.point_mass(k, draw(st.integers(1, k)))
+        dist = point_mass(k, draw(st.integers(1, k)))
     n = draw(st.integers(min_value=0, max_value=2 * k))
     payload_len = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 32, 33]))
     return dist, n, payload_len, draw(st.integers(min_value=0, max_value=2**32 - 1))
@@ -507,8 +512,8 @@ class TestPeeling:
         state = init_decoder(3, batch_of(block, (1,), (1, 2), (2, 3)), 4)
         for expected in (1, 2, 3):
             process_ripple_symbol(state)
-            assert state.decoded_count == expected
-            assert state.decoded_count + len(state.undecoded) == 3
+            assert len(state.decoded) == expected
+            assert len(state.decoded) + len(state.undecoded) == 3
 
 
 class TestDoping:

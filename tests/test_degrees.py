@@ -80,7 +80,7 @@ class TestRobustSoliton:
 
 class TestSampling:
     def test_point_mass_always_two(self):
-        dist = DegreeDistribution.point_mass(10, 2)
+        dist = DegreeDistribution.from_weights(np.eye(11)[2])
         rng = np.random.default_rng(0)
         assert np.all(sample_degrees(dist, rng, 200) == 2)
 

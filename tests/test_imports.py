@@ -2,8 +2,9 @@
 
 Stdlib ``ast`` scans, so no lint tool is needed:
 
-* every name a module imports is used in that module (``__init__.py`` is
-  skipped, since its imports are the package's exports);
+* ``__init__.py`` holds its docstring and ``__version__`` alone: every
+  name is imported from its module, so there is one import path to it;
+* every name a module imports is used in that module;
 * no module reads a private name of another package module, through that
   module as in ``analytics._schedule`` or by importing it as in
   ``from .codec import _csr_ptr``: what one module needs of another is
@@ -16,8 +17,8 @@ Stdlib ``ast`` scans, so no lint tool is needed:
   errors by their types;
 * every public function and class and every non-dunder method the package
   defines is named somewhere besides its definition, in the package, the
-  tests, the benchmark scripts or the README: nothing is kept that no one
-  calls;
+  demos, the benchmark scripts or the README: nothing is kept that only
+  the tests call;
 * a source block is drawn (``SourceBlock.random``) only by
   ``codec.codec_trial`` and ``network.build_network``, so each trial layout
   is written once, and the one-step decoder calls the benchmark harness
@@ -33,12 +34,42 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "squadfountain"
-MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-PACKAGE_MODULES = {p.stem for p in PACKAGE.glob("*.py")}
+MODULES = sorted(PACKAGE.glob("*.py"))
+PACKAGE_MODULES = {p.stem for p in MODULES}
 RAISABLE = {
     node.name for node in ast.parse((PACKAGE / "errors.py").read_text()).body
     if isinstance(node, ast.ClassDef)
 } | {"SystemExit", "argparse.ArgumentTypeError"}
+
+
+def root_extras(source: str) -> list[str]:
+    """Top-level statements of a package root besides its docstring and the
+    ``__version__`` assignment, each as its first line."""
+    return [
+        f"{ast.unparse(node).splitlines()[0]} (line {node.lineno})"
+        for i, node in enumerate(ast.parse(source).body)
+        if not (i == 0 and isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str))
+        and not (isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__version__")
+    ]
+
+
+def test_package_root_holds_only_its_version():
+    assert root_extras((PACKAGE / "__init__.py").read_text()) == []
+
+
+def test_root_scan_finds_imports_and_definitions():
+    source = (
+        '"""Doc."""\n\nfrom .codec import SourceBlock\nfrom . import network\n'
+        "import squadfountain.costs\n__all__ = ['SourceBlock']\n__version__ = '0.1.0'\n"
+        "def f():\n    pass\n"
+    )
+    assert root_extras(source) == [
+        "from .codec import SourceBlock (line 3)", "from . import network (line 4)",
+        "import squadfountain.costs (line 5)", "__all__ = ['SourceBlock'] (line 6)",
+        "def f(): (line 8)",
+    ]
+    assert root_extras('"""Doc."""\n__version__ = "0.1.0"\n') == []
 
 
 def unused_imports(source: str) -> list[str]:
@@ -119,7 +150,7 @@ def test_scan_finds_a_stranded_import():
     assert unused_imports("import numpy as np\nnp.zeros(1)\n") == []
 
 
-@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_private_reads_across_modules(module):
     assert private_module_reads(module.read_text()) == []
 
@@ -151,7 +182,7 @@ def test_scan_passes_public_and_non_module_reads():
     assert private_module_reads(source) == []
 
 
-@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_runs_on_python_3_10(module):
     source = module.read_text()
     ast.parse(source, feature_version=(3, 10))
@@ -182,7 +213,7 @@ def stray_raises(source: str) -> list[str]:
     return [text for _, text in sorted(found)]
 
 
-@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_raises_name_package_errors(module):
     assert stray_raises(module.read_text()) == []
 
@@ -224,11 +255,11 @@ def unnamed_definitions(source: str, corpus: str) -> list[str]:
 
 
 def test_every_definition_is_named_elsewhere():
-    readers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").rglob("*.py"),
+    readers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
                *(ROOT / "benchmarks").glob("*.py"), ROOT / "README.md"]
     corpus = "\n".join(path.read_text() for path in readers)
     unnamed = {module.name: unnamed_definitions(module.read_text(), corpus)
-               for module in sorted(PACKAGE.glob("*.py"))}
+               for module in MODULES}
     assert {name: found for name, found in unnamed.items() if found} == {}
 
 
@@ -267,7 +298,7 @@ def calls_to(source: str, names: set[str]) -> list[tuple[str, str, int]]:
 
 
 def test_source_blocks_drawn_by_the_trial_builders_alone():
-    drawers = {(module.name, caller) for module in PACKAGE.glob("*.py")
+    drawers = {(module.name, caller) for module in MODULES
                for _, caller, _ in calls_to(module.read_text(), {"SourceBlock.random"})}
     assert drawers == {("codec.py", "codec_trial"), ("network.py", "build_network")}
 
@@ -275,7 +306,7 @@ def test_source_blocks_drawn_by_the_trial_builders_alone():
 HARNESS_ONLY = {"init_decoder", "process_ripple_symbol", "dope_degree_two"}
 
 
-@pytest.mark.parametrize("module", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)
 def test_no_call_of_the_harness_only_steps(module):
     assert calls_to(module.read_text(), HARNESS_ONLY) == []
 

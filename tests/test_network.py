@@ -262,10 +262,12 @@ class TestStorageListen:
                 seen.add(sym.neighbors[0])
         assert len(seen) > 40  # 500 uniform draws cover most of 50 sources
 
-    def test_coupon_nodes_ignore_degree_two_inputs(self):
+    def test_coupon_nodes_reject_degree_two_inputs(self):
         # a coupon node stores one source packet, never an overheard slot
-        net = build(k=21, h=5, storage="coupon", dissemination="degree_two_combining",
-                    storage_combine_input="degree_two_inputs")
+        with pytest.raises(InvalidParameterError, match="coupon nodes store one source packet"):
+            NetworkConfig(k=21, h=5, storage="coupon", dissemination="degree_two_combining",
+                          storage_combine_input="degree_two_inputs")
+        net = build(k=21, h=5, storage="coupon", dissemination="degree_two_combining")
         for sym in stored_symbols(net):
             assert sym.degree == 1
             assert sym.payload == net.block.packet(sym.neighbors[0])
@@ -320,15 +322,18 @@ def specs(draw, max_k):
     """The ``build`` arguments of small networks over every squad size of
     one to four nodes, storage mode and input kind."""
     dissemination = draw(st.sampled_from(nw.DISSEMINATION_MODES))
-    return dict(
+    spec = dict(
         k=draw(st.integers(min_value=3, max_value=max_k)),
         h=draw(st.integers(min_value=1, max_value=4)),
         seed=draw(st.integers(min_value=0, max_value=2**32 - 1)),
         dissemination=dissemination,
         storage=draw(st.sampled_from(nw.STORAGE_MODES)),
-        storage_combine_input=draw(st.sampled_from(nw.STORAGE_INPUTS))
-        if dissemination == "degree_two_combining" else "degree_one_inputs",
     )
+    # coupon nodes store one source packet, so they take degree-one inputs
+    combines = dissemination == "degree_two_combining" and spec["storage"] != "coupon"
+    spec["storage_combine_input"] = (draw(st.sampled_from(nw.STORAGE_INPUTS)) if combines
+                                     else "degree_one_inputs")
+    return spec
 
 
 def networks():
