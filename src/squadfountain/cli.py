@@ -17,16 +17,17 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import math
 import re
 import sys
+from collections.abc import Iterable
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import analytics, codec, costs
 from .degrees import ideal_soliton, robust_soliton
 from .errors import ConfigError, ExhaustedNetworkError, InvalidParameterError
-from .network import NetworkConfig, TransmissionSchedule, codec_dopings, network_dopings
+from .network import NetworkConfig, TransmissionSchedule, network_trial
 
 trial_rng = codec.trial_rng  # no command here draws through it; benchmarks/workloads.py does
 _DISSEMINATION = {"d1": "degree_one", "d2": "degree_two_combining"}
@@ -59,19 +60,16 @@ def fmt(value, digits: int = 9) -> str:
     return str(value)
 
 
-def write_csv(out_path: str | None, meta: dict, header: list[str], rows: list[tuple]) -> None:
-    """Write ``#`` metadata lines sorted by key, the header, then each row's
-    values in header order; a field holding a comma is quoted."""
-    body = io.StringIO()
-    writer = csv.writer(body, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(map(fmt, row) for row in rows)
-    text = "".join(f"# {key}={fmt(meta[key])}\n" for key in sorted(meta)) + body.getvalue()
-    if out_path is None or out_path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", newline="\n") as fp:
-            fp.write(text)
+def write_csv(out_path: str | None, meta: dict, header: list[str], rows: Iterable[tuple]) -> None:
+    """Stream ``#`` metadata lines sorted by key, the header, then each row's
+    values in header order, to the file or stdout; a field holding a comma
+    is quoted."""
+    to_stdout = out_path is None or out_path == "-"
+    with nullcontext(sys.stdout) if to_stdout else open(out_path, "w", newline="\n") as fp:
+        fp.writelines(f"# {key}={fmt(meta[key])}\n" for key in sorted(meta))
+        writer = csv.writer(fp, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(map(fmt, row) for row in rows)
 
 
 _MAX_GRID_POINTS = 100_000
@@ -171,7 +169,7 @@ _finite = _typed(float, "a finite number", math.isfinite)
 # disseminate's verify takes time k**2 (--k 10000: 5-9 s, 55-77 MB on a 2-core host)
 _ring = _typed(int, "an integer of at most 10000", lambda k: k <= 10_000)
 # one codec trial at k = k_s = 300,000 peaks near 300 MB and takes 2-3 s on that host;
-# analyze --k and --t-max at the bound take 1.4 s / 177 MB and 5.5 s / 454 MB there
+# analyze --k and --t-max at the bound take 1.4 s / 177 MB and 4.2-4.7 s / 162 MB there
 _MAX_SYMBOLS = 2_000_000
 _sources = _typed(int, f"an integer of at most {_MAX_SYMBOLS}", lambda k: k <= _MAX_SYMBOLS)
 _trials = _typed(int, "an integer in 1..1000000", lambda n: 1 <= n <= 1_000_000)
@@ -281,7 +279,7 @@ def _with_config(argv: list[str]) -> list[str]:
 
 # A command returns its exit code and its table, (meta, header, rows) with
 # each row's values in header order; main adds command and seed to meta.
-Table = tuple[dict, list[str], list[tuple]]
+Table = tuple[dict, list[str], Iterable[tuple]]
 
 
 def cmd_decode_sim(args: argparse.Namespace) -> tuple[int, Table]:
@@ -320,11 +318,13 @@ def cmd_decode_sim(args: argparse.Namespace) -> tuple[int, Table]:
                 rs_delta=args.rs_delta,
                 payload_len=args.payload_len,
             )
-            kd_values = network_dopings(args.seed, trials, cfg, args.collector, k_s)
+            sample = (network_trial(args.seed, t, cfg, args.collector, k_s) for t in trials)
         else:
             dist = (ideal_soliton(k) if dist_name == "is"
                     else robust_soliton(k, args.rs_c, args.rs_delta))
-            kd_values = codec_dopings(args.seed, trials, dist, k_s, args.payload_len)
+            sample = (codec.codec_trial(args.seed, t, dist, k_s, args.payload_len)
+                      for t in trials)
+        kd_values = codec.dopings(sample)
         kd = kd_values.astype(float)
         pd = 100.0 * kd / k
         rows += [
@@ -361,8 +361,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[int, Table]:
         pmf = analytics.interdoping_yield_pmf(args.yield_lambda, t_max)
         meta = {"mode": "yield_pmf", "yield_lambda": args.yield_lambda, "t_max": t_max,
                 "tail": pmf.tail}
-        rows = [(t, float(pmf.probs[t])) for t in range(pmf.t_max + 1)]
-        return 0, (meta, ["t", "prob"], rows)
+        return 0, (meta, ["t", "prob"], enumerate(pmf.probs.tolist()))
     _unread("analyze without --yield-lambda", args, "t_max")
     if args.delta_grid is not None:
         _unread("analyze --delta-grid", args, "delta")
@@ -420,7 +419,8 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
         # decode-sim's mean over its IS codec trials at k_s = round(k(1+delta))
         ks = {d: _upfront(k * (1.0 + d)) for d in deltas}
         trials, dist = range(args.trials), ideal_soliton(k)
-        kd_table = {d: float(codec_dopings(args.seed, trials, dist, ks[d], 32).mean())
+        kd_table = {d: float(codec.dopings(codec.codec_trial(args.seed, t, dist, ks[d], 32)
+                                           for t in trials).mean())
                     for d in deltas}
     elif deltas:
         kd_table = {d: pred.k_d for d, pred in analytics.doping_table(k, deltas).items()}

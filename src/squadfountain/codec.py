@@ -27,7 +27,7 @@ i.e. uncovered, symbols.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -584,3 +584,11 @@ def decode_with_doping(
         defected_total=state.defected_total,
         state=state,
     )
+
+
+def dopings(
+    trials: Iterable[tuple[SourceBlock, SymbolBatch, np.random.Generator]]
+) -> np.ndarray:
+    """The k_d of ``decode_with_doping(*trial)`` for each (block, batch, rng)
+    trial, as ``codec_trial`` and ``network.network_trial`` lay them out."""
+    return np.fromiter((decode_with_doping(*trial).k_d for trial in trials), np.int64)

@@ -34,7 +34,6 @@ from .codec import (
     DecodeReport,
     SourceBlock,
     SymbolBatch,
-    codec_trial,
     csr_ptr,
     decode_with_doping,
     distinct_rows,
@@ -112,22 +111,6 @@ class NetworkConfig:
         if self.storage == "rs_combining":
             return robust_soliton(self.k, self.rs_c, self.rs_delta)
         return None  # coupon nodes always store a single packet
-
-
-@dataclass(frozen=True)
-class SquadPlan:
-    """Every node of one squad: the slots it stores and the symbol it holds.
-
-    Node i stores the slots ``slots[slot_ptr[i]:slot_ptr[i+1]]`` (sorted) and
-    holds ``symbols[i]``, which covers the sources those slots combine.  For
-    degree-one inputs (and coupon storage) slots are source indices; for
-    degree-two inputs they index the squad's overheard transmission list
-    (left relay's rounds first, then the right relay's).
-    """
-
-    slot_ptr: np.ndarray
-    slots: np.ndarray
-    symbols: SymbolBatch
 
 
 _VERIFY_CHUNK = 64  # relays per vectorised verify pass; bounds its memory
@@ -253,18 +236,13 @@ class Network:
     def total_storage_nodes(self) -> int:
         return self.k * self.h
 
-    def squad(self, gap: int) -> SquadPlan:
-        """The plans and symbols of every node in squad ``gap``, made anew from
-        the squad's stream; each payload XORs the covered sources."""
-        if not 1 <= gap <= self.k:
-            raise InvalidParameterError(f"no squad {gap} on a ring of {self.k}")
-        return self._plan([gap])
-
-    def _plan(self, gaps: list[int]) -> SquadPlan:
-        """One plan of every node in the squads ``gaps`` (each in 1..k), made
-        in one vectorised pass.  Squad g draws from its own stream,
-        ``trial_rng(node_key, g)``, what planning it alone draws: its coupon
-        sources, or its degrees' uniforms and then its ``distinct_rows`` draws."""
+    def _plan(self, gaps: list[int]) -> SymbolBatch:
+        """The symbols of every node in the squads ``gaps`` (each in 1..k),
+        squad by squad, planned in one vectorised pass and never kept.  Squad
+        g draws from its own stream, ``trial_rng(node_key, g)``, what planning
+        it alone draws: its coupon sources, or its degrees' uniforms and then
+        its ``distinct_rows`` draws.  A node's slots are its sources, or for
+        degree-two inputs its overheard transmissions (``_plan_rows``)."""
         rngs = [trial_rng(self._node_key, gap) for gap in gaps]
         if self.cfg.storage == "coupon":
             ptr = csr_ptr(np.ones(len(gaps) * self.h, np.int64))
@@ -276,13 +254,11 @@ class Network:
                 slots += 1  # a subset of sources, which count from 1
         if self._combines_slots:
             return self._plan_rows(np.repeat(np.repeat(gaps, self.h), np.diff(ptr)), ptr, slots)
-        symbols = symbols_from_rows(self.block, ptr, slots)
-        # the slots are the sources, kept as the batch's read-only arrays
-        return SquadPlan(symbols.ptr, symbols.neighbors, symbols)
+        return symbols_from_rows(self.block, ptr, slots)
 
-    def _plan_rows(self, gap, ptr: np.ndarray, slots: np.ndarray) -> SquadPlan:
-        """Attach to each row of degree-two slots the symbol over the sources
-        it covers; ``gap`` is the squad of every slot, or of each one.
+    def _plan_rows(self, gap, ptr: np.ndarray, slots: np.ndarray) -> SymbolBatch:
+        """The symbol of each row of degree-two slots, over the sources it
+        covers; ``gap`` is the squad of every slot, or of each one.
 
         A squad's overheard transmissions are linearly independent over
         GF(2): taken from the outermost round inwards, each covers a source
@@ -306,7 +282,7 @@ class Network:
         heard_once = keys[lone[:-1] & lone[1:]]
         nbr_ptr = csr_ptr(np.bincount(heard_once >> shift, minlength=n))
         sources = heard_once & ((1 << shift) - 1)
-        return SquadPlan(ptr, slots, symbols_from_rows(self.block, nbr_ptr, sources))
+        return symbols_from_rows(self.block, nbr_ptr, sources)
 
 
 def build_network(cfg: NetworkConfig, rng: np.random.Generator) -> Network:
@@ -386,9 +362,10 @@ def collect(
     if not drained:
         empty = np.zeros((0, net.block.payload_len), np.uint8)
         return SymbolBatch(np.zeros(1, np.int64), np.zeros(0, np.int64), empty), report
-    return net._plan(drained).symbols[:k_s], report
+    return net._plan(drained)[:k_s], report
 
 
+# Harness-only: benchmarks/workloads.py calls this, the package never does.
 def simulate_collection_with_doping(
     net: Network,
     collector_relay: int,
@@ -409,25 +386,12 @@ def simulate_collection_with_doping(
     return report, creport
 
 
-def codec_dopings(
-    seed: int, streams, dist: DegreeDistribution, k_s: int, payload_len: int
-) -> np.ndarray:
-    """k_d of one direct-encoding trial per stream: ``codec_trial`` draws the
-    block and k_s symbols from ``dist``, then the same stream the dopings."""
-    kd = np.empty(len(streams), dtype=np.int64)
-    for i, stream in enumerate(streams):
-        kd[i] = decode_with_doping(*codec_trial(seed, stream, dist, k_s, payload_len)).k_d
-    return kd
-
-
-def network_dopings(
-    seed: int, streams, cfg: NetworkConfig, collector_relay: int, k_s: int
-) -> np.ndarray:
-    """k_d of one network trial per stream: ``trial_rng(seed, stream)`` builds
-    the network, then draws the dopings of collecting k_s symbols."""
-    kd = np.empty(len(streams), dtype=np.int64)
-    for i, stream in enumerate(streams):
-        rng = trial_rng(seed, stream)
-        net = build_network(cfg, rng)
-        kd[i] = simulate_collection_with_doping(net, collector_relay, k_s, rng)[0].k_d
-    return kd
+def network_trial(
+    seed: int, stream: int, cfg: NetworkConfig, collector_relay: int, k_s: int
+) -> tuple[SourceBlock, SymbolBatch, np.random.Generator]:
+    """One network trial: ``trial_rng(seed, stream)`` builds the network,
+    ``collect`` gathers k_s symbols, and the stream is returned for the
+    dopings."""
+    rng = trial_rng(seed, stream)
+    net = build_network(cfg, rng)
+    return net.block, collect(net, collector_relay, k_s)[0], rng

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import analytics, costs
 from .cli import fmt, main as cli_main
-from .codec import DecoderState, codec_trial, decode_with_doping, trial_rng
+from .codec import DecoderState, codec_trial, decode_with_doping, dopings, trial_rng
 from .degrees import ideal_soliton, robust_soliton
-from .network import NetworkConfig, TransmissionSchedule, codec_dopings, network_dopings
+from .network import NetworkConfig, TransmissionSchedule, network_trial
 
 DEFAULT_SEED = 20260810
 
@@ -83,7 +83,7 @@ def network_doping_sample(seed: int) -> tuple[np.ndarray, float]:
     cfg = NetworkConfig(k=1000, h=200, dissemination="degree_one",
                         storage="is_combining", payload_len=32)
     streams = STREAM_RANGES["network_doping_sample"][:SAMPLE_TRIALS]
-    sample = network_dopings(seed, streams, cfg, 1, 1000)
+    sample = dopings(network_trial(seed, s, cfg, 1, 1000) for s in streams)
     return sample, time.perf_counter() - start
 
 
@@ -92,7 +92,7 @@ def codec_doping_sample(dist_name: str, seed: int) -> np.ndarray:
     """k_d samples for k=1000, k_s=1000, direct encoding with IS or RS."""
     dist = ideal_soliton(1000) if dist_name == "is" else robust_soliton(1000, 0.1, 0.5)
     streams = STREAM_RANGES["codec_doping_sample"][:SAMPLE_TRIALS]
-    return codec_dopings(seed, streams, dist, 1000, 32)
+    return dopings(codec_trial(seed, s, dist, 1000, 32) for s in streams)
 
 
 # ---------------------------------------------------------------------------

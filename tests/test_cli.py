@@ -8,6 +8,7 @@ import pytest
 
 from squadfountain import analytics, cli, codec, network, validation
 from squadfountain.cli import main, parse_delta_grid, load_config_file
+from squadfountain.degrees import ideal_soliton, robust_soliton
 from squadfountain.errors import ConfigError
 
 
@@ -155,6 +156,27 @@ class TestDecodeSim:
         assert err.startswith(f"error: --storage {storage} ") and "leave --storage unset" in err
         code, text = run_to_file(tmp_path, "u.csv", common)
         assert code == 0 and f"# storage={dist}\n" in text
+
+    @pytest.mark.parametrize("argv", [
+        ["--dist", "is,rs"],
+        ["--network", "--h", "20", "--dissemination", "d2", "--storage-input",
+         "degree_two_inputs"],
+    ], ids=["codec", "network"])
+    def test_kd_column_is_dopings_over_the_trials(self, tmp_path, argv):
+        _, text = run_to_file(tmp_path, "kd.csv", ["decode-sim", "--k", "80", "--ks", "90",
+                                                   "--trials", "4", "--seed", "9", *argv])
+        _, rows = data_rows(text)
+        for name in {r["strategy"] for r in rows}:
+            if "--network" in argv:
+                cfg = network.NetworkConfig(k=80, h=20, dissemination="degree_two_combining",
+                                            storage_combine_input="degree_two_inputs")
+                trials = (network.network_trial(9, t, cfg, 1, 90) for t in range(4))
+            else:
+                dist = ideal_soliton(80) if name == "is" else robust_soliton(80, 0.1, 0.5)
+                trials = (codec.codec_trial(9, t, dist, 90, 32) for t in range(4))
+            column = [int(r["k_d"]) for r in rows
+                      if r["strategy"] == name and r["trial"].isdigit()]
+            assert column == codec.dopings(trials).tolist()
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_key_range_rejected(self, seed):
@@ -501,13 +523,14 @@ class TestCost:
         self, tmp_path, monkeypatch, strategies, rows, simulated
     ):
         trials = []
-        sample = cli.codec_dopings
+        dopings = codec.dopings
 
-        def counted(seed, streams, *args):
-            trials.extend(streams)
-            return sample(seed, streams, *args)
+        def counted(sample):
+            sample = list(sample)
+            trials.extend(sample)
+            return dopings(sample)
 
-        monkeypatch.setattr(cli, "codec_dopings", counted)
+        monkeypatch.setattr(codec, "dopings", counted)
         _, text = run_to_file(
             tmp_path, "mc.csv",
             ["cost", "--strategies", strategies, "--mc-kd", "--trials", "3", "--k", "200",

@@ -16,14 +16,15 @@ Stdlib ``ast`` scans, so no lint tool is needed:
   ``argparse.ArgumentTypeError``, so a caller can catch the package's
   errors by their types;
 * every public function and class and every non-dunder method the package
-  defines is named somewhere besides its definition, in the package, the
-  demos, the benchmark scripts or the README: nothing is kept that only
-  the tests call;
+  defines is referenced by code in the package, the demos or the benchmark
+  scripts (a ``Name``, an ``Attribute`` or an import alias; docstrings and
+  comments do not count), or in an inline code span of the README: nothing
+  is kept that only the tests call;
 * a source block is drawn (``SourceBlock.random``) only by
-  ``codec.codec_trial`` and ``network.build_network``, so each trial layout
-  is written once, and the one-step decoder calls the benchmark harness
-  alone still uses (``init_decoder``, ``process_ripple_symbol``,
-  ``dope_degree_two``) have no call site in the package.
+  ``codec.codec_trial`` and ``network.build_network``, and a network is
+  built only by ``network.network_trial``, so each trial layout is written
+  once; the names the benchmark harness alone still uses (``HARNESS_ONLY``)
+  have no call site in the package.
 """
 
 import ast
@@ -247,18 +248,40 @@ def definitions(source: str) -> list[tuple[str, int]]:
     return found
 
 
-def unnamed_definitions(source: str, corpus: str) -> list[str]:
-    """Definitions of ``source`` whose name ``corpus`` (which holds
-    ``source``) spells only once, which is at the definition itself."""
-    return [f"{name} (line {line})" for name, line in definitions(source)
-            if len(re.findall(rf"\b{name}\b", corpus)) < 2]
+def code_names(source: str) -> set[str]:
+    """The names the code of ``source`` references: every ``Name``, every
+    ``Attribute``'s attribute and every part of an import alias.  A
+    definition, a docstring or a comment references nothing."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+    return names
+
+
+def span_names(markdown: str) -> set[str]:
+    """The words of the inline code spans of ``markdown``; fenced blocks
+    and prose do not count."""
+    text = re.sub(r"^```.*?^```", "", markdown, flags=re.M | re.S)
+    return {word for span in re.findall(r"`([^`\n]+)`", text)
+            for word in re.findall(r"\w+", span)}
+
+
+def unnamed_definitions(source: str, named: set[str]) -> list[str]:
+    """Definitions of ``source`` whose name is not in ``named``."""
+    return [f"{name} (line {line})" for name, line in definitions(source) if name not in named]
 
 
 def test_every_definition_is_named_elsewhere():
     readers = [*(ROOT / "src").rglob("*.py"), *(ROOT / "demos").glob("*.py"),
-               *(ROOT / "benchmarks").glob("*.py"), ROOT / "README.md"]
-    corpus = "\n".join(path.read_text() for path in readers)
-    unnamed = {module.name: unnamed_definitions(module.read_text(), corpus)
+               *(ROOT / "benchmarks").glob("*.py")]
+    named = span_names((ROOT / "README.md").read_text()).union(
+        *(code_names(path.read_text()) for path in readers))
+    unnamed = {module.name: unnamed_definitions(module.read_text(), named)
                for module in MODULES}
     assert {name: found for name, found in unnamed.items() if found} == {}
 
@@ -269,10 +292,20 @@ def test_definition_scan_finds_an_unnamed_one():
         "class Box:\n    def __init__(self):\n        pass\n\n"
         "    def size(self):\n        return used()\n\n    def _spare(self):\n        pass\n"
     )
-    assert unnamed_definitions(source, source) == [
+    assert unnamed_definitions(source, code_names(source)) == [
         "Box (line 7)", "size (line 11)", "_spare (line 14)"
     ]
-    assert unnamed_definitions(source, source + "Box().size(); Box._spare\n") == []
+    named = code_names(source + "Box().size(); Box._spare\n")
+    assert unnamed_definitions(source, named) == []
+    # a name spelled only in a docstring, a comment or prose is unnamed
+    prose = '"""Call spare() or Box.size()."""\n# spare()\n' + source + "def spare():\n    pass\n"
+    assert unnamed_definitions(prose, code_names(prose)) == [
+        "Box (line 9)", "size (line 13)", "_spare (line 16)", "spare (line 18)"
+    ]
+    readme = "Use `Box().size()` to size it.\n```\nspare()\n```\nspare is prose.\n"
+    assert unnamed_definitions(prose, span_names(readme)) == [
+        "used (line 3)", "_spare (line 16)", "spare (line 18)"
+    ]
 
 
 def calls_to(source: str, names: set[str]) -> list[tuple[str, str, int]]:
@@ -297,13 +330,27 @@ def calls_to(source: str, names: set[str]) -> list[tuple[str, str, int]]:
     return found
 
 
+def callers_of(name: str) -> set[tuple[str, str]]:
+    """``(module, caller)`` of every call of ``name`` in the package."""
+    return {(module.name, caller) for module in MODULES
+            for _, caller, _ in calls_to(module.read_text(), {name})}
+
+
 def test_source_blocks_drawn_by_the_trial_builders_alone():
-    drawers = {(module.name, caller) for module in MODULES
-               for _, caller, _ in calls_to(module.read_text(), {"SourceBlock.random"})}
-    assert drawers == {("codec.py", "codec_trial"), ("network.py", "build_network")}
+    assert callers_of("SourceBlock.random") == {
+        ("codec.py", "codec_trial"), ("network.py", "build_network")
+    }
 
 
-HARNESS_ONLY = {"init_decoder", "process_ripple_symbol", "dope_degree_two"}
+def test_networks_built_by_the_network_trial_alone():
+    assert callers_of("build_network") == {("network.py", "network_trial")}
+
+
+HARNESS_ONLY = {
+    "init_decoder", "process_ripple_symbol", "dope_degree_two",
+    "simulate_collection_with_doping", "disseminate_degree_one", "disseminate_degree_two",
+    "storage_listen",
+}
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda p: p.name)

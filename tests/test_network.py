@@ -14,11 +14,14 @@ from squadfountain.codec import (
     SymbolBatch,
     csr_ptr,
     decode_with_doping,
+    distinct_rows,
     dope_degree_two,
     init_decoder,
     process_ripple_symbol,
     symbols_from_rows,
+    trial_rng,
 )
+from squadfountain.degrees import sample_degrees
 from squadfountain.errors import ExhaustedNetworkError, InvalidParameterError
 from squadfountain.network import NetworkConfig
 
@@ -28,20 +31,34 @@ def build(k=20, h=5, seed=0, **kw):
     return nw.build_network(cfg, np.random.default_rng(seed))
 
 
-def replan_node(net, gap, index, slots):
-    """The plan of squad ``gap`` with node ``index`` planned on ``slots``."""
-    plan = net.squad(gap)
-    rows = [list(plan.slots[lo:hi]) for lo, hi in zip(plan.slot_ptr, plan.slot_ptr[1:])]
-    rows[index] = list(slots)
-    ptr = np.cumsum([0] + [len(row) for row in rows])
-    slots = np.array(sum(rows, []), dtype=np.int64)
+def slot_rows(net, gap):
+    """The slots of each node of squad ``gap``, redrawn from the squad's
+    stream in ``_plan``'s order: coupon sources, or the degrees' uniforms
+    and then ``distinct_rows``.  Sources count from 1, overheard
+    transmissions (degree-two inputs) from 0."""
+    rng = trial_rng(net._node_key, gap)
+    if net.cfg.storage == "coupon":
+        return [(src,) for src in rng.integers(1, net.k + 1, size=net.h).tolist()]
+    degrees = np.minimum(sample_degrees(net._dist, rng, net.h), net._slot_count)
+    ptr, slots = distinct_rows(rng, degrees, net._slot_count)
+    if not net._combines_slots:
+        slots += 1
+    return [tuple(slots[lo:hi].tolist()) for lo, hi in zip(ptr, ptr[1:])]
+
+
+def planned_on(net, gap, rows):
+    """The symbols of squad ``gap``'s nodes planned on the slot ``rows``."""
+    ptr = csr_ptr(np.array([len(row) for row in rows], dtype=np.int64))
+    slots = np.array([s for row in rows for s in row], dtype=np.int64)
     return (net._plan_rows(gap, ptr, slots) if net._combines_slots else
-            nw.SquadPlan(ptr, slots, symbols_from_rows(net.block, ptr, slots)))
+            symbols_from_rows(net.block, ptr, slots))
 
 
-def slot_row(plan, index):
-    """The planned slots of node ``index`` of a squad's plan."""
-    return tuple(plan.slots[plan.slot_ptr[index]:plan.slot_ptr[index + 1]].tolist())
+def replan_node(net, gap, index, slots):
+    """The symbols of squad ``gap`` with node ``index`` planned on ``slots``."""
+    rows = slot_rows(net, gap)
+    rows[index] = tuple(slots)
+    return planned_on(net, gap, rows)
 
 
 @pytest.fixture
@@ -66,7 +83,7 @@ def planning(monkeypatch):
 
 def stored_symbols(net):
     """Every stored symbol, squad by squad."""
-    return [sym for gap in range(1, net.k + 1) for sym in net.squad(gap).symbols]
+    return [sym for gap in range(1, net.k + 1) for sym in net._plan([gap])]
 
 
 def xor_of(block, indices):
@@ -122,26 +139,19 @@ class TestBuild:
     def test_fixed_small(self):
         net = build(k=7, h=1)
         assert net.total_storage_nodes == 7
-        assert all(len(net.squad(g).symbols) == 1 for g in range(1, 8))
+        assert all(len(net._plan([g])) == 1 for g in range(1, 8))
 
     def test_fixed_large_counts_without_materializing(self, planning):
         net = build(k=1000, h=200)
         assert net.total_storage_nodes == 200_000
         assert planning == ([], [])  # building plans nothing
 
-    def test_squad_range_checked(self):
-        # every squad holds h nodes, and a gap outside 1..k names no squad
-        net = build(k=10, h=3, seed=1)
-        assert [len(net.squad(g).symbols) for g in range(1, 11)] == [3] * 10
-        for gap in (0, -1, -10, 11):
-            with pytest.raises(InvalidParameterError, match=f"no squad {gap} on a ring of 10"):
-                net.squad(gap)
-
     def test_node_plans_deterministic(self):
         a, b = build(seed=4), build(seed=4)
         for gap, idx in [(1, 0), (5, 3), (20, 4)]:
-            assert slot_row(a.squad(gap), idx) == slot_row(b.squad(gap), idx)
-        assert slot_row(a.squad(2), 1) == slot_row(a.squad(2), 1)
+            assert slot_rows(a, gap)[idx] == slot_rows(b, gap)[idx]
+            assert a._plan([gap])[idx] == b._plan([gap])[idx]
+        assert list(a._plan([2])) == list(a._plan([2]))
 
     @pytest.mark.parametrize("mode", nw.DISSEMINATION_MODES)
     def test_owns_the_schedule_its_config_names(self, mode):
@@ -152,9 +162,7 @@ class TestBuild:
     def test_node_bounds_checked(self):
         net = build(k=5, h=2)
         with pytest.raises(IndexError):
-            net.squad(1).symbols[2]
-        with pytest.raises(InvalidParameterError):
-            net.squad(6)
+            net._plan([1])[2]
 
 
 class TestDegreeOneDissemination:
@@ -256,7 +264,7 @@ class TestStorageListen:
         seen = set()
         for gap in range(1, 51):
             for idx in range(net.h):
-                sym = net.squad(gap).symbols[idx]
+                sym = net._plan([gap])[idx]
                 assert sym.degree == 1
                 assert sym.payload == net.block.packet(sym.neighbors[0])
                 seen.add(sym.neighbors[0])
@@ -274,7 +282,7 @@ class TestStorageListen:
 
     def test_degree_one_inputs_use_planned_sources(self):
         net = build(k=12, h=2)
-        sym = replan_node(net, 3, 0, (2, 5, 9)).symbols[0]
+        sym = replan_node(net, 3, 0, (2, 5, 9))[0]
         assert sym.neighbors == (2, 5, 9)
         assert sym.payload == xor_of(net.block, (2, 5, 9))
 
@@ -286,7 +294,7 @@ class TestStorageListen:
         )
         _, left, right = overheard(net.schedule, 4)
         expected = set(covers(left[1], right[1])) ^ set(covers(left[2], right[2]))
-        sym = replan_node(net, 4, 0, (1, 2)).symbols[0]
+        sym = replan_node(net, 4, 0, (1, 2))[0]
         assert set(sym.neighbors) == expected
         assert sym.payload == xor_of(net.block, sym.neighbors)
 
@@ -301,7 +309,7 @@ class TestStorageListen:
         _, left, right = overheard(net.schedule, 4)
         assert covers(left[2], right[2]) == (2, 6)
         assert covers(left[6], right[6]) == (4, 6)
-        sym = replan_node(net, 4, 1, (2, 6)).symbols[1]
+        sym = replan_node(net, 4, 1, (2, 6))[1]
         assert sym.neighbors == (2, 4)
         assert sym.payload == xor_of(net.block, (2, 4))
 
@@ -346,15 +354,21 @@ class TestSquadPlans:
     @settings(max_examples=80, deadline=None)
     def test_stored_symbols_well_formed(self, net):
         for gap in range(1, net.k + 1):
-            plan = net.squad(gap)
-            assert len(plan.symbols) == net.h
-            for idx in range(net.h):
-                slots, sym = slot_row(plan, idx), plan.symbols[idx]
+            symbols = net._plan([gap])
+            assert len(symbols) == net.h
+            for slots, sym in zip(slot_rows(net, gap), symbols):
                 assert list(sym.neighbors) == sorted(set(sym.neighbors))
                 assert 1 <= sym.neighbors[0] and sym.neighbors[-1] <= net.k
                 assert sym.payload == xor_of(net.block, sym.neighbors)
                 assert 1 <= len(slots) <= net._slot_count
                 assert list(slots) == sorted(set(slots))
+
+    @given(net=networks())
+    @settings(max_examples=80, deadline=None)
+    def test_plan_draws_each_squad_stream_in_order(self, net):
+        # the slots redrawn from each squad's own stream give _plan's symbols
+        for gap in range(1, net.k + 1):
+            assert_same_batch(net._plan([gap]), planned_on(net, gap, slot_rows(net, gap)))
 
     @given(net=networks(), order_seed=st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=60, deadline=None)
@@ -362,23 +376,19 @@ class TestSquadPlans:
         twin = nw.Network(net.cfg, net.block, net._node_key)
         gaps = list(range(1, net.k + 1))
         shuffled = list(np.random.default_rng(order_seed).permutation(gaps))
-        forward = {gap: net.squad(gap) for gap in gaps}
-        backward = {gap: twin.squad(int(gap)) for gap in shuffled}
+        forward = {gap: net._plan([gap]) for gap in gaps}
+        backward = {gap: twin._plan([int(gap)]) for gap in shuffled}
         for gap in gaps:
-            assert list(forward[gap].symbols) == list(backward[gap].symbols)
-            for idx in range(net.h):
-                assert slot_row(forward[gap], idx) == slot_row(backward[gap], idx)
+            assert_same_batch(forward[gap], backward[gap])
 
     @given(net=networks())
     @settings(max_examples=40, deadline=None)
-    def test_slots_cannot_rewrite_cached_symbols(self, net):
-        # slots that are the sources share the symbols' read-only rows, so no
-        # edit of a plan's slots in place can part them from its symbols
-        assert not build().squad(1).slots.flags.writeable
+    def test_planned_batches_are_read_only(self, net):
+        # a node's sources and payload are read-only rows of one batch, so
+        # no edit in place can part them
         for gap in range(1, net.k + 1):
-            plan = net.squad(gap)
-            if np.shares_memory(plan.slots, plan.symbols.neighbors):
-                assert not plan.slots.flags.writeable
+            batch = net._plan([gap])
+            assert not any(a.flags.writeable for a in (batch.ptr, batch.neighbors, batch.payloads))
 
     def test_overheard_transmissions_never_cancel(self):
         # linearly independent over GF(2): no slot subset leaves a node empty
@@ -403,8 +413,8 @@ class TestSquadPlans:
         slots = np.arange(net._slot_count)
         for gap in range(1, k + 1):
             _, left, right = overheard(net.schedule, gap)
-            plan = net._plan_rows(gap, np.arange(len(slots) + 1), slots)
-            for s, sym in enumerate(plan.symbols):
+            symbols = net._plan_rows(gap, np.arange(len(slots) + 1), slots)
+            for s, sym in enumerate(symbols):
                 assert sym.neighbors == covers(left[s], right[s]), (gap, s)
                 assert sym.payload == xor_of(net.block, covers(left[s], right[s]))
 
@@ -427,7 +437,7 @@ class TestSquadPlans:
             heard, times = np.unique(keys, return_counts=True)
             assert times.max() <= 2
             odd = heard[times % 2 == 1]
-            symbols = net._plan_rows(gap, ptr, slots).symbols
+            symbols = net._plan_rows(gap, ptr, slots)
             assert symbols.ptr.tolist() == [0, *np.cumsum(
                 np.bincount(odd // (k + 1), minlength=len(rows))).tolist()]
             assert symbols.neighbors.tolist() == (odd % (k + 1)).tolist()
@@ -549,7 +559,7 @@ class TestCollect:
         k_s = round(share * net.total_storage_nodes)
         symbols, rep = nw.collect(net, (collector - 1) % net.k + 1, k_s)
         assert len(set(rep.squads_drained)) == rep.s  # no squad drained twice
-        drained = [sym for gap in rep.squads_drained for sym in net.squad(gap).symbols]
+        drained = [sym for gap in rep.squads_drained for sym in net._plan([gap])]
         assert len(symbols) == k_s and list(symbols) == drained[:k_s]
         assert not symbols.payloads.flags.writeable
 
@@ -604,15 +614,15 @@ class TestOnePassCollect:
         drained = nw._drain_order(net.k, collector, -(-k_s // net.h))
         assert list(rep.squads_drained) == drained
         # the oracle: one squad at a time, last drained first
-        plans = {gap: twin.squad(gap) for gap in reversed(drained)}
-        assert_same_batch(batch, joined([plans[g].symbols for g in drained])[:k_s])
+        plans = {gap: twin._plan([gap]) for gap in reversed(drained)}
+        assert_same_batch(batch, joined([plans[g] for g in drained])[:k_s])
         # a second collect plans again, to the same batch; one for every
         # symbol starts with it
         assert_same_batch(nw.collect(net, collector, k_s)[0], batch)
         everything, _ = nw.collect(net, collector, net.total_storage_nodes)
         assert_same_batch(everything[:k_s], batch)
         assert_same_batch(everything, joined(
-            [twin.squad(g).symbols for g in nw._drain_order(net.k, collector, net.k)]))
+            [twin._plan([g]) for g in nw._drain_order(net.k, collector, net.k)]))
 
     @pytest.mark.parametrize("kw", [
         dict(),
@@ -633,31 +643,28 @@ class TestOnePassCollect:
         nw.collect(net, 1, 60)  # twelve squads
         assert sorted(streams[10:]) == [1, 2, 3, 4, 5, 6, 35, 36, 37, 38, 39, 40]
         assert passes == [25, 25, 60]
-        net.squad(20)
+        net._plan([20])
         assert streams[22:] == [20] and passes == [25, 25, 60, 5]
 
 
 @st.composite
 def reads(draw):
     """A network spec of up to 30 relays and one to six reads of it, in any
-    order: ``("collect", collector, k_s)`` or ``("squad", gap)``."""
+    order: ``("collect", collector, k_s)`` or ``("plan", gap)``."""
     spec = draw(specs(max_k=30))
     k, total = spec["k"], build(**spec).total_storage_nodes
     relays = st.integers(min_value=1, max_value=k)
     return spec, draw(st.lists(st.one_of(
         st.tuples(st.just("collect"), relays, st.integers(min_value=0, max_value=total)),
-        st.tuples(st.just("squad"), relays),
+        st.tuples(st.just("plan"), relays),
     ), min_size=1, max_size=6))
 
 
 def read(net, op, *args):
-    """The arrays a read returns: a collected batch's, or a squad plan's."""
-    if op == "collect":
-        slots, batch = (), nw.collect(net, *args)[0]
-    else:
-        plan = net.squad(*args)
-        slots, batch = (plan.slot_ptr, plan.slots), plan.symbols
-    return (*slots, batch.ptr, batch.neighbors, batch.payloads)
+    """The arrays of the batch a read returns: a collection's, or one squad's
+    plan."""
+    batch = nw.collect(net, *args)[0] if op == "collect" else net._plan(list(args))
+    return batch.ptr, batch.neighbors, batch.payloads
 
 
 def state(net):
@@ -769,6 +776,27 @@ class TestCollectionWithDoping:
             assert report.doped_indices == tuple(state.doped)
             assert report.dope_levels == tuple(state.dope_levels)
             assert report.k_d > 0
+
+
+class TestNetworkTrial:
+    @pytest.mark.parametrize("kw", [
+        dict(),
+        dict(dissemination="degree_two_combining", storage_combine_input="degree_two_inputs"),
+        dict(storage="coupon"),
+        dict(storage="rs_combining"),
+    ], ids=["d1", "d2", "coupon", "rs"])
+    def test_is_the_harness_layout(self, kw):
+        # the CLI's trial and the benchmark harness's draw the same network,
+        # symbols and dopings from one stream
+        cfg = NetworkConfig(k=60, h=8, payload_len=4, **kw)
+        for stream in range(4):
+            got = decode_with_doping(*nw.network_trial(11, stream, cfg, 5, 70))
+            rng = trial_rng(11, stream)
+            want, _ = nw.simulate_collection_with_doping(nw.build_network(cfg, rng), 5, 70, rng)
+            assert got.k_d == want.k_d > 0
+            assert got.doped_indices == want.doped_indices
+            assert got.dope_levels == want.dope_levels
+            assert got.recovered == want.recovered
 
 
 class TestMixingProperty:
