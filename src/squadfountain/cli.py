@@ -95,11 +95,13 @@ def parse_delta_grid(spec: str) -> list[float]:
 
 
 def _comma_list(flag: str, spec: str, known=None) -> list[str]:
-    """The stripped names of a comma list; none, or one outside ``known``,
-    is a ConfigError."""
+    """The stripped names of a comma list; none, a repeated one, or one
+    outside ``known`` is a ConfigError."""
     names = [name.strip() for name in spec.split(",") if name.strip()]
     if not names:
         raise ConfigError(f"{flag} {spec!r} names nothing")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"{flag} {spec!r} repeats an entry")
     unknown = [name for name in names if known is not None and name not in known]
     if unknown:
         raise ConfigError(f"{flag}: unknown {', '.join(unknown)}")
@@ -247,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="default 0.5; only with --strategies naming rs_no_doping")
     p.add_argument("--mc-kd", nargs="?", const=True, default=False, type=_switch,
                    help="simulate k_d instead of analytic")
-    p.add_argument("--trials", type=_trials, default=50, help="per --mc-kd point, 1..1000000")
+    p.add_argument("--trials", type=_trials, help="per --mc-kd point, 1..1000000 (default 50)")
 
     p = sub.add_parser("validate", help="run the acceptance checks")
     common(p)
@@ -399,6 +401,8 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
         h_values = [float(x) for x in _comma_list("--h", args.h)]
     except ValueError as exc:
         raise ConfigError(f"bad --h list {args.h!r}, expected numbers") from exc
+    if len(set(h_values)) < len(h_values):
+        raise ConfigError(f"--h {args.h!r} repeats a squad size")
     meta = {}
     # a strategy table reads every strategy at --delta; a cost curve, is_doping on the grid
     if args.strategies is not None:
@@ -413,14 +417,17 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
         meta["delta_grid"] = "0:0.06:0.01" if args.delta_grid is None else args.delta_grid
         points = [("is_doping", d) for d in parse_delta_grid(meta["delta_grid"])]
     eps_rs = 0.5 if args.eps_rs is None else args.eps_rs
+    if not args.mc_kd:
+        _unread("cost without --mc-kd", args, "trials")
+    trials = 50 if args.trials is None else args.trials
     deltas = list(dict.fromkeys(d for name, d in points if name == "is_doping"))
     kd_table: dict[float, float] = {}
     if args.mc_kd:
         # decode-sim's mean over its IS codec trials at k_s = round(k(1+delta))
         ks = {d: _upfront(k * (1.0 + d)) for d in deltas}
-        trials, dist = range(args.trials), ideal_soliton(k)
+        dist = ideal_soliton(k)
         kd_table = {d: float(codec.dopings(codec.codec_trial(args.seed, t, dist, ks[d], 32)
-                                           for t in trials).mean())
+                                           for t in range(trials)).mean())
                     for d in deltas}
     elif deltas:
         kd_table = {d: pred.k_d for d, pred in analytics.doping_table(k, deltas).items()}
@@ -441,7 +448,7 @@ def cmd_cost(args: argparse.Namespace) -> tuple[int, Table]:
         "hop_model": args.hop_model,
         "eps_rs": eps_rs,
         "mc_kd": args.mc_kd,
-        "trials": args.trials,
+        "trials": trials,
     }
     if args.mc_kd:
         meta["stream_version"] = STREAM_VERSION

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 
@@ -184,7 +184,7 @@ class SymbolBatch:
     """Coded symbols as read-only arrays: symbol i covers the sources
     ``neighbors[ptr[i]:ptr[i+1]]`` (sorted, distinct) and carries row i of
     the n x payload_len uint8 ``payloads``.  A ``CodedSymbol`` is built only
-    when indexed or iterated; a step-one slice is a batch of views.
+    when iterated; a step-one slice, the one index taken, is a batch of views.
     """
 
     __slots__ = ("ptr", "neighbors", "payloads")
@@ -200,12 +200,9 @@ class SymbolBatch:
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
-    def __getitem__(self, index):
-        rows = range(len(self))[index]
-        if isinstance(rows, int):
-            return next(iter(self[rows:rows + 1]))
-        if rows.step != 1:
-            raise InvalidParameterError("a symbol batch slices with step one only")
+    def __getitem__(self, index: slice) -> SymbolBatch:
+        if not isinstance(index, slice) or (rows := range(len(self))[index]).step != 1:
+            raise InvalidParameterError("a symbol batch takes step-one slices only")
         lo, hi = rows.start, max(rows.start, rows.stop)
         ptr = self.ptr[lo:hi + 1]
         return SymbolBatch(ptr - ptr[0], self.neighbors[ptr[0]:ptr[-1]], self.payloads[lo:hi])
@@ -283,18 +280,20 @@ class DecoderState:
     byte per output flags those at count two; doping reads the flagged ids
     in ascending order.  One loop, ``drain``, peels and, given an oracle,
     dopes in place whenever the ripple empties before every source is
-    decoded: ``decode_with_doping`` is one call of it, and
+    decoded: ``decode_with_doping`` drains once and returns the state, and
     ``process_ripple_symbol`` and ``dope_degree_two`` each take one step.
 
     No payload is touched while peeling.  Payloads are replayed in decode
     order when first asked for: a released source's payload is its releasing
     row's payload XOR the replayed values of that row's other neighbours,
     and a doped source's payload is the oracle's packet.  The first replay
-    turns every payload row into an int in one pass.
+    turns every payload row into an int in one pass.  ``decoded`` holds the
+    decoded sources' int payloads in decode order, ``recovered`` every
+    source's bytes once ``finished``; ``recovered_payload`` is harness-only.
 
     The step log is the releases of every step (step 0 seeds the ripple, each
-    later one decodes a source) and the steps that doped; ``history`` and a
-    report's ripple trajectory and interdoping yields derive from it.
+    later one decodes a source) and the steps that doped; ``history``, the
+    ripple trajectory and the interdoping yields derive from it.
     """
 
     def __init__(self, k: int, batch: SymbolBatch, payload_len: int):
@@ -370,6 +369,10 @@ class DecoderState:
         return len(self._order) == self.k
 
     @property
+    def k_d(self) -> int:
+        return len(self.doped)
+
+    @property
     def undecoded(self) -> list[int]:
         """Sources not yet decoded, ascending."""
         flags = self._flags
@@ -410,6 +413,29 @@ class DecoderState:
         dopes = set(self._dope_steps)
         return [StepRecord("dope" if t in dopes else "decode" if t else "init", releases)
                 for t, releases in enumerate(self._releases)]
+
+    @cached_property
+    def recovered(self) -> dict[int, bytes]:
+        """Every source's packet by index; only a finished state has them all."""
+        if not self.finished:
+            raise InvalidParameterError(f"{self.k - len(self._order)} sources are not decoded")
+        vals, size = self._replay(), self.payload_len
+        return {i: vals[i].to_bytes(size, "big") for i in range(1, self.k + 1)}
+
+    @property
+    def ripple_trajectory(self) -> tuple[int, ...]:
+        """Ripple size after each step: step 0 seeds it, a peel step moves it
+        by its releases minus one and a doping step by its releases."""
+        unpopped = {0, *self._dope_steps}
+        return tuple(accumulate(releases - (t not in unpopped)
+                                for t, releases in enumerate(self._releases)))
+
+    @property
+    def interdoping_yields(self) -> tuple[int, ...]:
+        """Decodes between successive stalls; the first counts those before
+        the first stall.  A doping at step t stalls after t - 1 decodes."""
+        stalls = [0] + [step - 1 for step in self._dope_steps]
+        return tuple(b - a for a, b in zip(stalls, stalls[1:]))
 
     def recovered_payload(self, index: int) -> bytes:
         return self.decoded[index].to_bytes(self.payload_len, "big")
@@ -534,56 +560,16 @@ def dope_degree_two(
     return state.doped[-1]
 
 
-@dataclass(frozen=True)
-class DecodeReport:
-    """Outcome of one doped decode run, which always recovers every source;
-    ``recovered``, the ripple trajectory and the yields derive on first use."""
-
-    k_s: int
-    k_d: int
-    doped_indices: tuple[int, ...]
-    dope_levels: tuple[int, ...]  # residual degree doped into; 0 = uncovered poll
-    defected_total: int
-    state: DecoderState = field(repr=False, compare=False)
-
-    @cached_property
-    def recovered(self) -> dict[int, bytes]:
-        vals, size = self.state._replay(), self.state.payload_len
-        return {i: vals[i].to_bytes(size, "big") for i in range(1, self.state.k + 1)}
-
-    @cached_property
-    def ripple_trajectory(self) -> tuple[int, ...]:
-        """Ripple size after each step: step 0 seeds it, a peel step moves it
-        by its releases minus one and a doping step by its releases."""
-        unpopped = {0, *self.state._dope_steps}
-        return tuple(accumulate(releases - (t not in unpopped)
-                                for t, releases in enumerate(self.state._releases)))
-
-    @cached_property
-    def interdoping_yields(self) -> tuple[int, ...]:
-        """Decodes between successive stalls; the first counts those before
-        the first stall.  A doping at step t stalls after t - 1 decodes."""
-        stalls = [0] + [step - 1 for step in self.state._dope_steps]
-        return tuple(b - a for a, b in zip(stalls, stalls[1:]))
-
-
 def decode_with_doping(
     block: SourceBlock,
     batch: SymbolBatch,
     rng: np.random.Generator,
-) -> DecodeReport:
-    """Run the full decode loop, one drain that dopes from ``block.packet``
-    whenever the ripple empties before every source is decoded."""
+) -> DecoderState:
+    """Drain a new decoder over the batch, doping from ``block.packet`` whenever
+    the ripple empties before every source is decoded; returns the decoder."""
     state = DecoderState(block.k, batch, block.payload_len)
     state.drain(block.packet, rng)
-    return DecodeReport(
-        k_s=len(batch),
-        k_d=len(state.doped),
-        doped_indices=tuple(state.doped),
-        dope_levels=tuple(state.dope_levels),
-        defected_total=state.defected_total,
-        state=state,
-    )
+    return state
 
 
 def dopings(

@@ -26,12 +26,12 @@ payload array is built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import (
-    DecodeReport,
+    DecoderState,
     SourceBlock,
     SymbolBatch,
     csr_ptr,
@@ -47,12 +47,6 @@ from .errors import ExhaustedNetworkError, InvalidParameterError
 DISSEMINATION_MODES = ("degree_one", "degree_two_combining")
 STORAGE_MODES = ("coupon", "is_combining", "rs_combining")
 STORAGE_INPUTS = ("degree_one_inputs", "degree_two_inputs")
-
-
-def ring_distance(k: int, i, j):
-    """Hops between relays i and j along the shorter arc; broadcasts."""
-    d = np.abs(np.subtract(i, j)) % k
-    return np.minimum(d, k - d)
 
 
 def _wrap(k: int, i: int) -> int:
@@ -318,7 +312,6 @@ class CollectionReport:
     s: int
     supersquad_hops: float
     squads_drained: tuple[int, ...]
-    doped_hop_costs: tuple[int, ...] = field(default=())
 
 
 def _drain_order(k: int, collector: int, s: int) -> list[int]:
@@ -371,19 +364,11 @@ def simulate_collection_with_doping(
     collector_relay: int,
     k_s: int,
     rng: np.random.Generator,
-) -> tuple[DecodeReport, CollectionReport]:
-    """Collect upfront symbols, then decode, polling sources on every stall.
-
-    Each doped packet is charged the ring distance from the collector to its
-    source relay (uniform sources average about k/4 hops), all in one array
-    expression.
-    """
-    symbols, creport = collect(net, collector_relay, k_s)
-    report = decode_with_doping(net.block, symbols, rng)
-    doped = np.array(report.doped_indices, dtype=np.int64)
-    doped_hops = tuple(ring_distance(net.k, doped, collector_relay).tolist())
-    creport = replace(creport, doped_hop_costs=doped_hops)
-    return report, creport
+) -> tuple[DecoderState, CollectionReport]:
+    """Collect upfront symbols, then decode, polling sources on every stall;
+    returns the drained decoder and the collection's report."""
+    symbols, report = collect(net, collector_relay, k_s)
+    return decode_with_doping(net.block, symbols, rng), report
 
 
 def network_trial(

@@ -108,8 +108,8 @@ def criterion_decoder_bitexact(seed: int) -> Verdict:
     exact = 0
     for trial in range(trials):
         block, batch, rng = codec_trial(seed, streams[trial], dist, k, 32)
-        report = decode_with_doping(block, batch, rng)
-        if all(report.recovered[i] == block.packet(i) for i in range(1, k + 1)):
+        state = decode_with_doping(block, batch, rng)
+        if all(state.recovered[i] == block.packet(i) for i in range(1, k + 1)):
             exact += 1
     elapsed = time.perf_counter() - start
     return (exact == trials and elapsed < 5.0,

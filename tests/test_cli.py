@@ -389,6 +389,17 @@ class TestNonFiniteNumbers:
         ["cost", "--strategies", "is_doping", "--eps-rs", "7", "--h", "10"],
         ["cost", "--strategies", "polling,coupon", "--eps-rs", "0.5", "--h", "10"],
         ["cost", "--eps-rs", "0.5", "--h", "10"],
+        ["cost", "--k", "100", "--h", "10", "--strategies", "polling", "--trials", "7"],
+        ["cost", "--k", "100", "--h", "10", "--trials", "50"],
+        # a repeated entry would run, and write, its rows twice
+        ["decode-sim", "--k", "50", "--trials", "1", "--dist", "is,is"],
+        ["decode-sim", "--k", "50", "--trials", "1", "--dist", "is, rs,is"],
+        ["cost", "--k", "100", "--strategies", "polling,polling"],
+        ["cost", "--k", "100", "--h", "10,10"],
+        ["cost", "--k", "100", "--h", "10,10.0"],
+        ["cost", "--k", "100", "--h", "10,1e1", "--strategies", "polling"],
+        ["validate", "--criterion", "wald,wald"],
+        ["validate", "--criterion", "yield_anchor,yield_anchor"],
     ])
     def test_clean_error(self, tmp_path, capsys, argv):
         code, text = run_to_file(tmp_path, "x.csv", argv + ["--seed", "1"])

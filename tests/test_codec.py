@@ -9,6 +9,7 @@ from scipy.stats import poisson
 
 from squadfountain import cli
 from squadfountain.codec import (
+    DecoderState,
     SourceBlock,
     SymbolBatch,
     codec_trial,
@@ -268,8 +269,7 @@ class TestSymbolBatch:
         batch = encode_symbols(block, dist, n, np.random.default_rng(seed))
         symbols = list(batch)
         assert list(batch[1:-1]) == symbols[1:-1]
-        if n:
-            assert batch[-1] == symbols[-1]
+        assert list(batch[-1:]) == symbols[-1:]
         for view in (batch, batch[1:], batch[:0]):
             assert_read_only(view)
         # the same rows rebuilt from their symbols decode alike
@@ -279,9 +279,9 @@ class TestSymbolBatch:
             decode_with_doping(block, given, np.random.default_rng(seed))
             for given in (batch, rebuilt)
         )
-        assert a.k_s == b.k_s == n
-        for name in ("k_d", "doped_indices", "dope_levels", "interdoping_yields",
-                     "ripple_trajectory", "defected_total", "recovered"):
+        assert len(batch) == len(rebuilt) == n
+        for name in ("k_d", "doped", "dope_levels", "interdoping_yields",
+                     "ripple_trajectory", "defected_total", "history", "recovered"):
             assert getattr(a, name) == getattr(b, name), name
         assert a.recovered == dict(enumerate(block.packets, start=1))
 
@@ -291,11 +291,14 @@ class TestSymbolBatch:
             with pytest.raises(ValueError):
                 batch[index]
 
-    def test_index_out_of_range(self):
+    def test_integer_index_rejected(self):
+        # a batch is read by iteration and step-one slices; one symbol is a
+        # one-row slice
         batch = encode_symbols(make_block(6), ideal_soliton(6), 3, np.random.default_rng(0))
-        for index in (3, -4):
-            with pytest.raises(IndexError):
+        for index in (0, 2, -1, 3, -4):
+            with pytest.raises(InvalidParameterError, match="step-one slices only"):
                 batch[index]
+        assert list(batch[2:3]) == list(batch)[2:]
 
 
 class TestGoldenStream:
@@ -309,9 +312,9 @@ class TestGoldenStream:
         assert [sym.neighbors for sym in symbols[:4]] == [
             (81, 443), (513, 555, 728), (139, 177, 579, 729), (309, 657)
         ]
-        report = decode_with_doping(block, symbols, rng)
-        assert report.k_d == 13
-        assert report.doped_indices[:5] == (145, 700, 735, 256, 783)
+        state = decode_with_doping(block, symbols, rng)
+        assert state.k_d == 13
+        assert tuple(state.doped[:5]) == (145, 700, 735, 256, 783)
 
     def test_codec_trial_draws_the_pinned_layout(self):
         # the layout written out above, the oracle: block, symbols, dopings
@@ -322,19 +325,19 @@ class TestGoldenStream:
         want_symbols = encode_symbols(want, ideal_soliton(1000), 1000, want_rng)
         for rows in ("ptr", "neighbors", "payloads"):
             assert np.array_equal(getattr(symbols, rows), getattr(want_symbols, rows))
-        report = decode_with_doping(block, symbols, rng)
-        assert report.k_d == 13
-        assert report.doped_indices[:5] == (145, 700, 735, 256, 783)
+        state = decode_with_doping(block, symbols, rng)
+        assert state.k_d == 13
+        assert tuple(state.doped[:5]) == (145, 700, 735, 256, 783)
 
     def test_first_rs_trial_pinned(self):
         # trial 0 of decode-sim --seed 1 --k 1000 --dist rs
         rng = cli.trial_rng(1, 0)
         block = SourceBlock.random(1000, 32, rng)
-        report = decode_with_doping(
+        state = decode_with_doping(
             block, encode_symbols(block, robust_soliton(1000, 0.1, 0.5), 1000, rng), rng)
-        assert report.k_d == 89
-        assert report.doped_indices[:5] == (205, 272, 432, 384, 658)
-        assert Counter(report.dope_levels) == {2: 89}
+        assert state.k_d == 89
+        assert tuple(state.doped[:5]) == (205, 272, 432, 384, 658)
+        assert Counter(state.dope_levels) == {2: 89}
 
     def test_first_network_d2_trial_pinned(self):
         # trial 0 of decode-sim --seed 1 --network --k 1000 --h 200
@@ -343,10 +346,10 @@ class TestGoldenStream:
         cfg = NetworkConfig(k=1000, h=200, dissemination="degree_two_combining",
                             storage_combine_input="degree_two_inputs")
         rng = cli.trial_rng(1, 0)
-        report, _ = simulate_collection_with_doping(build_network(cfg, rng), 1, 1000, rng)
-        assert report.k_d == 213
-        assert report.doped_indices[:5] == (727, 808, 242, 457, 660)
-        assert Counter(report.dope_levels) == {2: 204, 3: 9}
+        state, _ = simulate_collection_with_doping(build_network(cfg, rng), 1, 1000, rng)
+        assert state.k_d == 213
+        assert tuple(state.doped[:5]) == (727, 808, 242, 457, 660)
+        assert Counter(state.dope_levels) == {2: 204, 3: 9}
 
 
 class TestTrialRngKey:
@@ -447,9 +450,9 @@ class TestDecoderIdEdges:
 
     @staticmethod
     def decode(block, batch, rng):
-        report = decode_with_doping(block, batch, rng)
-        assert report.recovered == dict(enumerate(block.packets, start=1))
-        return report.doped_indices, report.dope_levels, report.defected_total
+        state = decode_with_doping(block, batch, rng)
+        assert state.recovered == dict(enumerate(block.packets, start=1))
+        return tuple(state.doped), tuple(state.dope_levels), state.defected_total
 
     @pytest.mark.parametrize("degrees, n, stream, pinned", [
         ({2: 0.6, 3: 0.4}, 70, 20, ((19,), (2,), 51)),
@@ -727,7 +730,7 @@ class TestDegreeTwoBucket:
             # 20% short of k leaves sources uncovered, so polls occur too
             k_s = k if seed % 2 else round(0.8 * k)
             block, symbols = trial_batch(source, k, k_s, seed)
-            report = decode_with_doping(block, symbols, np.random.default_rng(500 + seed))
+            drained = decode_with_doping(block, symbols, np.random.default_rng(500 + seed))
             rng = np.random.default_rng(500 + seed)
             state = init_decoder(k, symbols, block.payload_len)
             buckets, sizes = [], [len(state.ripple)]
@@ -741,25 +744,25 @@ class TestDegreeTwoBucket:
                     dope_degree_two(state, block.packet, rng)
                 sizes.append(len(state.ripple))
             # the drained decode and the step-by-step drive agree step for step
-            assert report.doped_indices == tuple(state.doped)
-            assert report.dope_levels == tuple(state.dope_levels)
-            assert report.state.history == state.history
-            assert report.ripple_trajectory == tuple(sizes)
-            assert report.defected_total == state.defected_total
+            assert drained.finished
+            for name in ("k_d", "doped", "dope_levels", "defected_total", "history",
+                         "ripple_trajectory", "interdoping_yields"):
+                assert getattr(drained, name) == getattr(state, name), name
+            assert drained.ripple_trajectory == tuple(sizes)
             # in ascending visiting order the reference peels step for step
             # alike; in set order it stalls in the same states
             for ordered in (True, False):
                 ref, ref_buckets = reference_decode(block, symbols, 500 + seed, ordered)
-                assert report.doped_indices == tuple(ref.doped)
-                assert report.dope_levels == tuple(ref.dope_levels)
-                assert report.defected_total == ref.defected_total
+                assert drained.doped == ref.doped
+                assert drained.dope_levels == ref.dope_levels
+                assert drained.defected_total == ref.defected_total
                 assert buckets == ref_buckets
-                assert report.recovered == {
+                assert drained.recovered == {
                     i: p.to_bytes(block.payload_len, "big")
                     for i, p in sorted(ref.decoded.items())
                 }
                 if ordered:
-                    assert report.ripple_trajectory == tuple(ref.trajectory)
+                    assert drained.ripple_trajectory == tuple(ref.trajectory)
             levels.update(min(level, 3) for level in state.dope_levels)
         # every branch of the rule is drawn: degree two, the fallback to
         # degree three and up, and the uncovered poll
@@ -820,33 +823,55 @@ class TestDecodeWithDoping:
     def test_no_doping_when_peeling_suffices(self):
         block = make_block(6)
         symbols = batch_of(block, (1,), *((i, i + 1) for i in range(1, 6)))
-        report = decode_with_doping(block, symbols, np.random.default_rng(0))
-        assert report.k_d == 0
+        state = decode_with_doping(block, symbols, np.random.default_rng(0))
+        assert state.k_d == 0
 
     def test_pure_polling_when_no_symbols(self):
         block = make_block(9)
-        report = decode_with_doping(block, batch_of(block), np.random.default_rng(1))
-        assert report.k_d == 9
-        assert set(report.dope_levels) == {0}
-        assert all(report.recovered[i] == block.packet(i) for i in range(1, 10))
+        state = decode_with_doping(block, batch_of(block), np.random.default_rng(1))
+        assert state.k_d == 9
+        assert set(state.dope_levels) == {0}
+        assert all(state.recovered[i] == block.packet(i) for i in range(1, 10))
 
     def test_bit_exact_recovery(self):
         k = 200
         block = make_block(k, payload_len=32, seed=5)
         rng = np.random.default_rng(6)
         symbols = encode_symbols(block, ideal_soliton(k), k, rng)
-        report = decode_with_doping(block, symbols, rng)
-        assert all(report.recovered[i] == block.packet(i) for i in range(1, k + 1))
+        state = decode_with_doping(block, symbols, rng)
+        assert all(state.recovered[i] == block.packet(i) for i in range(1, k + 1))
 
     def test_yields_telescope_to_last_stall(self):
         k = 150
         block = make_block(k, seed=7)
         rng = np.random.default_rng(8)
         symbols = encode_symbols(block, ideal_soliton(k), k, rng)
-        report = decode_with_doping(block, symbols, rng)
-        assert len(report.interdoping_yields) == report.k_d
-        assert sum(report.interdoping_yields) <= k
-        assert report.k_s == k
+        state = decode_with_doping(block, symbols, rng)
+        assert len(state.interdoping_yields) == state.k_d
+        assert sum(state.interdoping_yields) <= k
+
+    def test_returns_the_drained_decoder(self):
+        k = 40
+        block = make_block(k, seed=11)
+        rng = np.random.default_rng(12)
+        state = decode_with_doping(block, encode_symbols(block, ideal_soliton(k), k, rng), rng)
+        assert isinstance(state, DecoderState)
+        assert state.finished and not state.ripple and state.k_d == len(state.doped) > 0
+
+    def test_recovered_only_once_finished(self):
+        # a state stepped part way holds some payloads in decoded, and
+        # recovered refuses it rather than hand out zeros for the rest
+        k = 40
+        block = make_block(k, seed=11)
+        rng = np.random.default_rng(12)
+        state = DecoderState(k, encode_symbols(block, ideal_soliton(k), k, rng), block.payload_len)
+        state.drain(block.packet, rng, steps=k // 2)
+        assert len(state.decoded) == k // 2
+        with pytest.raises(InvalidParameterError, match=f"{k - k // 2} sources are not decoded"):
+            state.recovered
+        assert "recovered" not in vars(state)  # the refusal caches nothing
+        state.drain(block.packet, rng)
+        assert state.recovered == dict(enumerate(block.packets, start=1))
 
     def test_ripple_trajectory_identity(self):
         # per decode step the ripple moves by releases-1; a dope adds releases
